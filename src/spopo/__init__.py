@@ -14,8 +14,8 @@ from .cavity import (CavityConfig, SqueezingSpectrum, ThresholdResult,
 from .errors import (AboveThresholdError, AtThresholdError, ConfigError,
                      NoFiniteThresholdError, NumericalError, SpopoError,
                      SpectralLeakageError, ValidationError)
-from .kernel import (CrystalConfig, EnvelopeShape, FrequencyGrid, JointKernel,
-                     PumpConfig, build_kernel, chi0, phase_matching)
+from .kernel import (CrystalConfig, FrequencyGrid, JointKernel, PumpConfig,
+                     build_kernel, chi0, phase_matching)
 from .metrology import (ImprovementCurve, MetrologyResult, ProbeField,
                         TranslationGenerator, cramer_rao, fisher_information,
                         improvement_curve, omega_matrix, optimal_probe)
@@ -31,7 +31,7 @@ from .symplectic import (ModePairTransform, check_symplectic, compose,
 
 __all__ = [
     "AboveThresholdError", "AtThresholdError", "CavityConfig", "CombFunction",
-    "ConfigError", "CrystalConfig", "EnvelopeShape", "FrequencyGrid",
+    "ConfigError", "CrystalConfig", "FrequencyGrid",
     "ImprovementCurve", "JointKernel", "MetrologyResult",
     "MinVarianceSolution", "ModePairTransform", "NoFiniteThresholdError",
     "NumericalError", "ProbeField", "PulseCovariance", "PumpConfig",

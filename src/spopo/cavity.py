@@ -1,12 +1,18 @@
 """Cavity input-output map per comb pair, oscillation threshold, spectra.
 
-Each supermode/frequency-shift pair (n, theta) transforms independently:
+Each supermode/frequency-shift pair (n, theta) transforms independently as
+out = (A - r)(1 - r A)^{-1} in, A = e^{i theta} T_n, with T_n the single-pass
+squeezer of gain g rotated by the round-trip phase phi = delta_rt + ceo_half.
+theta = 0 gives single-comb squeezing; theta != 0 gives twin combs at +-theta
+in a two-mode squeezed state.  The map has a closed form (Patera, Treps,
+Fabre, de Valcarcel, Eur. Phys. J. D 56, 123 (2010)): with
+u = e^{i(theta + phi)}, d = e^{i(theta - phi)} and h = cosh g - 1,
 
-    out = (e^{i theta} T_n - r) (1 - r e^{i theta} T_n)^{-1} in,
+    D = 1 - r cosh g (u + d) + r^2 u d = (1 - r u)(1 - r d) - r h (u + d),
+    C = [(u - r)(1 - r d) + h (u + r^2 d)] / D,    S = t^2 u sinh g / D,
 
-with T_n the single-pass squeezer of gain g_n rotated by the round-trip phase
-delta_rt + ceo_half.  theta = 0 gives single-comb squeezing; theta != 0 gives
-twin combs at +-theta in a two-mode squeezed state.
+factored to keep the O(1) terms apart from the gain terms that cancel them
+near threshold.
 """
 
 from __future__ import annotations
@@ -82,16 +88,40 @@ def threshold_gain(cavity: CavityConfig, ceo_half: float) -> ThresholdResult:
     return ThresholdResult(gain=gain, branch_theta=branch)
 
 
-def _round_trip_block(gain: float, theta: float, cavity: CavityConfig,
-                      ceo_half: float) -> np.ndarray:
-    """e^{i theta} T_n as an explicit 2x2 complex matrix."""
-    phase = cavity.delta_rt + ceo_half
-    with np.errstate(over="ignore", invalid="ignore"):
+def _blocks(gain, theta, cavity: CavityConfig, ceo_half: float):
+    """Closed-form (C, S), broadcast over gain and theta.
+
+    Raises ``AtThresholdError`` at the first point whose resolvent 1 - r A has
+    a 2-norm condition number sigma_max^2 / |D| of at least ``CONDITION_LIMIT``,
+    where sigma_max^2 = (F^2 + sqrt(F^4 - 4|D|^2)) / 2 and F^2 is its squared
+    Frobenius norm.
+    """
+    gain = np.asarray(gain, dtype=float)
+    if np.any(gain < 0):
+        raise ValidationError("gain must be >= 0")
+    with np.errstate(over="ignore"):
         ch, sh = np.cosh(gain), np.sinh(gain)
-        up = np.exp(1j * (theta + phase))
-        dn = np.exp(1j * (theta - phase))
-        return np.array([[up * ch, up * sh],
-                         [dn * sh, dn * ch]])
+    if not np.all(np.isfinite(ch)):
+        raise ValidationError(
+            f"gain {gain.max():g} overflows the round-trip block")
+    r = cavity.r
+    up = np.exp(1j * (theta + cavity.delta_rt + ceo_half))
+    dn = np.exp(1j * (theta - cavity.delta_rt - ceo_half))
+    h = 2.0 * np.sinh(0.5 * gain) ** 2
+    det = (1.0 - r * up) * (1.0 - r * dn) - r * h * (up + dn)
+    frob2 = (np.abs(1.0 - r * up * ch) ** 2 + np.abs(1.0 - r * dn * ch) ** 2
+             + 2.0 * (r * sh) ** 2)
+    adet = np.abs(det)
+    with np.errstate(divide="ignore"):
+        cond = 0.5 * (frob2 + np.sqrt(np.maximum(frob2**2 - 4.0 * adet**2, 0.0))) / adet
+    bad = cond >= CONDITION_LIMIT
+    if np.any(bad):
+        at = np.unravel_index(np.argmax(bad), bad.shape)
+        g, th = (np.broadcast_to(x, bad.shape)[at] for x in (gain, theta))
+        raise AtThresholdError(f"input-output map singular at theta={th:.6g} "
+                               f"(g={g:.6g}, r={r:.6g})", theta=float(th))
+    c = ((up - r) * (1.0 - r * dn) + h * (up + r**2 * dn)) / det
+    return c, (1.0 - r**2) * up * sh / det
 
 
 def comb_io(gain: float, theta: float, cavity: CavityConfig,
@@ -105,18 +135,14 @@ def comb_io(gain: float, theta: float, cavity: CavityConfig,
     Raises ``AtThresholdError`` when the resolvent 1 - r e^{i theta} T_n is
     numerically singular (condition number above ``CONDITION_LIMIT``).
     """
-    if gain < 0:
-        raise ValidationError("gain must be >= 0")
-    a = _round_trip_block(gain, theta, cavity, ceo_half)
-    if not np.all(np.isfinite(a)):
-        raise ValidationError(f"gain {gain:g} overflows the round-trip block")
-    resolvent = np.eye(2) - cavity.r * a
-    if np.linalg.cond(resolvent) >= CONDITION_LIMIT:
-        raise AtThresholdError(
-            f"input-output map singular at theta={theta:.6g} "
-            f"(g={gain:.6g}, r={cavity.r:.6g})", theta=theta)
-    m = (a - cavity.r * np.eye(2)) @ np.linalg.inv(resolvent)
-    return ModePairTransform(c=complex(m[0, 0]), s=complex(m[0, 1]))
+    c, s = _blocks(gain, theta, cavity, ceo_half)
+    return ModePairTransform(c=complex(c), s=complex(s))
+
+
+def _epr_variance(c_plus, s_plus, s_minus):
+    """Minimized EPR sum 2 (v_thermal - |C(theta) S(-theta)|) of the comb pair."""
+    return 2.0 * (0.5 * (1.0 + 2.0 * np.abs(s_plus) ** 2)
+                  - np.abs(c_plus * s_minus))
 
 
 def pair_covariance(gain: float, theta: float, cavity: CavityConfig,
@@ -150,8 +176,7 @@ def epr_pair_check(gain: float, theta: float, cavity: CavityConfig,
     """
     tp = comb_io(gain, theta, cavity, ceo_half)
     tm = comb_io(gain, -theta, cavity, ceo_half)
-    v_th = 0.5 * (1.0 + 2.0 * abs(tp.s) ** 2)
-    return 2.0 * (v_th - abs(tp.c * tm.s))
+    return float(_epr_variance(tp.c, tp.s, tm.s))
 
 
 @dataclass(frozen=True)
@@ -161,8 +186,7 @@ class SqueezingSpectrum:
     ``var_p``/``var_x`` are the extremal joint-quadrature variances
     (|C| -+ |S|)^2 / 2 of the (+theta, -theta) pair: at theta = 0 on resonance
     they reduce to the single-comb p/x variances.  ``epr`` is the minimized
-    two-mode EPR variance (NaN at theta = 0 where the pair degenerates);
-    ``pair_cov`` stacks the 4x4 pair covariances (NaN at theta = 0).
+    two-mode EPR variance (NaN at theta = 0 where the pair degenerates).
     """
 
     theta_grid: np.ndarray
@@ -170,7 +194,6 @@ class SqueezingSpectrum:
     var_x: np.ndarray
     var_p: np.ndarray
     epr: np.ndarray
-    pair_cov: np.ndarray
 
 
 def squeezing_spectrum(basis, cavity: CavityConfig, ceo_half: float,
@@ -185,23 +208,15 @@ def squeezing_spectrum(basis, cavity: CavityConfig, ceo_half: float,
     gains = gains[:n_kept]
     thetas = np.asarray(theta_grid, dtype=float)
     if gains.size:
-        gth = threshold_gain(cavity, ceo_half).gain
-        if gains.max() >= gth:
+        threshold = threshold_gain(cavity, ceo_half)
+        if gains.max() >= threshold.gain:
             raise AtThresholdError(
-                f"max gain {gains.max():.6g} is at/above threshold {gth:.6g}",
-                theta=threshold_gain(cavity, ceo_half).branch_theta)
-    var_x = np.empty((gains.size, thetas.size))
-    var_p = np.empty_like(var_x)
-    epr = np.full_like(var_x, np.nan)
-    pair = np.full((gains.size, thetas.size, 4, 4), np.nan)
-    for i, g in enumerate(gains):
-        for j, th in enumerate(thetas):
-            block = comb_io(g, th, cavity, ceo_half)
-            ac, as_ = abs(block.c), abs(block.s)
-            var_x[i, j] = 0.5 * (ac + as_) ** 2
-            var_p[i, j] = 0.5 * (ac - as_) ** 2
-            if th != 0.0:
-                pair[i, j] = pair_covariance(g, th, cavity, ceo_half)
-                epr[i, j] = epr_pair_check(g, th, cavity, ceo_half)
-    return SqueezingSpectrum(theta_grid=thetas, gains=gains, var_x=var_x,
-                             var_p=var_p, epr=epr, pair_cov=pair)
+                f"max gain {gains.max():.6g} is at/above threshold "
+                f"{threshold.gain:.6g}", theta=threshold.branch_theta)
+    c, s = _blocks(gains[:, None], thetas, cavity, ceo_half)
+    s_minus = _blocks(gains[:, None], -thetas, cavity, ceo_half)[1]
+    ac, as_ = np.abs(c), np.abs(s)
+    epr = np.where(thetas != 0.0, _epr_variance(c, s, s_minus), np.nan)
+    return SqueezingSpectrum(theta_grid=thetas, gains=gains,
+                             var_x=0.5 * (ac + as_) ** 2,
+                             var_p=0.5 * (ac - as_) ** 2, epr=epr)

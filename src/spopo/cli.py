@@ -21,7 +21,7 @@ from .config import REFERENCE_ENERGY, ScenarioConfig, load_scenario
 from .errors import AtThresholdError, SpopoError, ValidationError
 from .kernel import build_kernel
 from .metrology import improvement_curve, optimal_probe
-from .pulses import covariance, duan_sum, min_variance_transcendental
+from .pulses import covariance, duan_sum, min_variance_curve, resonant_branch
 from .supermodes import schmidt_decompose
 
 _FLOAT_FMT = "%.12g"
@@ -122,26 +122,26 @@ def run_pulses(cfg: ScenarioConfig, outdir: Path, seed=None) -> list[Path]:
     else:
         _, gains, gth, _ = _decompose(cfg)
         g0 = float(gains[0])
+    branch = resonant_branch(cfg.cavity.delta_rt + cfg.pump.ceo_half)
     r = cfg.cavity.r
     n_max = int(cfg.run.get("N_max", 64))
     meta = _metadata(cfg, seed)
     meta.update(threshold_gain=_FLOAT_FMT % gth)
-    rows = []
-    for n in range(1, n_max + 1):
-        sol = min_variance_transcendental(g0, r, n)
-        rows.append((float(n), g0, r, sol.sigma2, sol.sigma2 / 0.5,
-                     "nan" if sol.theta_sol is None else _FLOAT_FMT % sol.theta_sol))
+    ns = np.arange(1, n_max + 1)
+    sigma2, theta = min_variance_curve(g0, r, ns)
+    rows = [(float(n), g0, r, s, s / 0.5, th)
+            for n, s, th in zip(ns, sigma2, theta)]
     written = [_write_csv(outdir / "sigma2.csv",
                           ["N", "g", "r", "sigma2_abs", "sigma2_normalized",
                            "theta_sol"], rows, meta)]
     n_duan = min(n_max, 12)
     if n_duan >= 2:
-        cov = covariance(g0, r, n_duan)
+        cov = covariance(g0, r, n_duan, branch)
         duan_rows = [(float(d), duan_sum(cov, 0, d)) for d in range(1, n_duan)]
         written.append(_write_csv(outdir / "duan.csv",
                                   ["separation", "duan_sum"], duan_rows, meta))
     if cfg.run.get("dump_matrices", False):
-        cov = covariance(g0, r, min(n_max, 64))
+        cov = covariance(g0, r, min(n_max, 64), branch)
         for name, mat in (("v_plus", cov.v_plus), ("v_minus", cov.v_minus)):
             header = [f"c{j}" for j in range(cov.n_pulses)]
             written.append(_write_csv(outdir / f"{name}.csv", header,
@@ -150,13 +150,13 @@ def run_pulses(cfg: ScenarioConfig, outdir: Path, seed=None) -> list[Path]:
 
 
 def run_metrology(cfg: ScenarioConfig, outdir: Path, seed=None) -> list[Path]:
-    gth = threshold_gain(cfg.cavity, cfg.pump.ceo_half).gain
+    basis, gains, gth, _ = _decompose(cfg)
+    branch = resonant_branch(cfg.cavity.delta_rt + cfg.pump.ceo_half)
     if "ratios" in cfg.run:
         ratios = [float(x) for x in cfg.run["ratios"]]
     elif cfg.pump_ratio is not None:
         ratios = [cfg.pump_ratio]
     else:
-        basis, gains, gth, _ = _decompose(cfg)
         ratios = [float(gains[0] / gth)]
     n_max = int(cfg.run.get("N_max", 100))
     curve = improvement_curve(cfg.cavity, ratios, n_max, cfg.pump.ceo_half)
@@ -182,11 +182,10 @@ def run_metrology(cfg: ScenarioConfig, outdir: Path, seed=None) -> list[Path]:
     summary_path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     written.append(summary_path)
 
-    basis, gains, _, _ = _decompose(cfg)
     probe = optimal_probe(basis, cfg.crystal.omega0, cfg.cavity,
                           int(cfg.run.get("probe_pulses", 8)),
                           cfg.run.get("n_bar0", 1e6),
-                          gain0=float(gains[0]))
+                          gain0=float(gains[0]), branch_phase=branch)
     times = (np.arange(probe.n_pulses)[:, None] * basis.rep_period
              + basis.time_grid[None, :]).ravel()
     pmeta = _metadata(cfg, seed)

@@ -13,12 +13,10 @@ of the supermode spectra.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import constants
 
 from .errors import SpectralLeakageError, ValidationError
 
@@ -27,10 +25,6 @@ _FWHM_TO_SIGMA = 2.0 * math.sqrt(math.log(2.0))
 
 #: pump amplitude tail allowed at the edge of the spectral window
 SPECTRAL_TAIL = 1e-8
-
-
-class EnvelopeShape(enum.Enum):
-    GAUSSIAN = "gaussian"
 
 
 @dataclass(frozen=True)
@@ -86,7 +80,6 @@ class PumpConfig:
     tau_p: float
     rep_period: float
     ceo_half: float = 0.0
-    envelope_shape: EnvelopeShape = EnvelopeShape.GAUSSIAN
 
     def __post_init__(self):
         if self.pulse_energy < 0:
@@ -97,8 +90,6 @@ class PumpConfig:
             raise ValidationError(
                 "tau_p must be << rep_period (enforced: tau_p < T0/20); "
                 f"got tau_p={self.tau_p:g}, T0={self.rep_period:g}")
-        if self.envelope_shape is not EnvelopeShape.GAUSSIAN:
-            raise ValidationError(f"unsupported envelope {self.envelope_shape}")
 
     @property
     def sigma_t(self) -> float:
@@ -167,7 +158,8 @@ def _poly3(c, x):
 def chi0(crystal: CrystalConfig) -> float:
     """Effective nonlinear coupling sqrt(2 w0^2 / (eps0 n0^3 c^3 A_eff)) d_eff."""
     num = 2.0 * crystal.omega0**2
-    den = constants.epsilon_0 * crystal.n0**3 * constants.c**3 * crystal.a_eff
+    # vacuum permittivity (F/m) and speed of light (m/s), CODATA 2022
+    den = 8.8541878188e-12 * crystal.n0**3 * 299792458.0**3 * crystal.a_eff
     return math.sqrt(num / den) * crystal.d_eff
 
 

@@ -20,13 +20,16 @@ import scipy.linalg
 
 from .cavity import CavityConfig, threshold_gain
 from .errors import NumericalError, ValidationError
-from .pulses import covariance, min_variance_transcendental, sigma2_limit
+from .pulses import (min_variance_curve, min_variance_transcendental,
+                     resonant_branch, sigma2_limit)
 from .supermodes import SupermodeBasis
 
 #: convergence level defining the "minimum pulse number" of a curve
 ASYMPTOTE_FRACTION = 0.99
 
 _MAX_SEARCH_N = 10**7
+#: N evaluated per pass of the asymptote search
+_SEARCH_POINTS = 1024
 
 
 @dataclass(frozen=True)
@@ -174,18 +177,6 @@ def cramer_rao(sigma2_min: float, n_pulses: int, n_bar0: float, omega0: float,
                            improvement=math.sqrt(dtau2_sql / dtau2))
 
 
-def _sigma2_at(gain: float, r: float, n: int) -> float:
-    if gain == 0.0:
-        return 0.5
-    if n == 1:
-        return float(covariance(gain, r, 1).v_minus[0, 0])
-    return min_variance_transcendental(gain, r, n).sigma2
-
-
-def _improvement_at(gain: float, r: float, n: int) -> float:
-    return 1.0 / math.sqrt(2.0 * _sigma2_at(gain, r, n))
-
-
 @dataclass(frozen=True)
 class ImprovementCurve:
     """Quantum improvement vs pulse number for several pump ratios."""
@@ -211,37 +202,33 @@ def improvement_curve(cavity: CavityConfig, ratios: Sequence[float],
         raise ValidationError("pump ratios must lie in [0, 1)")
     if n_max < 1:
         raise ValidationError("n_max must be >= 1")
+    # sigma^2 is the same on both resonant branches; this refuses other phases
+    resonant_branch(cavity.delta_rt + ceo_half)
     gth = threshold_gain(cavity, ceo_half).gain
     ns = np.arange(1, n_max + 1)
     sig = np.empty((ratios.size, ns.size))
-    imp = np.empty_like(sig)
     asym = np.empty(ratios.size)
     min_n = np.empty(ratios.size, dtype=int)
-    for i, ratio in enumerate(ratios):
-        g = ratio * gth
-        for j, n in enumerate(ns):
-            sig[i, j] = _sigma2_at(g, cavity.r, int(n))
-            imp[i, j] = 1.0 / math.sqrt(2.0 * sig[i, j])
-        asym[i] = 1.0 / math.sqrt(2.0 * sigma2_limit(g, cavity.r)) if g > 0 else 1.0
+    for i, g in enumerate(ratios * gth):
+        sig[i] = min_variance_curve(g, cavity.r, ns)[0]
+        asym[i] = 1.0 / math.sqrt(2.0 * sigma2_limit(g, cavity.r))
         min_n[i] = _first_n_at_asymptote(g, cavity.r, asym[i])
     return ImprovementCurve(ratios=ratios, n_values=ns, sigma2=sig,
-                            improvement=imp, asymptote=asym,
+                            improvement=1.0 / np.sqrt(2.0 * sig), asymptote=asym,
                             min_pulses_to_asymptote=min_n)
 
 
 def _first_n_at_asymptote(gain: float, r: float, asymptote: float) -> int:
+    """Smallest N reaching ASYMPTOTE_FRACTION of the asymptote; improvement is
+    nondecreasing in N, so each pass narrows (lo, hi] to one of _SEARCH_POINTS."""
     target = ASYMPTOTE_FRACTION * asymptote
-    if _improvement_at(gain, r, 1) >= target:
-        return 1
-    lo, hi = 1, 2
-    while _improvement_at(gain, r, hi) < target:
-        lo, hi = hi, hi * 2
-        if hi > _MAX_SEARCH_N:
-            raise NumericalError("asymptote not reached below N = 1e7")
+    lo, hi = 0, _MAX_SEARCH_N
     while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if _improvement_at(gain, r, mid) >= target:
-            hi = mid
-        else:
-            lo = mid
+        ns = np.unique(np.ceil(np.linspace(lo, hi, _SEARCH_POINTS + 1)[1:])).astype(int)
+        sigma2 = min_variance_curve(gain, r, ns)[0]
+        reached = 1.0 / np.sqrt(2.0 * sigma2) >= target
+        if not reached[-1]:
+            raise NumericalError("asymptote not reached below N = 1e7")
+        k = int(np.argmax(reached))
+        lo, hi = (int(ns[k - 1]) if k else lo), int(ns[k])
     return hi

@@ -7,9 +7,18 @@ round-trip phase), the quadrature covariances are Toeplitz:
                  - (1-delta_jk)/2 t^2 (1 - e^(+-2g)) / (1 - r^2 e^(+-2g))
                    (r e^(+-g))^|j-k|
 
-(+ is the amplified x quadrature, - the squeezed p quadrature).  The smallest
-eigenpair of V^(-) has a cosine eigenvector with angle quantized by
-cos(theta (N+1)/2) = r e^{-g} cos(theta (N-1)/2), 0 < N theta < pi.
+(+ is the amplified x quadrature, - the squeezed p quadrature), valid only on
+the resonant branches that ``resonant_branch`` picks: total round-trip phase
+0 (even) or pi (odd) mod 2 pi.  The smallest eigenpair of V^(-) is a cosine
+mode whose angle is the root in (0, pi/N) of
+
+    f(theta) = cos(theta (N+1)/2) - q cos(theta (N-1)/2),    q = r e^{-g} < 1.
+
+That fixed bracket holds exactly one root for every N >= 1 (arccos q at
+N = 1): f(0) = 1 - q > 0, f(pi/N) = -(1 + q) sin(pi/2N) < 0, and with
+b = theta/2, sin((N+1) b) - sin((N-1) b) = 2 cos(N b) sin b > 0 makes
+f' = -[(N+1) sin((N+1) b) - q (N-1) sin((N-1) b)] / 2 < 0.  One array
+bisection therefore solves every N at once.
 """
 
 from __future__ import annotations
@@ -20,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import AboveThresholdError, NumericalError, ValidationError
+from .errors import AboveThresholdError, ValidationError
 
 #: truncation target for the squared tail of the input-output series
 SERIES_TAIL = 1e-14
@@ -33,6 +42,19 @@ def _effective_r(r: float, branch_phase: str) -> float:
     if branch_phase not in _BRANCHES:
         raise ValidationError(f"branch_phase must be one of {_BRANCHES}")
     return r if branch_phase == "even" else -r
+
+
+def resonant_branch(phase: float) -> str:
+    """Closed-form branch of the total round-trip phase delta_rt + ceo_half:
+    0 (mod 2 pi) is even, pi (mod 2 pi) odd, each within 1e-12 rad."""
+    offset = abs(math.remainder(phase, 2.0 * math.pi))
+    if offset <= 1e-12:
+        return "even"
+    if abs(offset - math.pi) <= 1e-12:
+        return "odd"
+    raise ValidationError(
+        f"round-trip phase delta_rt + ceo_half = {phase:.6g} rad: the pulse "
+        "closed forms need a resonant round trip (total phase 0 or pi mod 2 pi)")
 
 
 def _check_below_threshold(gain: float, r: float, strict: bool = True) -> None:
@@ -127,7 +149,8 @@ class MinVarianceSolution:
     """Smallest eigenpair of V^(-)(N).
 
     ``theta_sol`` is the cosine-mode angle in (0, pi/N) for the semi-analytic
-    route, None when the eigenpair came from a dense solver (or N = 1).
+    route (arccos(r e^{-g}) at N = 1), None when the eigenpair came from a
+    dense solver.
     """
 
     sigma2: float
@@ -150,7 +173,7 @@ def min_variance_direct(cov: PulseCovariance) -> MinVarianceSolution:
     return MinVarianceSolution(sigma2=float(vals[0]), eigvec=vec)
 
 
-def _variance_at_angle(gain: float, r: float, theta: float) -> float:
+def _variance_at_angle(gain: float, r: float, theta):
     z_num = r - np.exp(1j * theta) * math.exp(-gain)
     z_den = 1.0 - r * np.exp(1j * theta) * math.exp(-gain)
     return 0.5 * abs(z_num / z_den) ** 2
@@ -163,58 +186,40 @@ def sigma2_limit(gain: float, r: float) -> float:
     return _variance_at_angle(gain, r, 0.0)
 
 
+def min_variance_curve(gain: float, r: float,
+                       n_pulses) -> tuple[np.ndarray, np.ndarray]:
+    """Smallest eigenvalue of V^(-)(N) and its cosine-mode angle for an array
+    of N, bisecting f(theta) on (0, pi/N) (module docstring) to convergence."""
+    _check_below_threshold(gain, r, strict=False)
+    n = np.asarray(n_pulses)
+    if np.any(n < 1):
+        raise ValidationError("n_pulses must be >= 1")
+    q = r * math.exp(-gain)
+    lo, hi = np.zeros(n.shape), math.pi / n
+    while True:
+        mid = 0.5 * (lo + hi)
+        if np.all((mid == lo) | (mid == hi)):
+            break
+        above = np.cos(0.5 * mid * (n + 1)) > q * np.cos(0.5 * mid * (n - 1))
+        lo = np.where(above, mid, lo)
+        hi = np.where(above, hi, mid)
+    return _variance_at_angle(gain, r, mid), mid
+
+
 def min_variance_transcendental(gain: float, r: float, n_pulses: int,
                                 branch_phase: str = "even") -> MinVarianceSolution:
     """Semi-analytic smallest eigenpair of V^(-)(N).
 
-    Solves cos(theta (N+1)/2) = r e^{-g} cos(theta (N-1)/2) on (0, pi/N) by
-    scanning for the first sign change and bisecting; the eigenvector entries
-    are cos[theta (N - 2k - 1)/2], normalized, and the variance follows from
-    the closed form at that angle.  N = 1 returns the matrix diagonal.
+    Scalar view of ``min_variance_curve`` that adds the eigenvector: its
+    entries are cos[theta (N - 2k - 1)/2], normalized, and the variance
+    follows from the closed form at the quantized angle theta.
 
     The odd branch is handled through the exact similarity
     V_odd = D V_even D, D = diag((-1)^k): same spectrum, alternating signs on
     the eigenvector, so the quantization is always solved with +r.
     """
-    _check_below_threshold(gain, r, strict=False)
-    if n_pulses < 1:
-        raise ValidationError("n_pulses must be >= 1")
     _effective_r(r, branch_phase)  # validates branch_phase
-    if n_pulses == 1:
-        cov = covariance(gain, r, 1, branch_phase)
-        return MinVarianceSolution(sigma2=float(cov.v_minus[0, 0]),
-                                   eigvec=np.array([1.0]))
-    q = r * math.exp(-gain)
-
-    def condition(theta: float) -> float:
-        return math.cos(0.5 * theta * (n_pulses + 1)) \
-            - q * math.cos(0.5 * theta * (n_pulses - 1))
-
-    eps = 1e-12
-    lo = hi = None
-    grid = np.linspace(eps, math.pi / n_pulses - eps, 65)
-    values = [condition(x) for x in grid]
-    for i in range(len(grid) - 1):
-        if values[i] == 0.0:
-            lo = hi = grid[i]
-            break
-        if values[i] * values[i + 1] < 0.0:
-            lo, hi = grid[i], grid[i + 1]
-            break
-    if lo is None:
-        raise NumericalError(
-            f"no bracket for the minimum-variance angle (g={gain}, r={r}, "
-            f"N={n_pulses}); below threshold this indicates a bug")
-    for _ in range(200):
-        if hi - lo <= eps * max(1.0, hi):
-            break
-        mid = 0.5 * (lo + hi)
-        if condition(lo) * condition(mid) <= 0.0:
-            hi = mid
-        else:
-            lo = mid
-    theta = 0.5 * (lo + hi)
-
+    sigma2, theta = min_variance_curve(gain, r, n_pulses)
     k = np.arange(n_pulses)
     vec = np.cos(0.5 * theta * (n_pulses - 2 * k - 1))
     if branch_phase == "odd":
@@ -223,7 +228,6 @@ def min_variance_transcendental(gain: float, r: float, n_pulses: int,
     center = vec[(n_pulses - 1) // 2]
     if center < 0:
         vec = -vec
-    sigma2 = _variance_at_angle(gain, r, theta)
     return MinVarianceSolution(sigma2=float(sigma2), eigvec=vec,
                                theta_sol=float(theta))
 

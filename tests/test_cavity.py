@@ -234,3 +234,25 @@ class TestSqueezingSpectrum:
         gth = threshold_gain(default_cavity, 0.0).gain
         with pytest.raises(AtThresholdError):
             squeezing_spectrum([1.01 * gth], default_cavity, 0.0, [0.0])
+
+    def test_matches_explicit_solve_off_resonance(self):
+        # every grid point against the 2x2 inverse, away from resonance
+        cavity, ceo = CavityConfig(r=0.8894, delta_rt=0.3), -0.2
+        gth = threshold_gain(cavity, ceo).gain
+        gains = gth * np.array([0.0, 0.3, 0.6, 0.9])
+        thetas = np.linspace(-np.pi, np.pi, 41)
+        spec = squeezing_spectrum(gains, cavity, ceo, thetas)
+        for i, g in enumerate(gains):
+            for j, th in enumerate(thetas):
+                plus = raw_block(g, th, cavity.r, 0.1)
+                minus = raw_block(g, -th, cavity.r, 0.1)
+                ac, as_ = abs(plus[0, 0]), abs(plus[0, 1])
+                assert spec.var_x[i, j] == pytest.approx(
+                    0.5 * (ac + as_) ** 2, rel=1e-12, abs=0)
+                assert spec.var_p[i, j] == pytest.approx(
+                    0.5 * (ac - as_) ** 2, rel=1e-12, abs=0)
+                if th == 0.0:
+                    assert np.isnan(spec.epr[i, j])
+                else:
+                    epr = 1 + 2 * as_**2 - 2 * abs(plus[0, 0] * minus[0, 1])
+                    assert spec.epr[i, j] == pytest.approx(epr, rel=1e-12, abs=0)

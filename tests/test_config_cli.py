@@ -1,10 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from spopo import ConfigError
+from spopo import CavityConfig, ConfigError, covariance, duan_sum, threshold_gain
 from spopo.cli import main
 from spopo.config import load_scenario, parse_scenario
 
@@ -168,6 +171,48 @@ class TestCliRuns:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "no-finite-threshold"
 
+    def test_odd_branch_duan_sums(self, tmp_path):
+        # delta_rt = pi resonates on the odd branch: sign-alternating V^(-)
+        path = write_config(tmp_path, scenario_dict(**{"cavity.delta_rt": np.pi}))
+        out = tmp_path / "out"
+        assert main(["pulses", "--config", str(path), "--out", str(out)]) == 0
+        cavity = CavityConfig(r=0.8894, delta_rt=np.pi)
+        cov = covariance(0.8 * threshold_gain(cavity, 0.0).gain, cavity.r, 12,
+                         "odd")
+        duan = load_table(out / "duan.csv")
+        np.testing.assert_allclose(
+            duan["duan_sum"], [duan_sum(cov, 0, d) for d in range(1, 12)],
+            rtol=1e-11)
+
+    @pytest.mark.parametrize("command", ["pulses", "metrology"])
+    def test_off_resonant_phase_refused(self, tmp_path, capsys, command):
+        # below the phase-dependent threshold, but the pulse closed forms
+        # need a resonant round trip
+        path = write_config(tmp_path, scenario_dict(**{"pump.delta0": 0.3}))
+        code = main([command, "--config", str(path), "--out",
+                     str(tmp_path / "o")])
+        assert code == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "validation-error"
+        assert "resonant" in err["message"]
+
+    def test_module_entry_point(self, tmp_path):
+        # the python -m spopo.cli process matches the in-process run
+        path = write_config(tmp_path, scenario_dict())
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "spopo.cli", "pulses", "--config", str(path),
+             "--out", str(tmp_path / "a")], env=env, capture_output=True,
+            text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert main(["pulses", "--config", str(path),
+                     "--out", str(tmp_path / "b")]) == 0
+        for name in ("sigma2.csv", "duan.csv"):
+            assert (tmp_path / "a" / name).read_bytes() \
+                == (tmp_path / "b" / name).read_bytes()
+
     def test_rerun_is_bitwise_identical(self, tmp_path):
         path = write_config(tmp_path, scenario_dict())
         out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -200,7 +245,7 @@ class TestCliRuns:
         table = load_table(out / "metrology.csv")
         pick = (table["ratio"] == 0.8) & (table["N"] == 100)
         assert table["improvement"][pick][0] == pytest.approx(
-            5.756075611971837, rel=1e-12)
+            5.756075611931996, rel=1e-12)
         # cross-file consistency: the squeezing spectrum at theta = 0 (pump
         # ratio 0.8) is the infinite-pulse metrology asymptote 1/(2 imp^2)
         assert main(["squeezing", "--config", str(config),
@@ -212,7 +257,6 @@ class TestCliRuns:
                                        rel=1e-9)
 
     def test_console_entry_point(self, tmp_path):
-        import subprocess
         import shutil
         exe = shutil.which("spopo")
         if exe is None:

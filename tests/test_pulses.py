@@ -113,14 +113,21 @@ class TestCovariance:
 
 
 class TestMinVariance:
-    @pytest.mark.parametrize("n", [2, 3, 5, 8, 16, 32, 64])
-    def test_transcendental_matches_dense(self, n):
-        rng = np.random.default_rng(n)
-        gain, r = below_threshold_draws(rng, 1)[0]
+    @pytest.mark.parametrize("n, ratio", [
+        pytest.param(n, None, id=str(n)) for n in (2, 3, 5, 8, 16, 32, 64)
+    ] + [
+        # near threshold, where the root sits deep in a bracket of width pi/N
+        (200, 0.8), (740, 0.95)])
+    def test_transcendental_matches_dense(self, n, ratio):
+        if ratio is None:
+            gain, r = below_threshold_draws(np.random.default_rng(n), 1)[0]
+        else:
+            r = 0.8894
+            gain = ratio * -np.log(r)
         cov = covariance(gain, r, n)
         dense = min_variance_direct(cov)
         semi = min_variance_transcendental(gain, r, n)
-        assert semi.sigma2 == pytest.approx(dense.sigma2, abs=1e-10)
+        assert semi.sigma2 == pytest.approx(dense.sigma2, rel=1e-12, abs=0)
         assert abs(np.dot(semi.eigvec, dense.eigvec)) > 1 - 1e-10
         residual = cov.v_minus @ semi.eigvec - semi.sigma2 * semi.eigvec
         assert np.abs(residual).max() < 1e-8
@@ -137,7 +144,10 @@ class TestMinVariance:
     def test_single_pulse(self):
         g, r = 0.1, 0.8
         sol = min_variance_transcendental(g, r, 1)
-        assert sol.sigma2 == pytest.approx(covariance(g, r, 1).v_minus[0, 0])
+        assert sol.sigma2 == pytest.approx(covariance(g, r, 1).v_minus[0, 0],
+                                           rel=1e-14, abs=0)
+        assert sol.theta_sol == pytest.approx(np.arccos(r * np.exp(-g)),
+                                              rel=1e-15, abs=0)
         np.testing.assert_allclose(sol.eigvec, [1.0])
 
     def test_degenerate_vacuum_tie_break(self):
