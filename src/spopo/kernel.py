@@ -180,14 +180,16 @@ class JointKernel:
     """Discretised symmetric kernel with the quadrature weight folded in.
 
     ``matrix[i, j]`` = (d_omega / 2 pi) S(w_i, w_j); singular values of the
-    matrix approximate the continuous gains g_n.
+    matrix approximate the continuous gains g_n.  A real input stays real
+    (float64); a complex one is stored as complex128.
     """
 
     matrix: np.ndarray
     grid: FrequencyGrid
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
+        m = np.asarray(self.matrix,
+                       dtype=complex if np.iscomplexobj(self.matrix) else float)
         if m.shape != (self.grid.n_points, self.grid.n_points):
             raise ValidationError("kernel matrix does not match the grid")
         scale = max(1.0, float(np.abs(m).max()))
@@ -215,11 +217,11 @@ def build_kernel(grid: FrequencyGrid, pump: PumpConfig,
             "pump spectrum leaks outside the frequency window: relative "
             f"amplitude {edge / peak:.3e} at omega = 2*omega_max "
             f"(limit {SPECTRAL_TAIL:g}); enlarge omega_max or shorten tau_p")
-    w = grid.omegas
-    w1, w2 = np.meshgrid(w, w, indexing="ij")
+    # column and row views broadcast to the n x n grid: k_s is evaluated on
+    # the n grid points only, and w + w' and k_s(w) + k_s(w') are commutative
+    # sums, so the matrix is exactly symmetric and real
+    w1, w2 = grid.omegas[:, None], grid.omegas[None, :]
     prefactor = chi0(crystal) * crystal.length * math.sqrt(pump.pulse_energy)
     matrix = grid.weight * prefactor * pump.envelope_spectrum(w1 + w2) \
         * phase_matching(crystal, w1, w2)
-    # enforce exact symmetry against floating-point asymmetries in sinc edges
-    matrix = 0.5 * (matrix + matrix.T)
-    return JointKernel(matrix=matrix.astype(complex), grid=grid)
+    return JointKernel(matrix=matrix, grid=grid)

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .cavity import CavityConfig, threshold_gain
 from .errors import NumericalError, ValidationError
@@ -99,11 +98,15 @@ def fisher_information(probe, v_minus_family: Sequence[np.ndarray]) -> float:
         vm = np.asarray(vm, dtype=float)
         if vm.shape != (row.size, row.size):
             raise ValidationError("V^(-) shape does not match probe row")
+        if not np.all(np.isfinite(vm)):
+            raise ValidationError("V^(-) has non-finite entries")
         try:
-            factor = scipy.linalg.cho_factor(vm)
-        except scipy.linalg.LinAlgError as exc:
+            lower = np.linalg.cholesky(vm)
+        except np.linalg.LinAlgError as exc:
             raise ValidationError(f"V^(-) not positive definite: {exc}") from exc
-        total += 0.5 * float(row @ scipy.linalg.cho_solve(factor, row))
+        # alpha^T (L L^T)^-1 alpha = |L^-1 alpha|^2
+        half = np.linalg.solve(lower, row)
+        total += 0.5 * float(half @ half)
     return total
 
 
@@ -140,8 +143,7 @@ def optimal_probe(basis: SupermodeBasis, omega0: float, cavity: CavityConfig,
     alpha_prime = np.zeros((basis.n_kept, n_pulses))
     alpha_prime[0] = amplitude * sol.eigvec
 
-    tau = basis.time_grid
-    pulse_time = (np.exp(1j * np.outer(tau, omegas)) * weight) @ pulse_freq
+    pulse_time = basis.time_samples(pulse_freq)
     envelope = amplitude * (sol.eigvec[:, None] * pulse_time[None, :]).ravel()
     return ProbeField(alpha_prime=alpha_prime, n_bar0=float(n_bar0),
                       spectral_spread_sq=spread_sq, amplitude=amplitude,

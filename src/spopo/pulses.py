@@ -27,7 +27,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import AboveThresholdError, ValidationError
 
@@ -165,7 +164,7 @@ def min_variance_direct(cov: PulseCovariance) -> MinVarianceSolution:
     """
     if cov.n_pulses > 4096:
         raise ValidationError("dense solve limited to N <= 4096")
-    vals, vecs = scipy.linalg.eigh(cov.v_minus)
+    vals, vecs = np.linalg.eigh(cov.v_minus)
     vec = vecs[:, 0]
     center = vec[(cov.n_pulses - 1) // 2]
     if center < 0 or (center == 0 and vec.sum() < 0):

@@ -16,9 +16,9 @@ hold at machine precision.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
-from scipy.linalg import block_diag, sqrtm
 
 from .errors import ValidationError
 from .kernel import FrequencyGrid, JointKernel, PumpConfig
@@ -46,11 +46,13 @@ def takagi(matrix: np.ndarray, tol: float = 1e-12) -> tuple[np.ndarray, np.ndarr
         return np.zeros(n), np.eye(n, dtype=complex)
     if np.isrealobj(m) or not np.abs(m.imag).max() > tol * scale:
         lam, u = np.linalg.eigh(m.real)
-        vals = np.abs(lam)
-        phases = np.where(lam >= 0, 1.0 + 0.0j, 1.0j)
-        uc = u.astype(complex) * phases[None, :]
-        order = np.argsort(vals)[::-1]
-        return vals[order], uc[:, order]
+        order = np.argsort(np.abs(lam))[::-1]
+        lam, u = lam[order], u[:, order]
+        return np.abs(lam), u * np.where(lam >= 0, 1.0 + 0.0j, 1.0j)
+    # scipy is needed only here; importing it lazily keeps it out of every
+    # run whose kernel is real
+    from scipy.linalg import block_diag, sqrtm
+
     v, s, wh = np.linalg.svd(m)
     w = wh.conj().T
     # group (near-)degenerate singular values; sqrtm of V^T W per block fixes
@@ -69,15 +71,10 @@ def _fix_mode_signs(modes: np.ndarray) -> np.ndarray:
     """Deterministic gauge: at each mode's max-|.| sample, make Re positive
     (Im positive when the sample is purely imaginary).  Only the sign may be
     touched: any other phase would break the symmetric factorisation."""
+    z = modes[np.argmax(np.abs(modes), axis=0), np.arange(modes.shape[1])]
+    flip = np.where(np.abs(z.real) > 1e-12 * np.abs(z), z.real < 0, z.imag < 0)
     out = modes.copy()
-    for n in range(out.shape[1]):
-        col = out[:, n]
-        z = col[np.argmax(np.abs(col))]
-        if abs(z.real) > 1e-12 * abs(z):
-            if z.real < 0:
-                out[:, n] = -col
-        elif z.imag < 0:
-            out[:, n] = -col
+    np.negative(out, out=out, where=flip[None, :])
     return out
 
 
@@ -88,12 +85,12 @@ class SupermodeBasis:
     ``modes_freq[:, n]`` samples psi_n(omega) with unit L2 norm under the
     d_omega/2pi quadrature weight; ``modes_time[:, n]`` samples psi_n(t) on
     ``time_grid`` (one period, pulses centered at t = 0) with unit L2 norm
-    under dt.  ``n_kept`` counts modes with g_n >= cutoff * g_0.
+    under dt, synthesized on first access.  ``n_kept`` counts modes with
+    g_n >= cutoff * g_0.
     """
 
     gains: np.ndarray
     modes_freq: np.ndarray
-    modes_time: np.ndarray
     grid: FrequencyGrid
     rep_period: float
     time_grid: np.ndarray
@@ -104,6 +101,17 @@ class SupermodeBasis:
     @property
     def dt(self) -> float:
         return float(self.time_grid[1] - self.time_grid[0])
+
+    def time_samples(self, freq_samples: np.ndarray) -> np.ndarray:
+        """Discrete Fourier synthesis sum_i e^{i w_i t} f(w_i) d_omega/2pi of
+        samples on the frequency grid (first axis) onto ``time_grid``."""
+        synth = np.exp(1j * np.outer(self.time_grid, self.grid.omegas)) \
+            * self.grid.weight
+        return synth @ freq_samples
+
+    @cached_property
+    def modes_time(self) -> np.ndarray:
+        return self.time_samples(self.modes_freq)
 
     def reconstruction_residual(self) -> float:
         """Relative Frobenius residual of sum_n g_n psi_n psi_n^T (all modes)."""
@@ -143,15 +151,12 @@ def schmidt_decompose(kernel: JointKernel,
 
     m = grid.n_points
     tau = (np.arange(m) + 0.5) * rep_period / m - rep_period / 2.0
-    synth = np.exp(1j * np.outer(tau, grid.omegas)) * weight
-    modes_time = synth @ modes_freq
 
     if gains[0] > 0.0:
         n_kept = int(np.count_nonzero(gains >= gain_cutoff * gains[0]))
     else:
         n_kept = 0
-    return SupermodeBasis(gains=gains, modes_freq=modes_freq,
-                          modes_time=modes_time, grid=grid,
+    return SupermodeBasis(gains=gains, modes_freq=modes_freq, grid=grid,
                           rep_period=float(rep_period), time_grid=tau,
                           n_kept=n_kept, gain_cutoff=float(gain_cutoff),
                           kernel=kernel)

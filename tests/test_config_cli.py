@@ -7,7 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spopo import CavityConfig, ConfigError, covariance, duan_sum, threshold_gain
+from spopo import (CavityConfig, ConfigError, build_kernel, covariance,
+                   duan_sum, threshold_gain)
 from spopo.cli import main
 from spopo.config import load_scenario, parse_scenario
 
@@ -39,6 +40,13 @@ def write_config(tmp_path, raw):
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(raw))
     return path
+
+
+def src_env():
+    """Environment with this checkout's ``src`` first on PYTHONPATH."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
 def load_table(path):
@@ -134,8 +142,15 @@ class TestCliRuns:
         assert np.all(np.diff(gains["gain"]) <= 1e-15)
         assert (out / "mode_000.csv").exists()
         assert (out / "mode_001.csv").exists()
-        kernel = load_table(out / "kernel.csv")
-        assert kernel["re"].size == 171 * 171
+        # the kernel is real: the im column is all "0", as the dump of a
+        # complex copy with zero imaginary part printed it
+        cfg = load_scenario(path)
+        matrix = build_kernel(cfg.grid, cfg.pump, cfg.crystal).matrix
+        body = [ln for ln in (out / "kernel.csv").read_text().splitlines()
+                if not ln.startswith("#")]
+        assert body[0] == "re,im"
+        assert body[1:] == ["%.12g,0" % x for x in matrix.ravel()]
+        assert len(body) == 1 + 171 * 171
 
     def test_squeezing_outputs(self, tmp_path):
         path = write_config(tmp_path, scenario_dict())
@@ -197,21 +212,33 @@ class TestCliRuns:
         assert "resonant" in err["message"]
 
     def test_module_entry_point(self, tmp_path):
-        # the python -m spopo.cli process matches the in-process run
-        path = write_config(tmp_path, scenario_dict())
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        # the python -m spopo.cli process matches the in-process run; the
+        # supermodes and metrology processes never touch modes_time
+        raw = scenario_dict(**{"run.n_modes_dump": 2})
+        path = write_config(tmp_path, raw)
+        names = {"pulses": ("sigma2.csv", "duan.csv"),
+                 "supermodes": ("gains.csv", "mode_000.csv", "mode_001.csv"),
+                 "metrology": ("metrology.csv", "summary.json", "probe.csv")}
+        for command, files in names.items():
+            proc = subprocess.run(
+                [sys.executable, "-m", "spopo.cli", command, "--config",
+                 str(path), "--out", str(tmp_path / "a")], env=src_env(),
+                capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            assert main([command, "--config", str(path),
+                         "--out", str(tmp_path / "b")]) == 0
+            for name in files:
+                assert (tmp_path / "a" / name).read_bytes() \
+                    == (tmp_path / "b" / name).read_bytes()
+
+    def test_cli_import_loads_no_scipy(self):
+        # scipy is imported only by the complex-kernel branch of takagi
         proc = subprocess.run(
-            [sys.executable, "-m", "spopo.cli", "pulses", "--config", str(path),
-             "--out", str(tmp_path / "a")], env=env, capture_output=True,
-            text=True, timeout=120)
+            [sys.executable, "-c", "import sys, spopo.cli; print(sorted("
+             "m for m in sys.modules if m.partition('.')[0] == 'scipy'))"],
+            env=src_env(), capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
-        assert main(["pulses", "--config", str(path),
-                     "--out", str(tmp_path / "b")]) == 0
-        for name in ("sigma2.csv", "duan.csv"):
-            assert (tmp_path / "a" / name).read_bytes() \
-                == (tmp_path / "b" / name).read_bytes()
+        assert proc.stdout.strip() == "[]"
 
     def test_rerun_is_bitwise_identical(self, tmp_path):
         path = write_config(tmp_path, scenario_dict())

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -93,7 +95,24 @@ class TestBuildKernel:
 
     def test_symmetric(self, default_kernel):
         m = default_kernel.matrix
-        assert np.abs(m - m.T).max() <= 1e-12 * np.abs(m).max()
+        assert m.dtype == np.float64
+        assert np.array_equal(m, m.T)
+
+    @pytest.mark.parametrize("n_points", [171, 1361])
+    def test_matches_meshgrid_reference(self, n_points, default_pump,
+                                        default_crystal):
+        # the broadcast build is bit-identical to the full-meshgrid formula
+        grid = FrequencyGrid.comb_aligned(n_points, T0)
+        kernel = build_kernel(grid, default_pump, default_crystal)
+        w1, w2 = np.meshgrid(grid.omegas, grid.omegas, indexing="ij")
+        prefactor = chi0(default_crystal) * default_crystal.length \
+            * math.sqrt(default_pump.pulse_energy)
+        reference = grid.weight * prefactor \
+            * default_pump.envelope_spectrum(w1 + w2) \
+            * phase_matching(default_crystal, w1, w2)
+        assert kernel.matrix.dtype == np.float64
+        assert np.array_equal(kernel.matrix, reference)
+        assert np.array_equal(kernel.matrix, kernel.matrix.T)
 
     def test_window_too_small_refused(self, default_crystal):
         small = FrequencyGrid(n_points=41, omega_max=2e13)

@@ -17,7 +17,10 @@ def series_covariance_entry(g, r, separation, sign):
     """
     t2 = 1 - r * r
     q = r * np.exp(sign * g)
-    s_max = max(8, int(np.ceil(np.log(1e-18) / (2 * np.log(q)))) if q > 0 else 8)
+    # q^(2 s_tail) <= 1e-18 truncates the products past the separation, so
+    # every entry keeps s_tail + 1 of them whatever its separation
+    s_tail = max(8, int(np.ceil(np.log(1e-18) / (2 * np.log(q)))) if q > 0 else 8)
+    s_max = separation + s_tail
     coeff = np.empty(s_max + 1)
     coeff[0] = -r
     s = np.arange(1, s_max + 1)

@@ -6,6 +6,8 @@ from spopo import (FrequencyGrid, JointKernel, ValidationError,
                    pulse_train_from_coefficients, schmidt_decompose,
                    synthesize_comb, takagi)
 
+from spopo.supermodes import _fix_mode_signs
+
 from conftest import T0, make_pump
 
 
@@ -22,6 +24,21 @@ def double_gaussian_kernel(a, b, omega_max=14.0, n_points=301, amplitude=1.0):
     w1, w2 = np.meshgrid(w, w, indexing="ij")
     matrix = amplitude * np.exp(-a * (w1 + w2) ** 2 - b * (w1 - w2) ** 2) * grid.weight
     return JointKernel(matrix=matrix.astype(complex), grid=grid)
+
+
+def fix_mode_signs_loop(modes):
+    """Per-column reference of the sign gauge: at the max-|.| sample make Re
+    positive, or Im positive when the sample is purely imaginary."""
+    out = modes.copy()
+    for n in range(out.shape[1]):
+        col = out[:, n]
+        z = col[np.argmax(np.abs(col))]
+        if abs(z.real) > 1e-12 * abs(z):
+            if z.real < 0:
+                out[:, n] = -col
+        elif z.imag < 0:
+            out[:, n] = -col
+    return out
 
 
 def double_gaussian_law(a, b, amplitude=1.0):
@@ -78,6 +95,16 @@ class TestTakagi:
         with pytest.raises(ValidationError):
             takagi(np.array([[0.0, 1.0], [0.5, 0.0]]))
 
+    def test_sign_gauge_matches_per_column_loop(self, default_kernel):
+        # Takagi modes of the real kernel carry phase 1 or i; random complex
+        # columns exercise the general rule; compared bytewise (signed zeros)
+        rng = np.random.default_rng(9)
+        u = takagi(default_kernel.matrix)[1]
+        mixed = rng.standard_normal((7, 6)) + 1j * rng.standard_normal((7, 6))
+        for modes in (u, mixed, 1j * mixed.real, mixed.real + 0j):
+            assert _fix_mode_signs(modes).tobytes() \
+                == fix_mode_signs_loop(modes).tobytes()
+
 
 class TestSchmidtDecompose:
     def test_basis_invariants(self, default_basis):
@@ -109,6 +136,16 @@ class TestSchmidtDecompose:
         b1 = schmidt_decompose(k1, rep_period=T0)
         b2 = schmidt_decompose(k2, rep_period=T0)
         np.testing.assert_allclose(b1.gains, b2.gains, rtol=0, atol=1e-15)
+
+    def test_time_modes_synthesized_on_first_access(self, default_kernel):
+        basis = schmidt_decompose(default_kernel, rep_period=T0)
+        assert "modes_time" not in basis.__dict__
+        m = basis.grid.n_points
+        tau = (np.arange(m) + 0.5) * T0 / m - T0 / 2.0
+        synth = np.exp(1j * np.outer(tau, basis.grid.omegas)) * basis.grid.weight
+        expected = synth @ basis.modes_freq
+        assert np.array_equal(basis.modes_time, expected)
+        assert basis.__dict__["modes_time"] is basis.modes_time
 
     def test_time_modes_orthonormal(self, default_basis):
         n = default_basis.n_kept
