@@ -22,18 +22,21 @@ from .errors import AtThresholdError, SpopoError, ValidationError
 from .kernel import build_kernel
 from .metrology import improvement_curve, optimal_probe
 from .pulses import covariance, duan_sum, min_variance_curve, resonant_branch
-from .supermodes import schmidt_decompose
+from .supermodes import kept_count, schmidt_decompose, takagi_values
 
 _FLOAT_FMT = "%.12g"
 
 
 def _write_csv(path: Path, header: list[str], rows, metadata: dict) -> Path:
-    lines = [f"# {key} = {value}" for key, value in metadata.items()]
-    lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(
-            item if isinstance(item, str) else _FLOAT_FMT % item for item in row))
-    path.write_text("\n".join(lines) + "\n")
+    """Write '#' metadata lines, the header and one line per row, each row
+    formatted by one % with _FLOAT_FMT per column."""
+    line = ",".join([_FLOAT_FMT] * len(header)) + "\n"
+    with open(path, "w") as out:
+        for key, value in metadata.items():
+            out.write(f"# {key} = {value}\n")
+        out.write(",".join(header) + "\n")
+        for row in rows:
+            out.write(line % tuple(row))
     return path
 
 
@@ -42,34 +45,51 @@ def _metadata(cfg: ScenarioConfig, seed) -> dict:
             "seed": "none" if seed is None else seed}
 
 
-def _decompose(cfg: ScenarioConfig):
-    """Kernel decomposition plus exact gain rescaling for pump_ratio configs.
+def _gain_cutoff(cfg: ScenarioConfig) -> float:
+    return cfg.run.get("gain_cutoff", 1e-6)
+
+
+def _scale_gains(cfg: ScenarioConfig, gains: np.ndarray):
+    """Exact gain rescaling for pump_ratio configs, plus the threshold check.
 
     Gains scale as sqrt(pulse_energy), so a threshold ratio translates into a
     pure multiplicative factor on the reference-energy gains; mode shapes are
-    energy independent.
+    energy independent.  Returns the gains, the threshold gain and the
+    effective pulse energy.
     """
-    kernel = build_kernel(cfg.grid, cfg.pump, cfg.crystal)
-    basis = schmidt_decompose(kernel, cfg.run.get("gain_cutoff", 1e-6),
-                              rep_period=cfg.pump.rep_period)
     gth = threshold_gain(cfg.cavity, cfg.pump.ceo_half).gain
     if cfg.pump_ratio is not None:
-        if basis.gains[0] <= 0:
+        if gains[0] <= 0:
             if cfg.pump_ratio > 0:
                 raise ValidationError(
                     "cannot scale to a nonzero pump ratio: reference gain is 0")
             scale = 0.0
         else:
-            scale = cfg.pump_ratio * gth / basis.gains[0]
-        gains = basis.gains * scale
+            scale = cfg.pump_ratio * gth / gains[0]
+        gains = gains * scale
         energy = REFERENCE_ENERGY * scale**2
     else:
-        gains = basis.gains
         energy = cfg.pump.pulse_energy
     if gains.size and gains[0] >= gth:
         raise AtThresholdError(
             f"pump drives g0 = {gains[0]:.6g} at/above threshold {gth:.6g}")
-    return basis, gains, gth, energy
+    return gains, gth, energy
+
+
+def _decompose(cfg: ScenarioConfig):
+    """Kernel decomposition with the scaled gains, for runs that read modes."""
+    kernel = build_kernel(cfg.grid, cfg.pump, cfg.crystal)
+    basis = schmidt_decompose(kernel, _gain_cutoff(cfg),
+                              rep_period=cfg.pump.rep_period)
+    return (basis, *_scale_gains(cfg, basis.gains))
+
+
+def _gains(cfg: ScenarioConfig):
+    """``_decompose`` for runs that read no mode: the kept-mode count of the
+    kernel's Takagi values in place of a basis, and no eigenvectors."""
+    kernel = build_kernel(cfg.grid, cfg.pump, cfg.crystal)
+    gains = takagi_values(kernel.matrix)
+    return (kept_count(gains, _gain_cutoff(cfg)), *_scale_gains(cfg, gains))
 
 
 def run_supermodes(cfg: ScenarioConfig, outdir: Path, seed=None) -> list[Path]:
@@ -97,17 +117,17 @@ def run_supermodes(cfg: ScenarioConfig, outdir: Path, seed=None) -> list[Path]:
 
 
 def run_squeezing(cfg: ScenarioConfig, outdir: Path, seed=None) -> list[Path]:
-    basis, gains, gth, _ = _decompose(cfg)
+    n_kept, gains, gth, _ = _gains(cfg)
     theta_max = cfg.run.get("theta_max", np.pi)
     theta_points = int(cfg.run.get("theta_points", 121))
     thetas = np.linspace(-theta_max, theta_max, theta_points)
-    spectrum = squeezing_spectrum(gains[:basis.n_kept], cfg.cavity,
+    spectrum = squeezing_spectrum(gains[:n_kept], cfg.cavity,
                                   cfg.pump.ceo_half, thetas)
-    rows = []
-    for i in range(spectrum.gains.size):
-        for j, th in enumerate(thetas):
-            rows.append((th, float(i), spectrum.var_x[i, j],
-                         spectrum.var_p[i, j], spectrum.epr[i, j]))
+    n_modes = spectrum.gains.size
+    rows = np.column_stack([
+        np.tile(thetas, n_modes), np.repeat(np.arange(n_modes, dtype=float),
+                                            thetas.size),
+        spectrum.var_x.ravel(), spectrum.var_p.ravel(), spectrum.epr.ravel()])
     meta = _metadata(cfg, seed)
     meta.update(threshold_gain=_FLOAT_FMT % gth)
     return [_write_csv(outdir / "squeezing.csv",
@@ -120,7 +140,7 @@ def run_pulses(cfg: ScenarioConfig, outdir: Path, seed=None) -> list[Path]:
         gth = threshold_gain(cfg.cavity, cfg.pump.ceo_half).gain
         g0 = cfg.pump_ratio * gth
     else:
-        _, gains, gth, _ = _decompose(cfg)
+        _, gains, gth, _ = _gains(cfg)
         g0 = float(gains[0])
     branch = resonant_branch(cfg.cavity.delta_rt + cfg.pump.ceo_half)
     r = cfg.cavity.r
@@ -162,11 +182,12 @@ def run_metrology(cfg: ScenarioConfig, outdir: Path, seed=None) -> list[Path]:
     curve = improvement_curve(cfg.cavity, ratios, n_max, cfg.pump.ceo_half)
     meta = _metadata(cfg, seed)
     meta.update(threshold_gain=_FLOAT_FMT % gth)
-    rows = []
-    for i, ratio in enumerate(curve.ratios):
-        for j, n in enumerate(curve.n_values):
-            rows.append((ratio, float(n), curve.sigma2[i, j],
-                         curve.improvement[i, j], curve.asymptote[i]))
+    n_values = curve.n_values.size
+    rows = np.column_stack([
+        np.repeat(curve.ratios, n_values),
+        np.tile(curve.n_values.astype(float), curve.ratios.size),
+        curve.sigma2.ravel(), curve.improvement.ravel(),
+        np.repeat(curve.asymptote, n_values)])
     written = [_write_csv(outdir / "metrology.csv",
                           ["ratio", "N", "sigma2", "improvement", "asymptote"],
                           rows, meta)]

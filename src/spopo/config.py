@@ -52,15 +52,18 @@ def _validate_run_section(run: dict) -> None:
     def fail(key, expected):
         raise ConfigError(f"field run.{key} must be {expected}")
 
+    def is_number(value):
+        return isinstance(value, (int, float)) and not isinstance(value, bool)
+
     for key in ("N_max", "theta_points", "n_modes_dump", "probe_pulses"):
         if key in run and (isinstance(run[key], bool)
                            or not isinstance(run[key], int) or run[key] < 1):
             fail(key, "a positive integer")
-    for key in ("theta_max", "gain_cutoff", "n_bar0"):
-        if key in run and (isinstance(run[key], bool)
-                           or not isinstance(run[key], (int, float))
-                           or run[key] < 0):
+    for key in ("theta_max", "gain_cutoff"):
+        if key in run and (not is_number(run[key]) or run[key] < 0):
             fail(key, "a non-negative number")
+    if "n_bar0" in run and (not is_number(run["n_bar0"]) or run["n_bar0"] <= 0):
+        fail("n_bar0", "a positive number")
     for key in ("dump_kernel", "dump_matrices"):
         if key in run and not isinstance(run[key], bool):
             fail(key, "a boolean")

@@ -181,7 +181,10 @@ class JointKernel:
 
     ``matrix[i, j]`` = (d_omega / 2 pi) S(w_i, w_j); singular values of the
     matrix approximate the continuous gains g_n.  A real input stays real
-    (float64); a complex one is stored as complex128.
+    (float64); a complex one is stored as complex128.  The symmetry check
+    runs here, once: ``matrix`` is a read-only view of the checked array,
+    so decompositions do not repeat it (a caller must not keep writing to
+    an array it passed in).
     """
 
     matrix: np.ndarray
@@ -195,6 +198,8 @@ class JointKernel:
         scale = max(1.0, float(np.abs(m).max()))
         if np.abs(m - m.T).max() > 1e-12 * scale:
             raise ValidationError("kernel matrix must be symmetric")
+        m = m.view()
+        m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
 
     def frobenius_norm(self) -> float:
@@ -219,9 +224,37 @@ def build_kernel(grid: FrequencyGrid, pump: PumpConfig,
             f"(limit {SPECTRAL_TAIL:g}); enlarge omega_max or shorten tau_p")
     # column and row views broadcast to the n x n grid: k_s is evaluated on
     # the n grid points only, and w + w' and k_s(w) + k_s(w') are commutative
-    # sums, so the matrix is exactly symmetric and real
-    w1, w2 = grid.omegas[:, None], grid.omegas[None, :]
+    # sums, so the matrix is exactly symmetric and real.  The steps below
+    # repeat, operation for operation, envelope_spectrum(w + w') and
+    # phase_matching(w, w'), on three n x n buffers: the matrix is
+    # bit-identical to that composition, with w + w' formed once.
+    w = grid.omegas
+    total = np.add(w[:, None], w[None, :])
+    s = pump.sigma_t
+    matrix = np.multiply(s, total)
+    np.square(matrix, out=matrix)
+    np.negative(matrix, out=matrix)
+    np.divide(matrix, 2, out=matrix)
+    np.exp(matrix, out=matrix)
+    np.multiply((4 * np.pi * s**2) ** 0.25, matrix, out=matrix)
+    # k_p(w + w') by Horner's rule, as _poly3
+    c = crystal.pump_dispersion
+    dphi = np.multiply(total, c[3])
+    for coeff in (c[2], c[1]):
+        np.add(coeff, dphi, out=dphi)
+        np.multiply(total, dphi, out=dphi)
+    np.add(c[0], dphi, out=dphi)
+    ks = crystal.k_signal(w)
+    np.add(ks[:, None], ks[None, :], out=total)
+    np.subtract(total, dphi, out=dphi)
+    np.multiply(0.5 * crystal.length, dphi, out=dphi)
+    # np.sinc(dphi / pi): sin(y) / y at y = pi (dphi / pi), with y = 0 -> eps
+    np.divide(dphi, np.pi, out=dphi)
+    np.multiply(np.pi, dphi, out=dphi)
+    np.copyto(dphi, np.finfo(float).eps, where=dphi == 0)
+    sinc = np.sin(dphi, out=total)
+    np.divide(sinc, dphi, out=sinc)
     prefactor = chi0(crystal) * crystal.length * math.sqrt(pump.pulse_energy)
-    matrix = grid.weight * prefactor * pump.envelope_spectrum(w1 + w2) \
-        * phase_matching(crystal, w1, w2)
+    np.multiply(grid.weight * prefactor, matrix, out=matrix)
+    np.multiply(matrix, sinc, out=matrix)
     return JointKernel(matrix=matrix, grid=grid)

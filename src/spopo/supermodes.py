@@ -45,9 +45,7 @@ def takagi(matrix: np.ndarray, tol: float = 1e-12) -> tuple[np.ndarray, np.ndarr
     if not np.any(m):
         return np.zeros(n), np.eye(n, dtype=complex)
     if np.isrealobj(m) or not np.abs(m.imag).max() > tol * scale:
-        lam, u = np.linalg.eigh(m.real)
-        order = np.argsort(np.abs(lam))[::-1]
-        lam, u = lam[order], u[:, order]
+        lam, u = _eigh_by_magnitude(m.real)
         return np.abs(lam), u * np.where(lam >= 0, 1.0 + 0.0j, 1.0j)
     # scipy is needed only here; importing it lazily keeps it out of every
     # run whose kernel is real
@@ -65,6 +63,72 @@ def takagi(matrix: np.ndarray, tol: float = 1e-12) -> tuple[np.ndarray, np.ndarr
             start = i
     u = v @ np.conj(block_diag(*blocks))
     return s, u
+
+
+def takagi_values(matrix: np.ndarray) -> np.ndarray:
+    """Takagi values of a symmetric matrix in descending order, without modes.
+
+    The values ``takagi`` returns, to rounding, at the cost of an eigenvalue-
+    only LAPACK call for real input and a singular-value-only one for complex
+    input.  The symmetry check is the caller's: a ``JointKernel`` matrix has
+    passed it on construction.
+    """
+    m = np.asarray(matrix)
+    if np.isrealobj(m):
+        return np.sort(np.abs(np.linalg.eigvalsh(m)))[::-1]
+    return np.linalg.svd(m, compute_uv=False)
+
+
+def kept_count(gains: np.ndarray, gain_cutoff: float = DEFAULT_GAIN_CUTOFF) -> int:
+    """Number of descending ``gains`` with g_n >= gain_cutoff * g_0 (0 when
+    g_0 is 0)."""
+    if gains[0] > 0.0:
+        return int(np.count_nonzero(gains >= gain_cutoff * gains[0]))
+    return 0
+
+
+def _eigh_by_magnitude(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of a real symmetric matrix by descending |eigenvalue|."""
+    lam, u = np.linalg.eigh(m)
+    order = np.argsort(np.abs(lam))[::-1]
+    return lam[order], u[:, order]
+
+
+def _gauged_modes(lam: np.ndarray, vecs: np.ndarray, weight: float) -> np.ndarray:
+    """Supermode samples from the real eigenvectors of a real kernel.
+
+    Equal bit for bit, signed zeros included, to ``_fix_mode_signs`` of the
+    Takagi modes ``vecs * phase`` (phase 1 for lam >= 0, i otherwise) divided
+    by sqrt(weight), but gauged and scaled on the real matrix and written to
+    one complex array.  ``vecs`` is overwritten.
+    """
+    # phase * x has the magnitude of x, and Re > 0 (phase 1) or Re = 0 and
+    # Im > 0 (phase i) exactly when x > 0: flip where the max-|x| sample is
+    # negative, the first such sample deciding a tie as argmax does
+    hi, lo = vecs.max(axis=0), vecs.min(axis=0)
+    flip = -lo > hi
+    for j in np.flatnonzero(-lo == hi):
+        flip[j] = vecs[np.argmax(np.abs(vecs[:, j])), j] < 0
+    imag_phase = lam < 0
+    # the complex chain turns -0 into +0 in unflipped columns (adding +0.0
+    # does that; -0.0 changes nothing), then divides by multiplying with
+    # 1/sqrt(weight), which keeps the sign of a zero or an underflow
+    np.multiply(vecs, np.where(flip, -1.0, 1.0), out=vecs)
+    np.add(vecs, np.where(flip, -0.0, 0.0), out=vecs)
+    exact_zero = vecs == 0.0
+    scale = 1.0 / np.sqrt(weight)
+    modes = np.empty(vecs.shape, dtype=complex)
+    re, im = modes.real, modes.imag
+    # the part that carries no sample is a zero: with the sign of the sample
+    # in Re of a phase-i column, the opposite sign in Im of a flipped phase-1
+    # column, and +0 in Im of an unflipped one
+    np.multiply(vecs, np.where(imag_phase, 0.0, scale), out=re)
+    np.multiply(vecs, np.where(imag_phase, scale, -0.0), out=im)
+    np.add(im, np.where(flip | imag_phase, -0.0, 0.0), out=im)
+    # a zero sample of a flipped phase-i column keeps its pre-flip sign in Im
+    np.logical_and(exact_zero, flip & imag_phase, out=exact_zero)
+    np.negative(vecs, out=im, where=exact_zero)
+    return modes
 
 
 def _fix_mode_signs(modes: np.ndarray) -> np.ndarray:
@@ -104,10 +168,32 @@ class SupermodeBasis:
 
     def time_samples(self, freq_samples: np.ndarray) -> np.ndarray:
         """Discrete Fourier synthesis sum_i e^{i w_i t} f(w_i) d_omega/2pi of
-        samples on the frequency grid (first axis) onto ``time_grid``."""
-        synth = np.exp(1j * np.outer(self.time_grid, self.grid.omegas)) \
-            * self.grid.weight
-        return synth @ freq_samples
+        samples on the frequency grid (first axis) onto ``time_grid``.
+
+        On a comb-aligned grid (rep_period * delta_omega = 2 pi) the phase
+        t_j w_i of the time grid that ``schmidt_decompose`` builds is
+        2 pi (j - h)(i - h) / m with h = (m - 1) / 2, so the sum is
+        an inverse DFT between two twiddles, evaluated by FFT with each
+        twiddle phase reduced to an exact integer multiple of 2 pi / m.  Other
+        grids take the direct O(m^2) sum.
+        """
+        grid = self.grid
+        m = grid.n_points
+        if abs(self.rep_period * grid.delta_omega - 2.0 * np.pi) \
+                > 1e-12 * 2.0 * np.pi:
+            synth = np.exp(1j * np.outer(self.time_grid, grid.omegas)) \
+                * grid.weight
+            return synth @ freq_samples
+        h = (m - 1) // 2
+        index = np.arange(m)
+        # (j - h)(i - h) = j i - h i - h j + h^2; the j i term is the DFT's
+        pre = np.exp(2j * np.pi / m * (-h * index % m))
+        post = grid.weight * np.exp(2j * np.pi / m * ((h * h - h * index) % m))
+        samples = np.asarray(freq_samples)
+        column = (m,) + (1,) * (samples.ndim - 1)
+        spectrum = pre.reshape(column) * samples
+        return post.reshape(column) * np.fft.ifft(spectrum, axis=0,
+                                                  norm="forward")
 
     @cached_property
     def modes_time(self) -> np.ndarray:
@@ -144,18 +230,19 @@ def schmidt_decompose(kernel: JointKernel,
     grid = kernel.grid
     if rep_period is None:
         rep_period = 2.0 * np.pi / grid.delta_omega
-    gains, u = takagi(kernel.matrix)
-    u = _fix_mode_signs(u)
-    weight = grid.weight
-    modes_freq = u / np.sqrt(weight)
-
-    m = grid.n_points
-    tau = (np.arange(m) + 0.5) * rep_period / m - rep_period / 2.0
-
-    if gains[0] > 0.0:
-        n_kept = int(np.count_nonzero(gains >= gain_cutoff * gains[0]))
+    m = kernel.matrix
+    if np.isrealobj(m) and m.any():
+        # the kernel's symmetry was checked when it was built
+        lam, vecs = _eigh_by_magnitude(m)
+        gains = np.abs(lam)
+        modes_freq = _gauged_modes(lam, vecs, grid.weight)
     else:
-        n_kept = 0
+        gains, u = takagi(m)
+        modes_freq = _fix_mode_signs(u) / np.sqrt(grid.weight)
+
+    n = grid.n_points
+    tau = (np.arange(n) + 0.5) * rep_period / n - rep_period / 2.0
+    n_kept = kept_count(gains, gain_cutoff)
     return SupermodeBasis(gains=gains, modes_freq=modes_freq, grid=grid,
                           rep_period=float(rep_period), time_grid=tau,
                           n_kept=n_kept, gain_cutoff=float(gain_cutoff),

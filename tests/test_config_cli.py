@@ -176,6 +176,32 @@ class TestCliRuns:
         assert summary["min_pulses_to_asymptote"] == [1]
         assert (out / "probe.csv").exists()
 
+    @pytest.mark.parametrize("command, pump", [
+        ("squeezing", {"pump_ratio": 0.8}),
+        ("pulses", {"energy": 2e-10})], ids=["squeezing", "pulses-energy"])
+    def test_gains_only_runs_build_no_eigenvectors(self, tmp_path, monkeypatch,
+                                                   command, pump):
+        # squeezing, and pulses for an energy config, read the gains alone
+        def no_eigenvectors(*args, **kwargs):
+            raise AssertionError("eigenvectors computed")
+
+        raw = scenario_dict()
+        del raw["pump"]["pump_ratio"]
+        raw["pump"].update(pump)
+        path = write_config(tmp_path, raw)
+        monkeypatch.setattr(np.linalg, "eigh", no_eigenvectors)
+        assert main([command, "--config", str(path), "--out",
+                     str(tmp_path / "out")]) == 0
+
+    def test_zero_n_bar0_is_config_error(self, tmp_path, capsys):
+        path = write_config(tmp_path, scenario_dict(**{"run.n_bar0": 0}))
+        code = main(["metrology", "--config", str(path), "--out",
+                     str(tmp_path / "o")])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config-error"
+        assert "run.n_bar0" in err["message"]
+
     def test_threshold_config_exit_code(self, tmp_path, capsys):
         # delta at pi/2 has no finite threshold: physics-domain error (3)
         raw = scenario_dict(**{"cavity.delta_rt": np.pi / 2})

@@ -98,6 +98,12 @@ class TestBuildKernel:
         assert m.dtype == np.float64
         assert np.array_equal(m, m.T)
 
+    def test_matrix_read_only(self, default_kernel):
+        # validated once on construction; decompositions rely on that
+        assert not default_kernel.matrix.flags.writeable
+        with pytest.raises(ValueError):
+            default_kernel.matrix[0, 0] = 1.0
+
     @pytest.mark.parametrize("n_points", [171, 1361])
     def test_matches_meshgrid_reference(self, n_points, default_pump,
                                         default_crystal):

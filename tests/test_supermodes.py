@@ -6,7 +6,7 @@ from spopo import (FrequencyGrid, JointKernel, ValidationError,
                    pulse_train_from_coefficients, schmidt_decompose,
                    synthesize_comb, takagi)
 
-from spopo.supermodes import _fix_mode_signs
+from spopo.supermodes import _fix_mode_signs, kept_count, takagi_values
 
 from conftest import T0, make_pump
 
@@ -39,6 +39,28 @@ def fix_mode_signs_loop(modes):
         elif z.imag < 0:
             out[:, n] = -col
     return out
+
+
+def modes_by_complex_chain(matrix, weight):
+    """Reference for the real path of schmidt_decompose: Takagi modes as
+    eigenvectors times phase 1 or i, sign gauge, then division by sqrt(w)."""
+    lam, u = np.linalg.eigh(matrix)
+    order = np.argsort(np.abs(lam))[::-1]
+    lam, u = lam[order], u[:, order]
+    u = u * np.where(lam >= 0, 1.0 + 0.0j, 1.0j)
+    return _fix_mode_signs(u) / np.sqrt(weight)
+
+
+def extended_precision_synthesis(basis, freq_samples):
+    """sum_i e^{i t_j w_i} f_i dw/2pi in np.clongdouble on a comb-aligned
+    grid, with the exact phase 2 pi ((j - h)(i - h) mod m) / m."""
+    m = basis.grid.n_points
+    offsets = np.arange(m) - (m - 1) // 2
+    numerator = np.outer(offsets, offsets) % m
+    two_pi = 8 * np.arctan(np.longdouble(1))
+    synth = np.exp(1j * (two_pi * numerator.astype(np.longdouble) / m))
+    return synth @ (np.asarray(freq_samples).astype(np.clongdouble)
+                    * np.longdouble(basis.grid.weight))
 
 
 def double_gaussian_law(a, b, amplitude=1.0):
@@ -144,8 +166,81 @@ class TestSchmidtDecompose:
         tau = (np.arange(m) + 0.5) * T0 / m - T0 / 2.0
         synth = np.exp(1j * np.outer(tau, basis.grid.omegas)) * basis.grid.weight
         expected = synth @ basis.modes_freq
-        assert np.array_equal(basis.modes_time, expected)
+        # FFT against the direct sum, whose float phases carry ~1e-14 of max
+        # error (measured gap: 3.0e-14 of max)
+        assert np.abs(basis.modes_time - expected).max() \
+            <= 1e-13 * np.abs(expected).max()
         assert basis.__dict__["modes_time"] is basis.modes_time
+
+    @pytest.mark.parametrize("n_points", [171, 341])
+    def test_fft_synthesis_matches_extended_precision(self, n_points,
+                                                      default_pump,
+                                                      default_crystal):
+        grid = FrequencyGrid.comb_aligned(n_points, T0)
+        basis = schmidt_decompose(
+            build_kernel(grid, default_pump, default_crystal), rep_period=T0)
+        probe = basis.modes_freq[:, 0] / (2.356e15 + grid.omegas)
+        for samples in (basis.modes_freq, probe):
+            reference = extended_precision_synthesis(basis, samples)
+            error = np.abs(basis.time_samples(samples) - reference)
+            assert np.all(error.max(axis=0)
+                          <= 2e-15 * np.abs(reference).max(axis=0))
+
+    def test_direct_synthesis_off_comb_grid(self, default_pump,
+                                            default_crystal):
+        # spacing not 2 pi / T0: no DFT structure, the direct sum is used
+        grid = FrequencyGrid(n_points=171, omega_max=1.1e14)
+        basis = schmidt_decompose(
+            build_kernel(grid, default_pump, default_crystal), rep_period=T0)
+        synth = np.exp(1j * np.outer(basis.time_grid, grid.omegas)) * grid.weight
+        assert np.array_equal(basis.modes_time, synth @ basis.modes_freq)
+
+    @pytest.mark.parametrize("n_points", [171, 1361])
+    def test_takagi_values_match_takagi(self, n_points, default_pump,
+                                        default_crystal):
+        kernel = build_kernel(FrequencyGrid.comb_aligned(n_points, T0),
+                              default_pump, default_crystal)
+        values = takagi_values(kernel.matrix)
+        assert np.abs(values - takagi(kernel.matrix)[0]).max() \
+            <= 1e-14 * values[0]
+        assert kept_count(values) \
+            == schmidt_decompose(kernel, rep_period=T0).n_kept
+
+    def test_takagi_values_complex_symmetric(self):
+        rng = np.random.default_rng(8)
+        m = rng.standard_normal((40, 40)) + 1j * rng.standard_normal((40, 40))
+        m = m + m.T
+        values = takagi_values(m)
+        reference = takagi(m)[0]
+        assert np.abs(values - reference).max() <= 1e-14 * values[0]
+        assert kept_count(values, 0.05) == kept_count(reference, 0.05)
+
+    def test_one_pass_modes_match_complex_chain(self, default_pump,
+                                                default_crystal):
+        # compared bytewise: the signed zeros of Im reach the mode CSVs
+        kernels = [build_kernel(FrequencyGrid.comb_aligned(n, T0),
+                                default_pump, default_crystal)
+                   for n in (171, 1361)]
+        gaussian = double_gaussian_kernel(1.0, 0.25)
+        kernels.append(JointKernel(matrix=gaussian.matrix.real,
+                                   grid=gaussian.grid))
+        # degenerate 2x2 blocks give eigenvectors whose largest |x| is a
+        # +/- tie; the zero row gives exact zeros of both signs
+        small = FrequencyGrid(n_points=5, omega_max=1.0)
+        ties = np.zeros((5, 5))
+        ties[:2, :2] = [[1.0, 2.0], [2.0, 1.0]]
+        ties[2:4, 2:4] = [[0.0, 1.0], [1.0, 0.0]]
+        ties[4, 4] = 0.5
+        noise = np.random.default_rng(4).standard_normal((5, 5))
+        noise[2] = noise[:, 2] = 0.0
+        kernels += [JointKernel(matrix=ties, grid=small),
+                    JointKernel(matrix=noise + noise.T, grid=small)]
+        for kernel in kernels:
+            modes = schmidt_decompose(kernel).modes_freq
+            reference = modes_by_complex_chain(kernel.matrix, kernel.grid.weight)
+            assert modes.dtype == reference.dtype
+            assert np.array_equal(modes.view(np.uint64),
+                                  reference.view(np.uint64))
 
     def test_time_modes_orthonormal(self, default_basis):
         n = default_basis.n_kept
