@@ -22,7 +22,8 @@ from .errors import AtThresholdError, SpopoError, ValidationError
 from .kernel import build_kernel
 from .metrology import improvement_curve, optimal_probe
 from .pulses import covariance, duan_sum, min_variance_curve, resonant_branch
-from .supermodes import kept_count, schmidt_decompose, takagi_values
+from .supermodes import (DEFAULT_GAIN_CUTOFF, kept_count, schmidt_decompose,
+                         takagi_values)
 
 _FLOAT_FMT = "%.12g"
 
@@ -46,7 +47,7 @@ def _metadata(cfg: ScenarioConfig, seed) -> dict:
 
 
 def _gain_cutoff(cfg: ScenarioConfig) -> float:
-    return cfg.run.get("gain_cutoff", 1e-6)
+    return cfg.run.get("gain_cutoff", DEFAULT_GAIN_CUTOFF)
 
 
 def _scale_gains(cfg: ScenarioConfig, gains: np.ndarray):

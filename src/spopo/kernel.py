@@ -175,6 +175,16 @@ def phase_matching(crystal: CrystalConfig, omega, omega_prime) -> np.ndarray:
     return np.sinc(dphi / np.pi)
 
 
+def check_symmetric(m: np.ndarray, name: str) -> None:
+    """Refuse (``ValidationError``) a square matrix with a non-finite entry
+    or with |m - m^T| above 1e-12 max(1, max |m|) anywhere."""
+    if not np.isfinite(m).all():
+        raise ValidationError(f"{name} has non-finite entries")
+    if not np.array_equal(m, m.T) and np.abs(m - m.T).max() \
+            > 1e-12 * max(1.0, float(np.abs(m).max())):
+        raise ValidationError(f"{name} must be symmetric")
+
+
 @dataclass(frozen=True)
 class JointKernel:
     """Discretised symmetric kernel with the quadrature weight folded in.
@@ -195,9 +205,7 @@ class JointKernel:
                        dtype=complex if np.iscomplexobj(self.matrix) else float)
         if m.shape != (self.grid.n_points, self.grid.n_points):
             raise ValidationError("kernel matrix does not match the grid")
-        scale = max(1.0, float(np.abs(m).max()))
-        if np.abs(m - m.T).max() > 1e-12 * scale:
-            raise ValidationError("kernel matrix must be symmetric")
+        check_symmetric(m, "kernel matrix")
         m = m.view()
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)

@@ -21,48 +21,38 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ValidationError
-from .kernel import FrequencyGrid, JointKernel, PumpConfig
+from .kernel import FrequencyGrid, JointKernel, PumpConfig, check_symmetric
 
 DEFAULT_GAIN_CUTOFF = 1e-6
 
 
-def takagi(matrix: np.ndarray, tol: float = 1e-12) -> tuple[np.ndarray, np.ndarray]:
+def takagi(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Takagi factorisation M = U diag(vals) U^T of a complex symmetric matrix.
 
     Returns singular values in descending order and the unitary U whose
     columns are the symmetric-SVD modes.  A real symmetric input is handled
-    through its eigendecomposition (phases i absorb negative eigenvalues); the
-    genuinely complex case uses an SVD with a per-degenerate-block phase
-    correction.
+    through its eigendecomposition (phases i absorb negative eigenvalues).  For
+    complex M = B + iC, an eigenvector [x; y] of [[B, C], [C, -B]] with
+    eigenvalue val gives the mode x + iy (Horn & Johnson, Matrix Analysis 4.4).
     """
     m = np.asarray(matrix)
     n = m.shape[0]
     if m.shape != (n, n):
         raise ValidationError("takagi needs a square matrix")
-    scale = max(1.0, float(np.abs(m).max()))
-    if np.abs(m - m.T).max() > tol * scale:
-        raise ValidationError("takagi needs a symmetric matrix")
+    check_symmetric(m, "takagi matrix")
     if not np.any(m):
         return np.zeros(n), np.eye(n, dtype=complex)
-    if np.isrealobj(m) or not np.abs(m.imag).max() > tol * scale:
-        lam, u = _eigh_by_magnitude(m.real)
+    if np.isrealobj(m):
+        lam, u = _eigh_by_magnitude(m)
         return np.abs(lam), u * np.where(lam >= 0, 1.0 + 0.0j, 1.0j)
-    # scipy is needed only here; importing it lazily keeps it out of every
-    # run whose kernel is real
-    from scipy.linalg import block_diag, sqrtm
-
-    v, s, wh = np.linalg.svd(m)
-    w = wh.conj().T
-    # group (near-)degenerate singular values; sqrtm of V^T W per block fixes
-    # the relative phases so that U diag(s) U^T reproduces M
-    blocks = []
-    start = 0
-    for i in range(1, n + 1):
-        if i == n or abs(s[i] - s[start]) > 1e-10 * max(1.0, s[0]):
-            blocks.append(sqrtm(v[:, start:i].T @ w[:, start:i]))
-            start = i
-    u = v @ np.conj(block_diag(*blocks))
-    return s, u
+    b, c = m.real, m.imag
+    lam, vecs = np.linalg.eigh(np.block([[b, c], [c, -b]]))
+    top = slice(None, n - 1, -1)
+    # k zero values leave a 2k-dimensional null space, closed under u -> iu,
+    # whose k picked columns need not be orthonormal; QR completes U and keeps
+    # the val > 0 columns, once the phases of R's diagonal are put back
+    q, r = np.linalg.qr(vecs[:n, top] + 1j * vecs[n:, top])
+    return np.maximum(lam[top], 0.0), q * np.exp(1j * np.angle(r.diagonal()))
 
 
 def takagi_values(matrix: np.ndarray) -> np.ndarray:

@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-import scipy.constants as const
 
 from spopo import (CavityConfig, CrystalConfig, FrequencyGrid, PumpConfig,
                    build_kernel, schmidt_decompose)
@@ -11,10 +10,12 @@ OMEGA0 = 2.356e15
 TAU_P = 1.0e-13
 T0 = 4.0e-12
 N_POINTS = 171
+#: speed of light in vacuum (m/s), exact in SI
+C_LIGHT = 299792458.0
 
-KS0 = 1.8 * OMEGA0 / const.c
-SIGNAL_DISPERSION = (KS0, 1.85 / const.c, 7e-26, 0.0)
-PUMP_DISPERSION = (2.0 * KS0, 1.95 / const.c, 2e-25, 0.0)
+KS0 = 1.8 * OMEGA0 / C_LIGHT
+SIGNAL_DISPERSION = (KS0, 1.85 / C_LIGHT, 7e-26, 0.0)
+PUMP_DISPERSION = (2.0 * KS0, 1.95 / C_LIGHT, 2e-25, 0.0)
 
 
 def make_crystal(**overrides) -> CrystalConfig:

@@ -14,6 +14,8 @@ from spopo.config import load_scenario, parse_scenario
 
 from conftest import (OMEGA0, PUMP_DISPERSION, SIGNAL_DISPERSION, T0, TAU_P)
 
+DEFAULT_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "default.json"
+
 
 def scenario_dict(**overrides):
     raw = {
@@ -237,6 +239,21 @@ class TestCliRuns:
         assert err["error"] == "validation-error"
         assert "resonant" in err["message"]
 
+    @pytest.mark.parametrize("command", ["supermodes", "squeezing",
+                                         "metrology"])
+    def test_non_finite_kernel_refused(self, tmp_path, capsys, command):
+        # the phase mismatch overflows, and sin(inf) puts NaN in the kernel
+        raw = json.loads(DEFAULT_CONFIG.read_text())
+        raw["crystal"]["pump_dispersion"][2] = 1e300
+        out = tmp_path / "o"
+        code = main([command, "--config", str(write_config(tmp_path, raw)),
+                     "--out", str(out)])
+        assert code == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "validation-error"
+        assert "non-finite" in err["message"]
+        assert not list(out.glob("*.csv"))
+
     def test_module_entry_point(self, tmp_path):
         # the python -m spopo.cli process matches the in-process run; the
         # supermodes and metrology processes never touch modes_time
@@ -258,9 +275,11 @@ class TestCliRuns:
                     == (tmp_path / "b" / name).read_bytes()
 
     def test_cli_import_loads_no_scipy(self):
-        # scipy is imported only by the complex-kernel branch of takagi
+        # neither the CLI nor a complex Takagi factorisation needs scipy
         proc = subprocess.run(
-            [sys.executable, "-c", "import sys, spopo.cli; print(sorted("
+            [sys.executable, "-c", "import sys, numpy as np, spopo.cli; "
+             "a = np.arange(16.0).reshape(4, 4) * (1 + 2j); "
+             "spopo.takagi(a + a.T); print(sorted("
              "m for m in sys.modules if m.partition('.')[0] == 'scipy'))"],
             env=src_env(), capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
@@ -283,9 +302,8 @@ class TestCliRuns:
     def test_default_config_golden_values(self, tmp_path):
         # shipped scenario: finesse ~ 30 cavity, ratios {0.5, 0.8, 0.95};
         # values frozen from the oracle-validated closed forms
-        config = Path(__file__).resolve().parents[1] / "configs" / "default.json"
         out = tmp_path / "out"
-        assert main(["metrology", "--config", str(config),
+        assert main(["metrology", "--config", str(DEFAULT_CONFIG),
                      "--out", str(out)]) == 0
         summary = json.loads((out / "summary.json").read_text())
         assert summary["threshold_gain"] == pytest.approx(
@@ -301,7 +319,7 @@ class TestCliRuns:
             5.756075611931996, rel=1e-12)
         # cross-file consistency: the squeezing spectrum at theta = 0 (pump
         # ratio 0.8) is the infinite-pulse metrology asymptote 1/(2 imp^2)
-        assert main(["squeezing", "--config", str(config),
+        assert main(["squeezing", "--config", str(DEFAULT_CONFIG),
                      "--out", str(out)]) == 0
         squeezing = load_table(out / "squeezing.csv")
         center = (squeezing["mode"] == 0) & (squeezing["theta"] == 0.0)

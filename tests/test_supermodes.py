@@ -26,6 +26,31 @@ def double_gaussian_kernel(a, b, omega_max=14.0, n_points=301, amplitude=1.0):
     return JointKernel(matrix=matrix.astype(complex), grid=grid)
 
 
+def complex_symmetric_case(name):
+    """Complex symmetric input of the Takagi tests; a number seeds a random
+    10 x 10 matrix.  Rank 3 of 12 and the zero row leave exact zero values,
+    and the double-Gaussian kernel numerically zero ones."""
+    if name == "double-gaussian-301":
+        return double_gaussian_kernel(1.0, 0.25).matrix
+    if name == "degenerate-4":
+        m = np.zeros((4, 4), dtype=complex)
+        m[0, 1] = m[1, 0] = m[2, 3] = m[3, 2] = 1.0
+        return m
+    rng = np.random.default_rng(int(name) if name.isdigit() else 6)
+    n = {"random-60": 60, "degenerate-3x20": 60, "rank-3-of-12": 12,
+         "zero-row": 12}.get(name, 10)
+    m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    if name == "degenerate-3x20":
+        q = np.linalg.qr(m)[0]
+        return (q * np.repeat([3.0, 2.0, 1.0], 20)) @ q.T
+    if name == "rank-3-of-12":
+        return m[:, :3] @ m[:, :3].T
+    m = m + m.T
+    if name == "zero-row":
+        m[4, :] = m[:, 4] = 0.0
+    return m
+
+
 def fix_mode_signs_loop(modes):
     """Per-column reference of the sign gauge: at the max-|.| sample make Re
     positive, or Im positive when the sample is purely imaginary."""
@@ -96,26 +121,28 @@ class TestTakagi:
         np.testing.assert_allclose(u.conj().T @ u, np.eye(12), atol=1e-12)
         assert np.all(np.diff(vals) <= 1e-12)
 
-    @pytest.mark.parametrize("seed", [3, 4, 5])
-    def test_random_complex_symmetric(self, seed):
-        rng = np.random.default_rng(seed)
-        m = rng.standard_normal((10, 10)) + 1j * rng.standard_normal((10, 10))
-        m = m + m.T
+    @pytest.mark.parametrize("case", [
+        "3", "4", "5", "random-60", "degenerate-4", "degenerate-3x20",
+        "rank-3-of-12", "zero-row", "double-gaussian-301"])
+    def test_random_complex_symmetric(self, case):
+        m = complex_symmetric_case(case)
+        n = m.shape[0]
         vals, u = takagi(m)
-        np.testing.assert_allclose((u * vals) @ u.T, m, atol=1e-11)
-        np.testing.assert_allclose(u.conj().T @ u, np.eye(10), atol=1e-11)
-
-    def test_degenerate_singular_values(self):
-        m = np.zeros((4, 4), dtype=complex)
-        m[0, 1] = m[1, 0] = 1.0
-        m[2, 3] = m[3, 2] = 1.0
-        vals, u = takagi(m)
-        np.testing.assert_allclose(vals, 1.0)
-        np.testing.assert_allclose((u * vals) @ u.T, m, atol=1e-12)
+        np.testing.assert_allclose((u * vals) @ u.T, m, rtol=0,
+                                   atol=1e-12 * max(1.0, np.abs(m).max()))
+        np.testing.assert_allclose(u.conj().T @ u, np.eye(n), rtol=0,
+                                   atol=1e-12)
+        assert np.all(vals >= 0) and np.all(np.diff(vals) <= 0)
+        assert np.abs(vals - np.linalg.svd(m, compute_uv=False)).max() \
+            <= 1e-14 * vals[0]
 
     def test_asymmetric_rejected(self):
         with pytest.raises(ValidationError):
             takagi(np.array([[0.0, 1.0], [0.5, 0.0]]))
+        # inf - inf is NaN, which no tolerance test flags
+        for bad in (np.inf, np.nan):
+            with pytest.raises(ValidationError, match="non-finite"):
+                takagi(np.array([[0.0, bad], [bad, 0.0]]))
 
     def test_sign_gauge_matches_per_column_loop(self, default_kernel):
         # Takagi modes of the real kernel carry phase 1 or i; random complex
