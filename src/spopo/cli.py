@@ -50,6 +50,10 @@ def _gain_cutoff(cfg: ScenarioConfig) -> float:
     return cfg.run.get("gain_cutoff", DEFAULT_GAIN_CUTOFF)
 
 
+def _n_max(cfg: ScenarioConfig) -> int:
+    return int(cfg.run.get("N_max", 100))
+
+
 def _scale_gains(cfg: ScenarioConfig, gains: np.ndarray):
     """Exact gain rescaling for pump_ratio configs, plus the threshold check.
 
@@ -145,7 +149,7 @@ def run_pulses(cfg: ScenarioConfig, outdir: Path, seed=None) -> list[Path]:
         g0 = float(gains[0])
     branch = resonant_branch(cfg.cavity.delta_rt + cfg.pump.ceo_half)
     r = cfg.cavity.r
-    n_max = int(cfg.run.get("N_max", 64))
+    n_max = _n_max(cfg)
     meta = _metadata(cfg, seed)
     meta.update(threshold_gain=_FLOAT_FMT % gth)
     ns = np.arange(1, n_max + 1)
@@ -179,7 +183,7 @@ def run_metrology(cfg: ScenarioConfig, outdir: Path, seed=None) -> list[Path]:
         ratios = [cfg.pump_ratio]
     else:
         ratios = [float(gains[0] / gth)]
-    n_max = int(cfg.run.get("N_max", 100))
+    n_max = _n_max(cfg)
     curve = improvement_curve(cfg.cavity, ratios, n_max, cfg.pump.ceo_half)
     meta = _metadata(cfg, seed)
     meta.update(threshold_gain=_FLOAT_FMT % gth)

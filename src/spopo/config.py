@@ -9,9 +9,11 @@ Schema (all values SI):
     crystal: l_c (m); d_eff (m/V); n0; A_eff (m^2); omega0 (rad/s);
              signal_dispersion, pump_dispersion (4 Taylor coefficients each)
     cavity:  exactly one of r / finesse; delta_rt (rad)
-    run:     subcommand-specific knobs (theta_points, theta_max, N_max,
-             ratios, gain_cutoff, n_modes_dump, dump_kernel, dump_matrices,
-             probe_pulses, n_bar0)
+    run:     optional subcommand knobs, defaults in parentheses:
+             theta_points (121), theta_max (pi), N_max (100), ratios
+             ([pump_ratio], or [g0 / g_th] for an energy pump), gain_cutoff
+             (1e-6), n_modes_dump (8), dump_kernel (false), dump_matrices
+             (false), probe_pulses (8), n_bar0 (1e6)
 """
 
 from __future__ import annotations

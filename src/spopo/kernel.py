@@ -192,9 +192,8 @@ class JointKernel:
     ``matrix[i, j]`` = (d_omega / 2 pi) S(w_i, w_j); singular values of the
     matrix approximate the continuous gains g_n.  A real input stays real
     (float64); a complex one is stored as complex128.  The symmetry check
-    runs here, once: ``matrix`` is a read-only view of the checked array,
-    so decompositions do not repeat it (a caller must not keep writing to
-    an array it passed in).
+    runs on construction: ``matrix`` is a read-only view of the checked
+    array (a caller must not keep writing to an array it passed in).
     """
 
     matrix: np.ndarray
@@ -214,6 +213,9 @@ class JointKernel:
         return float(np.linalg.norm(self.matrix))
 
 
+# an overflowing phase mismatch leaves inf or NaN in the matrix, which
+# JointKernel refuses; numpy need not warn on the way
+@np.errstate(over="ignore", invalid="ignore")
 def build_kernel(grid: FrequencyGrid, pump: PumpConfig,
                  crystal: CrystalConfig) -> JointKernel:
     """Assemble the joint kernel matrix from physical parameters.

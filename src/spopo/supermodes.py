@@ -30,21 +30,31 @@ def takagi(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Takagi factorisation M = U diag(vals) U^T of a complex symmetric matrix.
 
     Returns singular values in descending order and the unitary U whose
-    columns are the symmetric-SVD modes.  A real symmetric input is handled
-    through its eigendecomposition (phases i absorb negative eigenvalues).  For
-    complex M = B + iC, an eigenvector [x; y] of [[B, C], [C, -B]] with
-    eigenvalue val gives the mode x + iy (Horn & Johnson, Matrix Analysis 4.4).
+    columns are the symmetric-SVD modes, in a deterministic sign gauge: at
+    each column's largest-|.| sample Re > 0, or Im > 0 when that sample is
+    purely imaginary.  A real symmetric input is handled through its
+    eigendecomposition (phases i absorb negative eigenvalues).  For complex
+    M = B + iC, an eigenvector [x; y] of [[B, C], [C, -B]] with eigenvalue
+    val gives the mode x + iy (Horn & Johnson, Matrix Analysis 4.4).
     """
     m = np.asarray(matrix)
-    n = m.shape[0]
-    if m.shape != (n, n):
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValidationError("takagi needs a square matrix")
+    n = m.shape[0]
     check_symmetric(m, "takagi matrix")
     if not np.any(m):
         return np.zeros(n), np.eye(n, dtype=complex)
     if np.isrealobj(m):
-        lam, u = _eigh_by_magnitude(m)
-        return np.abs(lam), u * np.where(lam >= 0, 1.0 + 0.0j, 1.0j)
+        lam, x = np.linalg.eigh(m)
+        order = np.argsort(np.abs(lam))[::-1]
+        lam, x = lam[order], x[:, order]
+        # the mode is x (lam >= 0) or i x, and either is gauged by x's sign
+        sign = np.where(_sign_flips(x), -1.0, 1.0)
+        positive = lam >= 0
+        u = np.empty(x.shape, dtype=complex)
+        np.multiply(x, np.where(positive, sign, 0.0), out=u.real)
+        np.multiply(x, np.where(positive, 0.0, sign), out=u.imag)
+        return np.abs(lam), u
     b, c = m.real, m.imag
     lam, vecs = np.linalg.eigh(np.block([[b, c], [c, -b]]))
     top = slice(None, n - 1, -1)
@@ -52,7 +62,17 @@ def takagi(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # whose k picked columns need not be orthonormal; QR completes U and keeps
     # the val > 0 columns, once the phases of R's diagonal are put back
     q, r = np.linalg.qr(vecs[:n, top] + 1j * vecs[n:, top])
-    return np.maximum(lam[top], 0.0), q * np.exp(1j * np.angle(r.diagonal()))
+    u = q * np.exp(1j * np.angle(r.diagonal()))
+    np.negative(u, out=u, where=_sign_flips(u))
+    return np.maximum(lam[top], 0.0), u
+
+
+def _sign_flips(modes: np.ndarray) -> np.ndarray:
+    """Columns whose max-|.| sample has Re < 0, or Re = 0 (to 1e-12 of its
+    magnitude) and Im < 0: the ones the gauge negates.  Only the sign may be
+    touched: any other phase would break the symmetric factorisation."""
+    z = modes[np.argmax(np.abs(modes), axis=0), np.arange(modes.shape[1])]
+    return np.where(np.abs(z.real) > 1e-12 * np.abs(z), z.real < 0, z.imag < 0)
 
 
 def takagi_values(matrix: np.ndarray) -> np.ndarray:
@@ -77,61 +97,6 @@ def kept_count(gains: np.ndarray, gain_cutoff: float = DEFAULT_GAIN_CUTOFF) -> i
     return 0
 
 
-def _eigh_by_magnitude(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs of a real symmetric matrix by descending |eigenvalue|."""
-    lam, u = np.linalg.eigh(m)
-    order = np.argsort(np.abs(lam))[::-1]
-    return lam[order], u[:, order]
-
-
-def _gauged_modes(lam: np.ndarray, vecs: np.ndarray, weight: float) -> np.ndarray:
-    """Supermode samples from the real eigenvectors of a real kernel.
-
-    Equal bit for bit, signed zeros included, to ``_fix_mode_signs`` of the
-    Takagi modes ``vecs * phase`` (phase 1 for lam >= 0, i otherwise) divided
-    by sqrt(weight), but gauged and scaled on the real matrix and written to
-    one complex array.  ``vecs`` is overwritten.
-    """
-    # phase * x has the magnitude of x, and Re > 0 (phase 1) or Re = 0 and
-    # Im > 0 (phase i) exactly when x > 0: flip where the max-|x| sample is
-    # negative, the first such sample deciding a tie as argmax does
-    hi, lo = vecs.max(axis=0), vecs.min(axis=0)
-    flip = -lo > hi
-    for j in np.flatnonzero(-lo == hi):
-        flip[j] = vecs[np.argmax(np.abs(vecs[:, j])), j] < 0
-    imag_phase = lam < 0
-    # the complex chain turns -0 into +0 in unflipped columns (adding +0.0
-    # does that; -0.0 changes nothing), then divides by multiplying with
-    # 1/sqrt(weight), which keeps the sign of a zero or an underflow
-    np.multiply(vecs, np.where(flip, -1.0, 1.0), out=vecs)
-    np.add(vecs, np.where(flip, -0.0, 0.0), out=vecs)
-    exact_zero = vecs == 0.0
-    scale = 1.0 / np.sqrt(weight)
-    modes = np.empty(vecs.shape, dtype=complex)
-    re, im = modes.real, modes.imag
-    # the part that carries no sample is a zero: with the sign of the sample
-    # in Re of a phase-i column, the opposite sign in Im of a flipped phase-1
-    # column, and +0 in Im of an unflipped one
-    np.multiply(vecs, np.where(imag_phase, 0.0, scale), out=re)
-    np.multiply(vecs, np.where(imag_phase, scale, -0.0), out=im)
-    np.add(im, np.where(flip | imag_phase, -0.0, 0.0), out=im)
-    # a zero sample of a flipped phase-i column keeps its pre-flip sign in Im
-    np.logical_and(exact_zero, flip & imag_phase, out=exact_zero)
-    np.negative(vecs, out=im, where=exact_zero)
-    return modes
-
-
-def _fix_mode_signs(modes: np.ndarray) -> np.ndarray:
-    """Deterministic gauge: at each mode's max-|.| sample, make Re positive
-    (Im positive when the sample is purely imaginary).  Only the sign may be
-    touched: any other phase would break the symmetric factorisation."""
-    z = modes[np.argmax(np.abs(modes), axis=0), np.arange(modes.shape[1])]
-    flip = np.where(np.abs(z.real) > 1e-12 * np.abs(z), z.real < 0, z.imag < 0)
-    out = modes.copy()
-    np.negative(out, out=out, where=flip[None, :])
-    return out
-
-
 @dataclass(frozen=True)
 class SupermodeBasis:
     """Gains and supermode functions of one kernel decomposition.
@@ -149,7 +114,6 @@ class SupermodeBasis:
     rep_period: float
     time_grid: np.ndarray
     n_kept: int
-    gain_cutoff: float
     kernel: JointKernel = field(repr=False)
 
     @property
@@ -220,23 +184,14 @@ def schmidt_decompose(kernel: JointKernel,
     grid = kernel.grid
     if rep_period is None:
         rep_period = 2.0 * np.pi / grid.delta_omega
-    m = kernel.matrix
-    if np.isrealobj(m) and m.any():
-        # the kernel's symmetry was checked when it was built
-        lam, vecs = _eigh_by_magnitude(m)
-        gains = np.abs(lam)
-        modes_freq = _gauged_modes(lam, vecs, grid.weight)
-    else:
-        gains, u = takagi(m)
-        modes_freq = _fix_mode_signs(u) / np.sqrt(grid.weight)
-
+    gains, modes_freq = takagi(kernel.matrix)
+    modes_freq *= 1.0 / np.sqrt(grid.weight)
     n = grid.n_points
     tau = (np.arange(n) + 0.5) * rep_period / n - rep_period / 2.0
     n_kept = kept_count(gains, gain_cutoff)
     return SupermodeBasis(gains=gains, modes_freq=modes_freq, grid=grid,
                           rep_period=float(rep_period), time_grid=tau,
-                          n_kept=n_kept, gain_cutoff=float(gain_cutoff),
-                          kernel=kernel)
+                          n_kept=n_kept, kernel=kernel)
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -246,13 +247,42 @@ class TestCliRuns:
         raw = json.loads(DEFAULT_CONFIG.read_text())
         raw["crystal"]["pump_dispersion"][2] = 1e300
         out = tmp_path / "o"
-        code = main([command, "--config", str(write_config(tmp_path, raw)),
-                     "--out", str(out)])
+        with warnings.catch_warnings():
+            # the overflow is refused as an error object, not warned about
+            warnings.simplefilter("error")
+            code = main([command, "--config",
+                         str(write_config(tmp_path, raw)), "--out", str(out)])
         assert code == 3
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "validation-error"
         assert "non-finite" in err["message"]
         assert not list(out.glob("*.csv"))
+
+    def test_non_finite_kernel_stderr_is_one_json_object(self, tmp_path):
+        raw = json.loads(DEFAULT_CONFIG.read_text())
+        raw["crystal"]["pump_dispersion"][2] = 1e300
+        proc = subprocess.run(
+            [sys.executable, "-m", "spopo.cli", "supermodes", "--config",
+             str(write_config(tmp_path, raw)), "--out", str(tmp_path / "o")],
+            env=src_env(), capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 3
+        assert json.loads(proc.stderr)["error"] == "validation-error"
+
+    def test_default_n_max(self, tmp_path):
+        # pulses and metrology share the default N_max of 100
+        raw = scenario_dict()
+        del raw["run"]["N_max"]
+        path = write_config(tmp_path, raw)
+        out = tmp_path / "out"
+        for command in ("pulses", "metrology"):
+            assert main([command, "--config", str(path),
+                         "--out", str(out)]) == 0
+        np.testing.assert_array_equal(load_table(out / "sigma2.csv")["N"],
+                                      np.arange(1, 101))
+        table = load_table(out / "metrology.csv")
+        for ratio in raw["run"]["ratios"]:
+            np.testing.assert_array_equal(
+                table["N"][table["ratio"] == ratio], np.arange(1, 101))
 
     def test_module_entry_point(self, tmp_path):
         # the python -m spopo.cli process matches the in-process run; the

@@ -6,7 +6,7 @@ from spopo import (FrequencyGrid, JointKernel, ValidationError,
                    pulse_train_from_coefficients, schmidt_decompose,
                    synthesize_comb, takagi)
 
-from spopo.supermodes import _fix_mode_signs, kept_count, takagi_values
+from spopo.supermodes import kept_count, takagi_values
 
 from conftest import T0, make_pump
 
@@ -67,13 +67,13 @@ def fix_mode_signs_loop(modes):
 
 
 def modes_by_complex_chain(matrix, weight):
-    """Reference for the real path of schmidt_decompose: Takagi modes as
+    """Reference for schmidt_decompose on a real kernel: Takagi modes as
     eigenvectors times phase 1 or i, sign gauge, then division by sqrt(w)."""
     lam, u = np.linalg.eigh(matrix)
     order = np.argsort(np.abs(lam))[::-1]
     lam, u = lam[order], u[:, order]
     u = u * np.where(lam >= 0, 1.0 + 0.0j, 1.0j)
-    return _fix_mode_signs(u) / np.sqrt(weight)
+    return fix_mode_signs_loop(u) / np.sqrt(weight)
 
 
 def extended_precision_synthesis(basis, freq_samples):
@@ -143,16 +143,27 @@ class TestTakagi:
         for bad in (np.inf, np.nan):
             with pytest.raises(ValidationError, match="non-finite"):
                 takagi(np.array([[0.0, bad], [bad, 0.0]]))
+        for shape in ((), (3, 3, 3)):
+            with pytest.raises(ValidationError, match="square"):
+                takagi(np.ones(shape))
 
     def test_sign_gauge_matches_per_column_loop(self, default_kernel):
-        # Takagi modes of the real kernel carry phase 1 or i; random complex
-        # columns exercise the general rule; compared bytewise (signed zeros)
+        # takagi's U is already in the gauge, and columns negated at random
+        # are gauged back to it; compared bytewise (signed zeros).  The real
+        # kernel's modes carry phase 1 and phase i (eigenvalues of both
+        # signs); as a complex array its phase-i modes leave the embedding
+        # with max samples that are imaginary up to rounding
+        real = default_kernel.matrix
+        lam = np.linalg.eigvalsh(real)
+        assert lam.min() < 0 < lam.max()
         rng = np.random.default_rng(9)
-        u = takagi(default_kernel.matrix)[1]
-        mixed = rng.standard_normal((7, 6)) + 1j * rng.standard_normal((7, 6))
-        for modes in (u, mixed, 1j * mixed.real, mixed.real + 0j):
-            assert _fix_mode_signs(modes).tobytes() \
-                == fix_mode_signs_loop(modes).tobytes()
+        for m in (real, real + 0j, complex_symmetric_case("random-60")):
+            u = takagi(m)[1]
+            assert u.tobytes() == fix_mode_signs_loop(u).tobytes()
+            flipped = u.copy()
+            np.negative(flipped, out=flipped,
+                        where=rng.random(u.shape[1]) < 0.5)
+            assert u.tobytes() == fix_mode_signs_loop(flipped).tobytes()
 
 
 class TestSchmidtDecompose:
@@ -244,7 +255,8 @@ class TestSchmidtDecompose:
 
     def test_one_pass_modes_match_complex_chain(self, default_pump,
                                                 default_crystal):
-        # compared bytewise: the signed zeros of Im reach the mode CSVs
+        # equal values, nonzero parts equal bit for bit, zeros in the same
+        # places; the sign of a zero is not pinned
         kernels = [build_kernel(FrequencyGrid.comb_aligned(n, T0),
                                 default_pump, default_crystal)
                    for n in (171, 1361)]
@@ -266,8 +278,12 @@ class TestSchmidtDecompose:
             modes = schmidt_decompose(kernel).modes_freq
             reference = modes_by_complex_chain(kernel.matrix, kernel.grid.weight)
             assert modes.dtype == reference.dtype
-            assert np.array_equal(modes.view(np.uint64),
-                                  reference.view(np.uint64))
+            assert np.array_equal(modes, reference)
+            parts, expected = modes.view(float), reference.view(float)
+            nonzero = expected != 0.0
+            assert np.array_equal(parts != 0.0, nonzero)
+            assert np.array_equal(parts[nonzero].view(np.uint64),
+                                  expected[nonzero].view(np.uint64))
 
     def test_time_modes_orthonormal(self, default_basis):
         n = default_basis.n_kept
