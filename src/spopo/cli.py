@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -26,18 +27,26 @@ from .supermodes import (DEFAULT_GAIN_CUTOFF, kept_count, schmidt_decompose,
                          takagi_values)
 
 _FLOAT_FMT = "%.12g"
+#: rows of a 2-d array formatted by one % operation
+_CHUNK_ROWS = 4096
 
 
 def _write_csv(path: Path, header: list[str], rows, metadata: dict) -> Path:
-    """Write '#' metadata lines, the header and one line per row, each row
-    formatted by one % with _FLOAT_FMT per column."""
+    """Write '#' metadata lines, the header and one line per row, each value
+    formatted by _FLOAT_FMT.  A 2-d array is formatted as Python floats,
+    _CHUNK_ROWS rows per %; any other iterable of rows one row per %."""
     line = ",".join([_FLOAT_FMT] * len(header)) + "\n"
     with open(path, "w") as out:
         for key, value in metadata.items():
             out.write(f"# {key} = {value}\n")
         out.write(",".join(header) + "\n")
-        for row in rows:
-            out.write(line % tuple(row))
+        if isinstance(rows, np.ndarray):
+            for start in range(0, len(rows), _CHUNK_ROWS):
+                chunk = rows[start:start + _CHUNK_ROWS]
+                out.write((line * len(chunk)) % tuple(chunk.ravel().tolist()))
+        else:
+            for row in rows:
+                out.write(line % tuple(row))
     return path
 
 
@@ -81,31 +90,46 @@ def _scale_gains(cfg: ScenarioConfig, gains: np.ndarray):
     return gains, gth, energy
 
 
-def _decompose(cfg: ScenarioConfig):
-    """Kernel decomposition with the scaled gains, for runs that read modes."""
-    kernel = build_kernel(cfg.grid, cfg.pump, cfg.crystal)
-    basis = schmidt_decompose(kernel, _gain_cutoff(cfg),
-                              rep_period=cfg.pump.rep_period)
-    return (basis, *_scale_gains(cfg, basis.gains))
+def _decompose(cfg: ScenarioConfig, n_modes: int, every_gain: bool = True):
+    """Build the kernel and decompose as much of it as a run reads.
 
-
-def _gains(cfg: ScenarioConfig):
-    """``_decompose`` for runs that read no mode: the kept-mode count of the
-    kernel's Takagi values in place of a basis, and no eigenvectors."""
+    Returns the kept-mode count, a basis of the top ``n_modes`` supermodes
+    (None for ``n_modes`` = 0), and then the scaled gains, the threshold gain
+    and the effective pulse energy of ``_scale_gains``.  With ``every_gain``
+    the gains and count are every Takagi value (``takagi_values``, no
+    eigenvector) and the basis holds at most the kept modes; should its
+    Lanczos gains stray from those values by more than 1e-12 g0, the full
+    decomposition replaces it.  Without it they are the basis's own.
+    """
     kernel = build_kernel(cfg.grid, cfg.pump, cfg.crystal)
+    cutoff = _gain_cutoff(cfg)
+    decompose = partial(schmidt_decompose, kernel, cutoff,
+                        rep_period=cfg.pump.rep_period)
+    if not every_gain:
+        basis = decompose(n_modes=n_modes)
+        return (basis.n_kept, basis, *_scale_gains(cfg, basis.gains))
     gains = takagi_values(kernel.matrix)
-    return (kept_count(gains, _gain_cutoff(cfg)), *_scale_gains(cfg, gains))
+    n_kept = kept_count(gains, cutoff)
+    basis = None
+    if n_modes:
+        # a zero kernel keeps no mode; takagi still gives it a basis
+        k = max(1, min(n_modes, n_kept))
+        basis = decompose(n_modes=k)
+        if np.abs(basis.gains - gains[:k]).max() > 1e-12 * gains[0]:
+            basis = decompose()
+    return (n_kept, basis, *_scale_gains(cfg, gains))
 
 
 def run_supermodes(cfg: ScenarioConfig, outdir: Path, seed=None) -> list[Path]:
-    basis, gains, gth, energy = _decompose(cfg)
+    n_modes_dump = int(cfg.run.get("n_modes_dump", 8))
+    n_kept, basis, gains, gth, energy = _decompose(cfg, n_modes_dump)
     meta = _metadata(cfg, seed)
     meta.update(threshold_gain=_FLOAT_FMT % gth,
                 effective_pulse_energy=_FLOAT_FMT % energy,
-                n_kept=basis.n_kept)
+                n_kept=n_kept)
     written = [_write_csv(outdir / "gains.csv", ["index", "gain"],
                           ((n, g) for n, g in enumerate(gains)), meta)]
-    n_dump = min(basis.n_kept, int(cfg.run.get("n_modes_dump", 8)))
+    n_dump = min(n_kept, n_modes_dump)
     omegas = basis.grid.omegas
     for n in range(n_dump):
         mode = basis.modes_freq[:, n]
@@ -122,7 +146,7 @@ def run_supermodes(cfg: ScenarioConfig, outdir: Path, seed=None) -> list[Path]:
 
 
 def run_squeezing(cfg: ScenarioConfig, outdir: Path, seed=None) -> list[Path]:
-    n_kept, gains, gth, _ = _gains(cfg)
+    n_kept, _, gains, gth, _ = _decompose(cfg, 0)
     theta_max = cfg.run.get("theta_max", np.pi)
     theta_points = int(cfg.run.get("theta_points", 121))
     thetas = np.linspace(-theta_max, theta_max, theta_points)
@@ -145,7 +169,7 @@ def run_pulses(cfg: ScenarioConfig, outdir: Path, seed=None) -> list[Path]:
         gth = threshold_gain(cfg.cavity, cfg.pump.ceo_half).gain
         g0 = cfg.pump_ratio * gth
     else:
-        _, gains, gth, _ = _gains(cfg)
+        _, _, gains, gth, _ = _decompose(cfg, 0)
         g0 = float(gains[0])
     branch = resonant_branch(cfg.cavity.delta_rt + cfg.pump.ceo_half)
     r = cfg.cavity.r
@@ -175,7 +199,8 @@ def run_pulses(cfg: ScenarioConfig, outdir: Path, seed=None) -> list[Path]:
 
 
 def run_metrology(cfg: ScenarioConfig, outdir: Path, seed=None) -> list[Path]:
-    basis, gains, gth, _ = _decompose(cfg)
+    # the bound reads g0 and psi0 alone
+    _, basis, gains, gth, _ = _decompose(cfg, 1, every_gain=False)
     branch = resonant_branch(cfg.cavity.delta_rt + cfg.pump.ceo_half)
     if "ratios" in cfg.run:
         ratios = [float(x) for x in cfg.run["ratios"]]

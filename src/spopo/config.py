@@ -12,8 +12,9 @@ Schema (all values SI):
     run:     optional subcommand knobs, defaults in parentheses:
              theta_points (121), theta_max (pi), N_max (100), ratios
              ([pump_ratio], or [g0 / g_th] for an energy pump), gain_cutoff
-             (1e-6), n_modes_dump (8), dump_kernel (false), dump_matrices
-             (false), probe_pulses (8), n_bar0 (1e6)
+             (1e-6; in [0, 1], so mode 0 is kept whenever g0 > 0),
+             n_modes_dump (8), dump_kernel (false), dump_matrices (false),
+             probe_pulses (8), n_bar0 (1e6)
 """
 
 from __future__ import annotations
@@ -61,9 +62,12 @@ def _validate_run_section(run: dict) -> None:
         if key in run and (isinstance(run[key], bool)
                            or not isinstance(run[key], int) or run[key] < 1):
             fail(key, "a positive integer")
-    for key in ("theta_max", "gain_cutoff"):
-        if key in run and (not is_number(run[key]) or run[key] < 0):
-            fail(key, "a non-negative number")
+    if "theta_max" in run and (not is_number(run["theta_max"])
+                               or run["theta_max"] < 0):
+        fail("theta_max", "a non-negative number")
+    if "gain_cutoff" in run and (not is_number(run["gain_cutoff"])
+                                 or not 0 <= run["gain_cutoff"] <= 1):
+        fail("gain_cutoff", "a number in [0, 1]")
     if "n_bar0" in run and (not is_number(run["n_bar0"]) or run["n_bar0"] <= 0):
         fail("n_bar0", "a positive number")
     for key in ("dump_kernel", "dump_matrices"):

@@ -26,7 +26,8 @@ from .kernel import FrequencyGrid, JointKernel, PumpConfig, check_symmetric
 DEFAULT_GAIN_CUTOFF = 1e-6
 
 
-def takagi(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def takagi(matrix: np.ndarray, n_modes: int | None = None
+           ) -> tuple[np.ndarray, np.ndarray]:
     """Takagi factorisation M = U diag(vals) U^T of a complex symmetric matrix.
 
     Returns singular values in descending order and the unitary U whose
@@ -36,18 +37,30 @@ def takagi(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     eigendecomposition (phases i absorb negative eigenvalues).  For complex
     M = B + iC, an eigenvector [x; y] of [[B, C], [C, -B]] with eigenvalue
     val gives the mode x + iy (Horn & Johnson, Matrix Analysis 4.4).
+
+    ``n_modes = k`` returns the top k values and the first k columns of U.
+    For real input they come from ``_top_eigenpairs`` (Lanczos, O(n^2 k))
+    when it resolves them and from the full ``eigh`` otherwise; complex input
+    is factorised in full and sliced.
     """
     m = np.asarray(matrix)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValidationError("takagi needs a square matrix")
     n = m.shape[0]
+    if n_modes is not None and not 1 <= n_modes <= n:
+        raise ValidationError(f"n_modes must lie in [1, {n}]")
     check_symmetric(m, "takagi matrix")
+    k = n if n_modes is None else n_modes
     if not np.any(m):
-        return np.zeros(n), np.eye(n, dtype=complex)
+        return np.zeros(k), np.eye(n, k, dtype=complex)
     if np.isrealobj(m):
-        lam, x = np.linalg.eigh(m)
-        order = np.argsort(np.abs(lam))[::-1]
-        lam, x = lam[order], x[:, order]
+        top = None if n_modes is None else _top_eigenpairs(m, k)
+        if top is None:
+            lam, x = np.linalg.eigh(m)
+            order = np.argsort(np.abs(lam))[::-1][:k]
+            lam, x = lam[order], x[:, order]
+        else:
+            lam, x = top
         # the mode is x (lam >= 0) or i x, and either is gauged by x's sign
         sign = np.where(_sign_flips(x), -1.0, 1.0)
         positive = lam >= 0
@@ -62,9 +75,82 @@ def takagi(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # whose k picked columns need not be orthonormal; QR completes U and keeps
     # the val > 0 columns, once the phases of R's diagonal are put back
     q, r = np.linalg.qr(vecs[:n, top] + 1j * vecs[n:, top])
-    u = q * np.exp(1j * np.angle(r.diagonal()))
+    u = q[:, :k] * np.exp(1j * np.angle(r.diagonal()[:k]))
     np.negative(u, out=u, where=_sign_flips(u))
-    return np.maximum(lam[top], 0.0), u
+    return np.maximum(lam[top][:k], 0.0), u
+
+
+#: relative residual |M x - theta x| / |theta_0| a Lanczos pair must meet
+_RESIDUAL_TOL = 1e-12
+#: relative |theta| gap under which two leading Ritz values count as one gain
+_DEGENERACY_TOL = 1e-10
+
+
+def _top_eigenpairs(m: np.ndarray, k: int):
+    """The k eigenpairs of largest |lam| of a real symmetric ``m``, ordered by
+    |lam|, from Lanczos with full reorthogonalization (Golub & Van Loan,
+    Matrix Computations 4th ed., 10.1-10.3); None when ``eigh`` must decide.
+
+    Runs 32 + 2 max(k, 4) steps from the fixed ``_start_vector`` (reruns are
+    bitwise identical; a parity-even start such as all ones would reach the
+    odd modes of a parity-symmetric kernel through rounding noise alone),
+    stopping early on an invariant Krylov space.  Returns None when that step count exceeds n / 2, when
+    fewer than k + 1 Ritz values exist, when two of the k + 1 leading Ritz
+    values theta lie within 1e-10 |theta_0| in magnitude (a degenerate gain,
+    whose modes ``eigh`` picks), or when a residual |M x - theta x| exceeds
+    1e-12 |theta_0|.
+    """
+    n = m.shape[0]
+    steps = 32 + 2 * max(k, 4)
+    if 2 * steps > n:
+        return None
+    basis = np.empty((steps, n))
+    t = np.zeros((steps, steps))
+    start = _start_vector(n)
+    basis[0] = start / np.linalg.norm(start)
+    size = steps
+    for j in range(steps):
+        w = m @ basis[j]
+        # classical Gram-Schmidt twice against every Lanczos vector
+        for _ in range(2):
+            coeff = basis[:j + 1] @ w
+            w -= coeff @ basis[:j + 1]
+            t[j, j] += coeff[j]
+        if j + 1 == steps:
+            break
+        beta = np.linalg.norm(w)
+        if beta <= _RESIDUAL_TOL * np.abs(t[:j + 1, :j + 1]).max():
+            # invariant to the residual tolerance: every Ritz pair is final
+            size = j + 1
+            break
+        t[j, j + 1] = t[j + 1, j] = beta
+        basis[j + 1] = w / beta
+    if size <= k:
+        return None
+    ritz, s = np.linalg.eigh(t[:size, :size])
+    order = np.argsort(np.abs(ritz))[::-1][:k + 1]
+    ritz, s = ritz[order], s[:, order]
+    scale = abs(ritz[0])
+    if np.any(-np.diff(np.abs(ritz)) <= _DEGENERACY_TOL * scale):
+        return None
+    x = basis[:size].T @ s[:, :k]
+    residual = np.linalg.norm(m @ x - x * ritz[:k], axis=0)
+    if np.any(residual > _RESIDUAL_TOL * scale):
+        return None
+    return ritz[:k], x
+
+
+def _start_vector(n: int) -> np.ndarray:
+    """n pseudo-random samples, uniform on [-2^52, 2^52): the splitmix64
+    mix of the indices 1..n, in exact integer arithmetic (the same on every
+    platform) and without importing numpy.random (about 20 ms and 6 MB per
+    process)."""
+    x = np.arange(1, n + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    for shift, factor in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
+        x ^= x >> np.uint64(shift)
+        x *= np.uint64(factor)
+    x ^= x >> np.uint64(31)
+    return (x >> np.uint64(11)).astype(float) - 2.0**52
 
 
 def _sign_flips(modes: np.ndarray) -> np.ndarray:
@@ -105,7 +191,9 @@ class SupermodeBasis:
     d_omega/2pi quadrature weight; ``modes_time[:, n]`` samples psi_n(t) on
     ``time_grid`` (one period, pulses centered at t = 0) with unit L2 norm
     under dt, synthesized on first access.  ``n_kept`` counts modes with
-    g_n >= cutoff * g_0.
+    g_n >= cutoff * g_0.  A basis truncated to the top k modes
+    (``schmidt_decompose(..., n_modes=k)``) holds k gains and k modes, and
+    counts ``n_kept`` among those k.
     """
 
     gains: np.ndarray
@@ -154,7 +242,9 @@ class SupermodeBasis:
         return self.time_samples(self.modes_freq)
 
     def reconstruction_residual(self) -> float:
-        """Relative Frobenius residual of sum_n g_n psi_n psi_n^T (all modes)."""
+        """Relative Frobenius residual of sum_n g_n psi_n psi_n^T over the
+        basis's modes: every mode of a full basis, a rank-k approximation's
+        residual for a truncated one."""
         weight = self.grid.weight
         phi = self.modes_freq * np.sqrt(weight)
         rec = (phi * self.gains) @ phi.T
@@ -172,19 +262,21 @@ class SupermodeBasis:
 
 def schmidt_decompose(kernel: JointKernel,
                       gain_cutoff: float = DEFAULT_GAIN_CUTOFF,
-                      rep_period: float | None = None) -> SupermodeBasis:
+                      rep_period: float | None = None,
+                      n_modes: int | None = None) -> SupermodeBasis:
     """Decompose a joint kernel into supermodes with gains.
 
     ``rep_period`` fixes the per-period time grid for the synthesized
     psi_n(t); when omitted it is inferred from the grid spacing as
-    2 pi / delta_omega, which is exact for comb-aligned grids.
+    2 pi / delta_omega, which is exact for comb-aligned grids.  ``n_modes``
+    truncates the basis to the top k modes (see ``takagi``).
     """
     if gain_cutoff < 0:
         raise ValidationError("gain_cutoff must be >= 0")
     grid = kernel.grid
     if rep_period is None:
         rep_period = 2.0 * np.pi / grid.delta_omega
-    gains, modes_freq = takagi(kernel.matrix)
+    gains, modes_freq = takagi(kernel.matrix, n_modes)
     modes_freq *= 1.0 / np.sqrt(grid.weight)
     n = grid.n_points
     tau = (np.arange(n) + 0.5) * rep_period / n - rep_period / 2.0

@@ -8,9 +8,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import spopo.cli
 from spopo import (CavityConfig, ConfigError, build_kernel, covariance,
-                   duan_sum, threshold_gain)
-from spopo.cli import main
+                   duan_sum, schmidt_decompose, threshold_gain)
+from spopo.cli import _write_csv, main
 from spopo.config import load_scenario, parse_scenario
 
 from conftest import (OMEGA0, PUMP_DISPERSION, SIGNAL_DISPERSION, T0, TAU_P)
@@ -196,6 +197,104 @@ class TestCliRuns:
         assert main([command, "--config", str(path), "--out",
                      str(tmp_path / "out")]) == 0
 
+    def test_metrology_takes_no_full_eigh(self, tmp_path, monkeypatch):
+        # the bound reads g0 and psi0: Lanczos, no eigensolve of the kernel
+        def small_only(solver):
+            def guarded(a, *args, **kwargs):
+                if np.shape(a)[0] >= 341:
+                    raise AssertionError("full eigensolve of the kernel")
+                return solver(a, *args, **kwargs)
+            return guarded
+
+        path = write_config(tmp_path, scenario_dict(**{"grid.n_points": 341}))
+        for name in ("eigh", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name,
+                                small_only(getattr(np.linalg, name)))
+        assert main(["metrology", "--config", str(path), "--out",
+                     str(tmp_path / "out")]) == 0
+
+    def test_supermodes_modes_match_full_decomposition(self, tmp_path):
+        raw = scenario_dict(**{"grid.n_points": 341, "run.n_modes_dump": 3})
+        path = write_config(tmp_path, raw)
+        out = tmp_path / "out"
+        assert main(["supermodes", "--config", str(path), "--out", str(out)]) == 0
+        cfg = load_scenario(path)
+        basis = schmidt_decompose(build_kernel(cfg.grid, cfg.pump, cfg.crystal),
+                                  rep_period=T0)
+        gains = load_table(out / "gains.csv")["gain"]
+        scale = 0.8 * threshold_gain(cfg.cavity, 0.0).gain / basis.gains[0]
+        assert np.abs(gains - scale * basis.gains).max() \
+            <= 2e-12 * gains[0]
+        for n in range(3):
+            mode = load_table(out / f"mode_{n:03d}.csv")
+            psi = basis.modes_freq[:, n]
+            error = np.abs(mode["re_psi"] + 1j * mode["im_psi"] - psi)
+            assert error.max() <= 1e-11 * np.abs(psi).max()
+        assert not (out / "mode_003.csv").exists()
+
+    def test_supermodes_gain_mismatch_takes_full_decomposition(
+            self, tmp_path, monkeypatch):
+        # Lanczos gains that stray from eigvalsh's send the dump to a full
+        # decomposition
+        requested = []
+        decompose = spopo.cli.schmidt_decompose
+        values = spopo.cli.takagi_values
+
+        def spy(*args, n_modes=None, **kwargs):
+            requested.append(n_modes)
+            return decompose(*args, n_modes=n_modes, **kwargs)
+
+        def shifted(matrix):
+            gains = values(matrix)
+            gains[1] *= 1.0 + 1e-9
+            return gains
+
+        path = write_config(tmp_path, scenario_dict(**{"run.n_modes_dump": 2}))
+        monkeypatch.setattr(spopo.cli, "schmidt_decompose", spy)
+        assert main(["supermodes", "--config", str(path), "--out",
+                     str(tmp_path / "a")]) == 0
+        assert requested == [2]
+        monkeypatch.setattr(spopo.cli, "takagi_values", shifted)
+        assert main(["supermodes", "--config", str(path), "--out",
+                     str(tmp_path / "b")]) == 0
+        assert requested == [2, 2, None]
+        # mode 1 has a negative eigenvalue: phase i, all-zero real part
+        lanczos = load_table(tmp_path / "a" / "mode_001.csv")
+        full = load_table(tmp_path / "b" / "mode_001.csv")
+        assert np.abs(lanczos["re_psi"] - full["re_psi"]).max() == 0.0
+        assert np.abs(lanczos["im_psi"] - full["im_psi"]).max() \
+            <= 1e-12 * np.abs(full["im_psi"]).max()
+
+    @pytest.mark.parametrize("command", ["supermodes", "squeezing", "pulses",
+                                         "metrology"])
+    def test_gain_cutoff_above_one_is_config_error(self, tmp_path, capsys,
+                                                   command):
+        # a cutoff above 1 would keep no mode, not even mode 0
+        path = write_config(tmp_path, scenario_dict(**{"run.gain_cutoff": 2}))
+        out = tmp_path / "o"
+        code = main([command, "--config", str(path), "--out", str(out)])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config-error"
+        assert "run.gain_cutoff" in err["message"]
+        assert not out.exists()
+
+    def test_write_csv_array_path_matches_row_path(self, tmp_path):
+        rng = np.random.default_rng(12)
+        rows = rng.standard_normal((5000, 3)) * 10.0 ** rng.integers(
+            -300, 300, size=(5000, 3))
+        rows[:3] = [[np.nan, np.inf, -np.inf], [-0.0, 0.0, 1e-300],
+                    [1e300, -1e-300, 5e-324]]
+        rows[4096] = [np.nan, -0.0, 1e300]
+        header = ["a", "b", "c"]
+        meta = {"seed": 1}
+        fast = _write_csv(tmp_path / "array.csv", header, rows, meta)
+        slow = _write_csv(tmp_path / "rows.csv", header, iter(rows), meta)
+        assert fast.read_bytes() == slow.read_bytes()
+        body = fast.read_text().splitlines()
+        assert body[2:4] == ["nan,inf,-inf", "-0,0,1e-300"]
+        assert len(body) == 2 + 5000
+
     def test_zero_n_bar0_is_config_error(self, tmp_path, capsys):
         path = write_config(tmp_path, scenario_dict(**{"run.n_bar0": 0}))
         code = main(["metrology", "--config", str(path), "--out",
@@ -305,12 +404,15 @@ class TestCliRuns:
                     == (tmp_path / "b" / name).read_bytes()
 
     def test_cli_import_loads_no_scipy(self):
-        # neither the CLI nor a complex Takagi factorisation needs scipy
+        # neither the CLI nor a complex Takagi factorisation needs scipy, and
+        # the Lanczos start vector needs no numpy.random
         proc = subprocess.run(
             [sys.executable, "-c", "import sys, numpy as np, spopo.cli; "
              "a = np.arange(16.0).reshape(4, 4) * (1 + 2j); "
-             "spopo.takagi(a + a.T); print(sorted("
-             "m for m in sys.modules if m.partition('.')[0] == 'scipy'))"],
+             "spopo.takagi(a + a.T); "
+             "spopo.takagi(np.diag(0.5 ** np.arange(100.0)), 1); print(sorted("
+             "m for m in sys.modules if m.partition('.')[0] == 'scipy' "
+             "or m.startswith('numpy.random')))"],
             env=src_env(), capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"

@@ -166,6 +166,142 @@ class TestTakagi:
             assert u.tobytes() == fix_mode_signs_loop(flipped).tobytes()
 
 
+def spectrum_matrix(values, seed=5):
+    """Real symmetric Q diag(values) Q^T for a seeded random orthogonal Q."""
+    rng = np.random.default_rng(seed)
+    q = np.linalg.qr(rng.standard_normal((len(values), len(values))))[0]
+    m = (q * values) @ q.T
+    return (m + m.T) / 2.0
+
+
+@pytest.fixture
+def full_eigh_calls(monkeypatch):
+    """Row counts of the np.linalg.eigh calls on matrices of 100+ rows: the
+    full factorisations; Lanczos only diagonalises its small tridiagonal."""
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        if np.shape(a)[0] >= 100:
+            calls.append(np.shape(a)[0])
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    return calls
+
+
+@pytest.fixture(scope="module")
+def full_factorisations(default_pump, default_crystal):
+    """Default-physics kernels at 171 and 1361 points with their full Takagi
+    factorisations."""
+    out = {}
+    for n_points in (171, 1361):
+        matrix = build_kernel(FrequencyGrid.comb_aligned(n_points, T0),
+                              default_pump, default_crystal).matrix
+        out[n_points] = (matrix, *takagi(matrix))
+    return out
+
+
+class TestTopModes:
+    @pytest.mark.parametrize("k", [1, 4, 8])
+    @pytest.mark.parametrize("n_points", [171, 1361])
+    def test_matches_full_takagi(self, full_factorisations, full_eigh_calls,
+                                 n_points, k):
+        matrix, gains, modes = full_factorisations[n_points]
+        g0 = gains[0]
+        top, u = takagi(matrix, k)
+        assert not full_eigh_calls
+        assert top.shape == (k,) and u.shape == (n_points, k)
+        assert np.abs(top - gains[:k]).max() <= 1e-14 * g0
+        overlap = np.abs(np.sum(u.conj() * modes[:, :k], axis=0))
+        assert np.all(1.0 - overlap <= 1e-13)
+        # the same gauge: mode samples agree, signs included
+        assert np.abs(u - modes[:, :k]).max() <= 1e-12
+        # M conj(u_n) = g_n u_n is the Takagi form of M x = lam x
+        residual = np.linalg.norm(matrix @ u.conj() - u * top, axis=0)
+        assert np.all(residual <= 1e-12 * g0)
+
+    def test_rerun_is_bitwise_identical(self, full_factorisations):
+        matrix = full_factorisations[171][0]
+        first, second = takagi(matrix, 4), takagi(matrix, 4)
+        assert first[0].tobytes() == second[0].tobytes()
+        assert first[1].tobytes() == second[1].tobytes()
+
+    @pytest.mark.parametrize("values", [
+        np.r_[1.0, 1.0, 0.8 ** np.arange(2, 200)],
+        np.r_[1.0, -1.0, 0.8 ** np.arange(2, 200)],
+        np.linspace(1.0, 0.9, 200)], ids=["repeated", "plus-minus", "flat"])
+    def test_fallback_to_full_eigh(self, full_eigh_calls, values):
+        # a repeated top gain, or a flat spectrum 40 steps cannot resolve
+        matrix = spectrum_matrix(values)
+        gains, modes = takagi(matrix, 1)
+        assert full_eigh_calls == [200]
+        full = takagi(matrix)
+        assert gains.tobytes() == full[0][:1].tobytes()
+        assert modes.tobytes() == full[1][:, :1].tobytes()
+
+    def test_resolved_spectrum_takes_no_full_eigh(self, full_eigh_calls):
+        matrix = spectrum_matrix(np.r_[1.0, 0.5, 0.5, 0.2 * 0.8 ** np.arange(197)])
+        takagi(matrix, 1)
+        assert not full_eigh_calls
+        # the second mode is half of a repeated gain
+        takagi(matrix, 2)
+        assert full_eigh_calls == [200]
+
+    def test_start_vector_reaches_both_parities(self, full_eigh_calls):
+        # an exactly parity-symmetric kernel whose modes alternate in parity
+        # and in the sign of their eigenvalue (phase 1, then i); its slow
+        # decay (mu = 0.957) leaves an even start vector, which sees the odd
+        # modes through rounding noise alone, short of the residual tolerance
+        kernel = double_gaussian_kernel(1.0, 0.0005, omega_max=40.0,
+                                        n_points=601).matrix.real
+        matrix = (kernel + kernel[::-1, ::-1]) / 2.0
+        gains, u = takagi(matrix, 6)
+        assert not full_eigh_calls
+        assert np.array_equal(np.any(u.real != 0.0, axis=0), [True, False] * 3)
+        g0, mu = double_gaussian_law(1.0, 0.0005)
+        np.testing.assert_allclose(gains, g0 * mu ** np.arange(6), rtol=1e-12)
+
+    @pytest.mark.parametrize("n", [12, 200])
+    def test_degenerate_inputs(self, n, full_eigh_calls):
+        # 200 rows run Lanczos: on the identity the Krylov space is invariant
+        # after one step, and on rank 3 after four
+        rng = np.random.default_rng(3)
+        factor = rng.standard_normal((n, 3))
+        rank3 = factor @ factor.T
+        if n == 200:
+            for k in (1, 2, 3):
+                takagi(rank3, k)
+            assert not full_eigh_calls
+        for matrix in (np.zeros((n, n)), np.eye(n), rank3,
+                       complex_symmetric_case("rank-3-of-12")):
+            for k in (1, 3, 4):
+                gains, u = takagi(matrix, k)
+                assert np.all(np.isfinite(gains)) and np.all(np.isfinite(u))
+                assert u.shape == (matrix.shape[0], k)
+                np.testing.assert_allclose(u.conj().T @ u, np.eye(k),
+                                           rtol=0, atol=1e-12)
+                np.testing.assert_allclose(gains, takagi(matrix)[0][:k],
+                                           rtol=0, atol=1e-12 * max(1.0, gains[0]))
+
+    def test_n_modes_out_of_range(self):
+        for k in (0, 13):
+            with pytest.raises(ValidationError, match="n_modes"):
+                takagi(np.eye(12), k)
+
+    def test_truncated_basis(self, default_kernel, default_basis):
+        basis = schmidt_decompose(default_kernel, 0.9, rep_period=T0,
+                                  n_modes=4)
+        assert basis.gains.shape == (4,)
+        assert basis.modes_freq.shape == (default_kernel.grid.n_points, 4)
+        # n_kept counts g_n >= 0.9 g_0 among the four
+        assert basis.n_kept == kept_count(default_basis.gains[:4], 0.9) == 3
+        assert np.abs(basis.modes_freq - default_basis.modes_freq[:, :4]).max() \
+            <= 1e-12 * np.abs(default_basis.modes_freq[:, :4]).max()
+        # a rank-4 approximation of a kernel with many significant gains
+        assert basis.reconstruction_residual() > 0.1
+
+
 class TestSchmidtDecompose:
     def test_basis_invariants(self, default_basis):
         assert default_basis.gains[0] == default_basis.gains.max()
