@@ -15,12 +15,17 @@ Schema (all values SI):
              (1e-6; in [0, 1], so mode 0 is kept whenever g0 > 0),
              n_modes_dump (8), dump_kernel (false), dump_matrices (false),
              probe_pulses (8), n_bar0 (1e6)
+
+Every number must be finite: Python's json reads NaN, Infinity and
+-Infinity, and a config holding one anywhere above (a dispersion
+coefficient, a run knob or a ratio included) is a config error.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -39,15 +44,35 @@ def _require(section: dict, section_name: str, key: str):
     return section[key]
 
 
+def _is_number(value) -> bool:
+    """A JSON number (not a bool) with a finite float value."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
 def _number(section: dict, section_name: str, key: str, default=None):
     if key not in section:
         if default is None:
             raise ConfigError(f"missing required field: {section_name}.{key}")
         return default
     value = section[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"field {section_name}.{key} must be a number")
+    if not _is_number(value):
+        raise ConfigError(f"field {section_name}.{key} must be a finite number")
     return float(value)
+
+
+def _coefficients(section: dict, section_name: str, key: str) -> tuple:
+    """Four finite Taylor coefficients (all zero when the key is absent)."""
+    value = section.get(key, [0.0] * 4)
+    if not isinstance(value, (list, tuple)) or len(value) != 4 \
+            or not all(map(_is_number, value)):
+        raise ConfigError(
+            f"field {section_name}.{key} must be a list of 4 finite numbers")
+    return tuple(map(float, value))
 
 
 def _validate_run_section(run: dict) -> None:
@@ -55,29 +80,25 @@ def _validate_run_section(run: dict) -> None:
     def fail(key, expected):
         raise ConfigError(f"field run.{key} must be {expected}")
 
-    def is_number(value):
-        return isinstance(value, (int, float)) and not isinstance(value, bool)
-
     for key in ("N_max", "theta_points", "n_modes_dump", "probe_pulses"):
         if key in run and (isinstance(run[key], bool)
                            or not isinstance(run[key], int) or run[key] < 1):
             fail(key, "a positive integer")
-    if "theta_max" in run and (not is_number(run["theta_max"])
+    if "theta_max" in run and (not _is_number(run["theta_max"])
                                or run["theta_max"] < 0):
-        fail("theta_max", "a non-negative number")
-    if "gain_cutoff" in run and (not is_number(run["gain_cutoff"])
+        fail("theta_max", "a finite non-negative number")
+    if "gain_cutoff" in run and (not _is_number(run["gain_cutoff"])
                                  or not 0 <= run["gain_cutoff"] <= 1):
         fail("gain_cutoff", "a number in [0, 1]")
-    if "n_bar0" in run and (not is_number(run["n_bar0"]) or run["n_bar0"] <= 0):
-        fail("n_bar0", "a positive number")
+    if "n_bar0" in run and (not _is_number(run["n_bar0"]) or run["n_bar0"] <= 0):
+        fail("n_bar0", "a finite positive number")
     for key in ("dump_kernel", "dump_matrices"):
         if key in run and not isinstance(run[key], bool):
             fail(key, "a boolean")
     if "ratios" in run:
         ratios = run["ratios"]
         if not isinstance(ratios, list) or not ratios or any(
-                isinstance(x, bool) or not isinstance(x, (int, float))
-                or not 0.0 <= x < 1.0 for x in ratios):
+                not _is_number(x) or not 0.0 <= x < 1.0 for x in ratios):
             fail("ratios", "a non-empty list of numbers in [0, 1)")
 
 
@@ -163,10 +184,10 @@ def parse_scenario(raw: dict) -> ScenarioConfig:
             n0=_number(crystal_sec, "crystal", "n0"),
             a_eff=_number(crystal_sec, "crystal", "A_eff"),
             omega0=_number(crystal_sec, "crystal", "omega0"),
-            signal_dispersion=tuple(crystal_sec.get("signal_dispersion",
-                                                    (0.0, 0.0, 0.0, 0.0))),
-            pump_dispersion=tuple(crystal_sec.get("pump_dispersion",
-                                                  (0.0, 0.0, 0.0, 0.0))),
+            signal_dispersion=_coefficients(crystal_sec, "crystal",
+                                            "signal_dispersion"),
+            pump_dispersion=_coefficients(crystal_sec, "crystal",
+                                          "pump_dispersion"),
         )
         if has_r:
             cavity = CavityConfig(r=_number(cavity_sec, "cavity", "r"),

@@ -7,6 +7,24 @@ Gaussian quadratic form in the p-quadrature covariance, maximised by putting
 all probe amplitude in supermode 0 with the pulse weights of the minimum-
 variance eigenvector; the resulting bound improves on the coherent-probe
 standard quantum limit by 1/(sqrt 2 sigma).
+
+The pulse number reaching a target improvement has a closed form.  With
+a = e^-g and q = r a, sigma^2(N) = (1/2) |r - a e^{i theta_N}|^2
+/ |1 - q e^{i theta_N}|^2 at the quantized angle theta_N (``spopo.pulses``),
+so improvement >= target, i.e. sigma^2 <= T = 1/(2 target^2), holds exactly
+when theta_N <= theta*, where
+
+    cos theta* = (r^2 + a^2 - 2T (1 + q^2)) / (2 r a (1 - 2T)),
+    tan^2(theta*/2) = [2T (1 - q)^2 - (r - a)^2] / [(r + a)^2 - 2T (1 + q)^2].
+
+theta_N is the root in (0, pi/N) of cos(theta (N+1)/2) = q cos(theta (N-1)/2);
+at theta* that difference is (1 - q) cos x cos b - (1 + q) sin x sin b with
+x = N theta*/2 and b = theta*/2, so theta_N <= theta* exactly when
+
+    N >= 2 arctan[(1 - q)/(1 + q) cot(theta*/2)] / theta*.
+
+As the target lies below the asymptote, a cos theta* outside (-1, 1) is a
+target met at every angle, N = 1 included.
 """
 
 from __future__ import annotations
@@ -25,10 +43,6 @@ from .supermodes import SupermodeBasis
 
 #: convergence level defining the "minimum pulse number" of a curve
 ASYMPTOTE_FRACTION = 0.99
-
-_MAX_SEARCH_N = 10**7
-#: N evaluated per pass of the asymptote search
-_SEARCH_POINTS = 1024
 
 
 @dataclass(frozen=True)
@@ -196,8 +210,8 @@ def improvement_curve(cavity: CavityConfig, ratios: Sequence[float],
     """Improvement(N) for N = 1..n_max at each pump ratio g0/g_th < 1.
 
     Also reports the asymptote 1/(sqrt 2 sigma(inf)) and the minimum pulse
-    number reaching ``ASYMPTOTE_FRACTION`` of it (searched beyond n_max when
-    necessary).
+    number reaching ``ASYMPTOTE_FRACTION`` of it (in closed form, beyond
+    n_max when necessary).
     """
     ratios = np.asarray(ratios, dtype=float)
     if np.any(ratios < 0.0) or np.any(ratios >= 1.0):
@@ -221,16 +235,28 @@ def improvement_curve(cavity: CavityConfig, ratios: Sequence[float],
 
 
 def _first_n_at_asymptote(gain: float, r: float, asymptote: float) -> int:
-    """Smallest N reaching ASYMPTOTE_FRACTION of the asymptote; improvement is
-    nondecreasing in N, so each pass narrows (lo, hi] to one of _SEARCH_POINTS."""
+    """Smallest N whose improvement reaches ASYMPTOTE_FRACTION of the
+    asymptote: the closed form of the module docstring, settled by the rule
+    1/sqrt(2 sigma^2(N)) >= target itself on N - 1, N and N + 1."""
     target = ASYMPTOTE_FRACTION * asymptote
-    lo, hi = 0, _MAX_SEARCH_N
-    while hi - lo > 1:
-        ns = np.unique(np.ceil(np.linspace(lo, hi, _SEARCH_POINTS + 1)[1:])).astype(int)
-        sigma2 = min_variance_curve(gain, r, ns)[0]
-        reached = 1.0 / np.sqrt(2.0 * sigma2) >= target
-        if not reached[-1]:
-            raise NumericalError("asymptote not reached below N = 1e7")
-        k = int(np.argmax(reached))
-        lo, hi = (int(ns[k - 1]) if k else lo), int(ns[k])
-    return hi
+    bound = 0.5 / target**2
+    a = math.exp(-gain)
+    q = r * a
+    # tan^2(theta*/2) = above / below keeps its digits where theta* is small
+    # (acos near 1 does not); below <= 0 when every theta meets the target,
+    # above <= 0 when none does (never, as target < asymptote)
+    above = 2.0 * bound * (1.0 - q) ** 2 - (r - a) ** 2
+    below = (r + a) ** 2 - 2.0 * bound * (1.0 + q) ** 2
+    n = 1
+    if above > 0.0 and below > 0.0:
+        cot = math.sqrt(below / above)
+        n = math.ceil(math.atan((1.0 - q) / (1.0 + q) * cot)
+                      / math.atan(1.0 / cot))
+    ns = np.arange(max(n - 1, 1), n + 2)
+    reached = 1.0 / np.sqrt(2.0 * min_variance_curve(gain, r, ns)[0]) >= target
+    # improvement is nondecreasing in N, so reached reads False..., True...
+    if not reached[-1] or (reached[0] and ns[0] > 1):
+        raise NumericalError(
+            f"closed-form pulse count N = {n} is not within one of the first "
+            "N reaching the asymptote fraction")
+    return int(ns[np.argmax(reached)])

@@ -26,7 +26,7 @@ from .kernel import FrequencyGrid, JointKernel, PumpConfig, check_symmetric
 DEFAULT_GAIN_CUTOFF = 1e-6
 
 
-def takagi(matrix: np.ndarray, n_modes: int | None = None
+def takagi(matrix: np.ndarray | JointKernel, n_modes: int | None = None
            ) -> tuple[np.ndarray, np.ndarray]:
     """Takagi factorisation M = U diag(vals) U^T of a complex symmetric matrix.
 
@@ -42,14 +42,20 @@ def takagi(matrix: np.ndarray, n_modes: int | None = None
     For real input they come from ``_top_eigenpairs`` (Lanczos, O(n^2 k))
     when it resolves them and from the full ``eigh`` otherwise; complex input
     is factorised in full and sliced.
+
+    A ``JointKernel`` is factorised as its matrix, without repeating the
+    finite-and-symmetric check it passed on construction; any other input
+    is checked here.
     """
-    m = np.asarray(matrix)
+    checked = isinstance(matrix, JointKernel)
+    m = matrix.matrix if checked else np.asarray(matrix)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValidationError("takagi needs a square matrix")
     n = m.shape[0]
     if n_modes is not None and not 1 <= n_modes <= n:
         raise ValidationError(f"n_modes must lie in [1, {n}]")
-    check_symmetric(m, "takagi matrix")
+    if not checked:
+        check_symmetric(m, "takagi matrix")
     k = n if n_modes is None else n_modes
     if not np.any(m):
         return np.zeros(k), np.eye(n, k, dtype=complex)
@@ -276,7 +282,7 @@ def schmidt_decompose(kernel: JointKernel,
     grid = kernel.grid
     if rep_period is None:
         rep_period = 2.0 * np.pi / grid.delta_omega
-    gains, modes_freq = takagi(kernel.matrix, n_modes)
+    gains, modes_freq = takagi(kernel, n_modes)
     modes_freq *= 1.0 / np.sqrt(grid.weight)
     n = grid.n_points
     tau = (np.arange(n) + 0.5) * rep_period / n - rep_period / 2.0

@@ -279,6 +279,39 @@ class TestCliRuns:
         assert "run.gain_cutoff" in err["message"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["supermodes", "squeezing", "pulses",
+                                         "metrology"])
+    @pytest.mark.parametrize("field, index, value", [
+        ("run.theta_max", None, float("nan")),
+        ("run.n_bar0", None, float("nan")),
+        ("run.n_bar0", None, float("inf")),
+        ("run.ratios", 0, float("nan")),
+        ("pump.tau_p", None, float("nan")),
+        ("pump.delta0", None, float("nan")),
+        ("crystal.l_c", None, float("inf")),
+        ("crystal.omega0", None, float("nan")),
+        ("crystal.signal_dispersion", 2, float("nan")),
+        ("crystal.pump_dispersion", 1, float("-inf")),
+        ("cavity.delta_rt", None, float("nan")),
+    ])
+    def test_non_finite_number_is_config_error(self, tmp_path, capsys,
+                                               command, field, index, value):
+        # json reads NaN and Infinity; each is refused before any output
+        raw = scenario_dict()
+        section, _, key = field.partition(".")
+        if index is None:
+            raw[section][key] = value
+        else:
+            raw[section][key][index] = value
+        out = tmp_path / "o"
+        code = main([command, "--config", str(write_config(tmp_path, raw)),
+                     "--out", str(out)])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config-error"
+        assert field in err["message"]
+        assert not out.exists()
+
     def test_write_csv_array_path_matches_row_path(self, tmp_path):
         rng = np.random.default_rng(12)
         rows = rng.standard_normal((5000, 3)) * 10.0 ** rng.integers(

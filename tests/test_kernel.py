@@ -9,6 +9,50 @@ from spopo.supermodes import takagi
 
 from conftest import T0, make_crystal, make_pump
 
+needs_long_double = pytest.mark.skipif(
+    np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+    reason="np.longdouble is no wider than float64 on this platform")
+
+
+def meshgrid_kernel(grid, pump, crystal):
+    """The kernel formula evaluated at all n^2 grid points in float64."""
+    w1, w2 = np.meshgrid(grid.omegas, grid.omegas, indexing="ij")
+    prefactor = chi0(crystal) * crystal.length * math.sqrt(pump.pulse_energy)
+    return grid.weight * prefactor * pump.envelope_spectrum(w1 + w2) \
+        * phase_matching(crystal, w1, w2)
+
+
+def long_double_kernel(grid, pump, crystal):
+    """The kernel formula (module docstring of spopo.kernel) in np.longdouble
+    on the exact uniform grid w_i = -omega_max + i d_omega.
+
+    The build reads w_i + w_j from linspace(-2 omega_max, 2 omega_max,
+    2n - 1), so its reference grid is the uniform one; the float64
+    ``grid.omegas`` deviate from it by up to about 0.1 rad/s at 1361
+    points, which the group-velocity mismatch turns into 2e-14 rad of
+    phase.
+    """
+    ld = np.longdouble
+    n = grid.n_points
+    w = -ld(grid.omega_max) + np.arange(n).astype(ld) \
+        * (2 * ld(grid.omega_max) / (n - 1))
+    total = w[:, None] + w[None, :]
+    s = ld(pump.sigma_t)
+    envelope = (4 * ld(np.pi) * s**2) ** ld(0.25) * np.exp(-(s * total) ** 2 / 2)
+
+    def poly(coeffs, x):
+        c = [ld(v) for v in coeffs]
+        return c[0] + x * (c[1] + x * (c[2] + x * c[3]))
+
+    k_s = poly(crystal.signal_dispersion, w)
+    dphi = ld(crystal.length) / 2 * (k_s[:, None] + k_s[None, :]
+                                     - poly(crystal.pump_dispersion, total))
+    dphi[dphi == 0] = np.finfo(ld).eps
+    prefactor = ld(grid.weight) * ld(chi0(crystal)) * ld(crystal.length) \
+        * np.sqrt(ld(pump.pulse_energy))
+    return prefactor * envelope * np.sin(dphi) / dphi
+
+
 # hand evaluation with CODATA eps0, c for omega0 = 2.36e15 rad/s,
 # n0 = 1.8, A_eff = 1e-9 m^2, d_eff = 2e-12 m/V:
 #   chi0 = sqrt(2 w0^2 / (eps0 n0^3 c^3 A)) d = sqrt(8.0061853e24) * 2e-12
@@ -107,18 +151,44 @@ class TestBuildKernel:
     @pytest.mark.parametrize("n_points", [171, 1361])
     def test_matches_meshgrid_reference(self, n_points, default_pump,
                                         default_crystal):
-        # the broadcast build is bit-identical to the full-meshgrid formula
+        # the factorised build against the n^2-point formula, whose own
+        # rounding error is 5e-13 max|K| (the ~3.5e3 rad k_0 terms cancel in
+        # its phase); the build is exactly symmetric
         grid = FrequencyGrid.comb_aligned(n_points, T0)
         kernel = build_kernel(grid, default_pump, default_crystal)
-        w1, w2 = np.meshgrid(grid.omegas, grid.omegas, indexing="ij")
-        prefactor = chi0(default_crystal) * default_crystal.length \
-            * math.sqrt(default_pump.pulse_energy)
-        reference = grid.weight * prefactor \
-            * default_pump.envelope_spectrum(w1 + w2) \
-            * phase_matching(default_crystal, w1, w2)
+        reference = meshgrid_kernel(grid, default_pump, default_crystal)
         assert kernel.matrix.dtype == np.float64
-        assert np.array_equal(kernel.matrix, reference)
+        assert np.abs(kernel.matrix - reference).max() \
+            <= 1e-12 * np.abs(reference).max()
         assert np.array_equal(kernel.matrix, kernel.matrix.T)
+
+    @needs_long_double
+    @pytest.mark.parametrize("n_points", [171, 1361])
+    def test_matches_extended_precision_reference(self, n_points,
+                                                  default_pump,
+                                                  default_crystal):
+        grid = FrequencyGrid.comb_aligned(n_points, T0)
+        kernel = build_kernel(grid, default_pump, default_crystal)
+        reference = long_double_kernel(grid, default_pump, default_crystal)
+        scale = np.abs(reference).max()
+        assert np.abs(kernel.matrix - reference).max() <= 1e-14 * scale
+
+    @needs_long_double
+    @pytest.mark.parametrize("n_points", [171, 1361])
+    def test_top_mode_no_farther_from_reference(self, n_points, default_pump,
+                                                default_crystal):
+        # psi_0 of the build against psi_0 of the correctly rounded
+        # reference kernel, next to psi_0 of the n^2-point formula
+        grid = FrequencyGrid.comb_aligned(n_points, T0)
+        kernel = build_kernel(grid, default_pump, default_crystal)
+        meshgrid = meshgrid_kernel(grid, default_pump, default_crystal)
+        rounded = long_double_kernel(grid, default_pump,
+                                     default_crystal).astype(float)
+        psi_ref = takagi(rounded, 1)[1][:, 0]
+        psi_build = takagi(kernel, 1)[1][:, 0]
+        psi_meshgrid = takagi(meshgrid, 1)[1][:, 0]
+        assert np.abs(psi_build - psi_ref).max() \
+            <= np.abs(psi_meshgrid - psi_ref).max()
 
     def test_window_too_small_refused(self, default_crystal):
         small = FrequencyGrid(n_points=41, omega_max=2e13)
@@ -133,8 +203,8 @@ class TestBuildKernel:
         m = kernel.matrix.real
         n = default_grid.n_points
         i, j = n // 2, n // 2 - 8
-        assert m[i, j] == pytest.approx(m[i - 3, j + 3], rel=1e-12)
-        assert m[i, j] == pytest.approx(m[j, i], rel=1e-12)
+        assert m[i, j] == m[i - 3, j + 3]
+        assert m[i, j] == m[j, i]
 
     def test_grid_refinement_converges(self, default_grid, default_pump,
                                        default_crystal):

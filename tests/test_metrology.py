@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,8 @@ from spopo import (CavityConfig, ValidationError, covariance, cramer_rao,
                    fisher_information, improvement_curve,
                    min_variance_direct, min_variance_transcendental,
                    omega_matrix, optimal_probe, sigma2_limit, threshold_gain)
+from spopo.metrology import ASYMPTOTE_FRACTION, _first_n_at_asymptote
+from spopo.pulses import min_variance_curve
 
 from conftest import OMEGA0
 
@@ -182,6 +186,46 @@ class TestImprovementCurve:
     def test_rejects_ratio_at_threshold(self, default_cavity):
         with pytest.raises(ValidationError):
             improvement_curve(default_cavity, [1.0], 10)
+
+
+def first_n_by_search(gain: float, r: float, asymptote: float) -> int:
+    """Smallest N reaching ASYMPTOTE_FRACTION of the asymptote, by passes of
+    1024 N over (lo, hi] up to N = 1e7 (improvement is nondecreasing in N)."""
+    target = ASYMPTOTE_FRACTION * asymptote
+    lo, hi = 0, 10**7
+    while hi - lo > 1:
+        ns = np.unique(np.ceil(np.linspace(lo, hi, 1025)[1:])).astype(int)
+        sigma2 = min_variance_curve(gain, r, ns)[0]
+        reached = 1.0 / np.sqrt(2.0 * sigma2) >= target
+        assert reached[-1], "asymptote not reached below N = 1e7"
+        k = int(np.argmax(reached))
+        lo, hi = (int(ns[k - 1]) if k else lo), int(ns[k])
+    return hi
+
+
+class TestClosedFormPulseCount:
+    @pytest.mark.parametrize("r", [0.5, 0.8894])
+    def test_matches_search(self, r):
+        # pump ratios 0, 0.01 ... 0.99, 0.995, 0.999 and 0.9999 of the
+        # threshold -ln r; the last needs N ~ 10^6, where theta* from acos
+        # near 1 would miss the count by more than the settling step
+        for ratio in np.r_[0.0, np.arange(1, 100) / 100, 0.995, 0.999, 0.9999]:
+            gain = -ratio * math.log(r)
+            asymptote = 1.0 / math.sqrt(2.0 * sigma2_limit(gain, r))
+            assert _first_n_at_asymptote(gain, r, asymptote) \
+                == first_n_by_search(gain, r, asymptote), ratio
+
+    def test_count_beyond_search_range(self, default_cavity):
+        # N ~ 1.9e7 lies past the search's 1e7 cap; the rule itself decides
+        curve = improvement_curve(default_cavity, [0.99999], 1)
+        n_star = int(curve.min_pulses_to_asymptote[0])
+        gain = 0.99999 * threshold_gain(default_cavity, 0.0).gain
+        sigma2 = min_variance_curve(gain, default_cavity.r,
+                                    np.array([n_star - 1, n_star]))[0]
+        reached = 1.0 / np.sqrt(2.0 * sigma2) \
+            >= ASYMPTOTE_FRACTION * curve.asymptote[0]
+        assert n_star > 10**7
+        assert list(reached) == [False, True]
 
 
 class TestImprovementInvariantSweep:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import spopo.supermodes
 from spopo import (FrequencyGrid, JointKernel, ValidationError,
                    build_kernel, comb_inner_product, project_pulse,
                    pulse_train_from_coefficients, schmidt_decompose,
@@ -146,6 +147,22 @@ class TestTakagi:
         for shape in ((), (3, 3, 3)):
             with pytest.raises(ValidationError, match="square"):
                 takagi(np.ones(shape))
+
+    def test_joint_kernel_is_not_checked_again(self, default_kernel,
+                                               monkeypatch):
+        # a JointKernel was checked on construction; a bare array is checked
+        calls = []
+        check = spopo.supermodes.check_symmetric
+        monkeypatch.setattr(spopo.supermodes, "check_symmetric",
+                            lambda m, name: calls.append(name) or check(m, name))
+        basis = schmidt_decompose(default_kernel, n_modes=2)
+        vals, u = takagi(default_kernel, 2)
+        assert calls == []
+        assert np.array_equal(vals, basis.gains)
+        expected = takagi(default_kernel.matrix, 2)
+        assert calls == ["takagi matrix"]
+        assert np.array_equal(vals, expected[0])
+        assert np.array_equal(u, expected[1])
 
     def test_sign_gauge_matches_per_column_loop(self, default_kernel):
         # takagi's U is already in the gauge, and columns negated at random
