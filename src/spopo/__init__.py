@@ -10,7 +10,7 @@ __version__ = "0.1.0"
 
 from .cavity import (CavityConfig, SqueezingSpectrum, ThresholdResult,
                      comb_io, epr_pair_check, pair_covariance,
-                     squeezing_spectrum, threshold_gain)
+                     resonant_r, squeezing_spectrum, threshold_gain)
 from .errors import (AboveThresholdError, AtThresholdError, ConfigError,
                      NoFiniteThresholdError, NumericalError, SpopoError,
                      SpectralLeakageError, ValidationError)
@@ -44,6 +44,6 @@ __all__ = [
     "min_variance_transcendental", "minimum_quadrature_variance",
     "omega_matrix", "optimal_probe", "output_covariance", "pair_covariance",
     "phase_matching", "project_pulse", "pulse_train_from_coefficients",
-    "quadrature_matrix", "schmidt_decompose", "sigma2_limit",
+    "quadrature_matrix", "resonant_r", "schmidt_decompose", "sigma2_limit",
     "squeezing_spectrum", "synthesize_comb", "takagi", "threshold_gain",
 ]

@@ -13,6 +13,10 @@ u = e^{i(theta + phi)}, d = e^{i(theta - phi)} and h = cosh g - 1,
 
 factored to keep the O(1) terms apart from the gain terms that cancel them
 near threshold.
+
+The cavity owns the round-trip phase phi: ``threshold_gain`` reads the
+oscillating branch from it, and ``resonant_r`` turns a resonant phi (0 or pi)
+into the signed round-trip amplitude +-r that the pulse layer takes.
 """
 
 from __future__ import annotations
@@ -86,6 +90,25 @@ def threshold_gain(cavity: CavityConfig, ceo_half: float) -> ThresholdResult:
     branch = 0.0 if cos_phase > 0 else math.pi
     gain = math.acosh((1.0 + cavity.r**2) / (2.0 * cavity.r * abs(cos_phase)))
     return ThresholdResult(gain=gain, branch_theta=branch)
+
+
+def resonant_r(cavity: CavityConfig, ceo_half: float) -> float:
+    """Signed round-trip amplitude of a resonant round trip.
+
+    The round-trip amplitude is r e^{i phi}, phi = delta_rt + ceo_half; it is
+    real, +r, at phi = 0 and -r at phi = pi (mod 2 pi), each within 1e-12 rad.
+    The pulse closed forms (``spopo.pulses``) take this signed amplitude, and
+    any other phase is a ``ValidationError``.
+    """
+    phase = cavity.delta_rt + ceo_half
+    offset = abs(_wrap_phase(phase))
+    if offset <= 1e-12:
+        return cavity.r
+    if math.pi - offset <= 1e-12:
+        return -cavity.r
+    raise ValidationError(
+        f"round-trip phase delta_rt + ceo_half = {phase:.6g} rad: the pulse "
+        "closed forms need a resonant round trip (total phase 0 or pi mod 2 pi)")
 
 
 def _blocks(gain, theta, cavity: CavityConfig, ceo_half: float):
@@ -196,16 +219,14 @@ class SqueezingSpectrum:
     epr: np.ndarray
 
 
-def squeezing_spectrum(basis, cavity: CavityConfig, ceo_half: float,
+def squeezing_spectrum(gains: Sequence[float], cavity: CavityConfig,
+                       ceo_half: float,
                        theta_grid: Sequence[float]) -> SqueezingSpectrum:
-    """Squeezing and pair-entanglement spectra for every kept supermode.
+    """Squeezing and pair-entanglement spectra for each supermode gain.
 
-    ``basis`` is a SupermodeBasis or a plain sequence of gains.  All gains
-    must lie below the oscillation threshold.
+    All gains must lie below the oscillation threshold.
     """
-    gains = np.asarray(getattr(basis, "gains", basis), dtype=float)
-    n_kept = getattr(basis, "n_kept", gains.size)
-    gains = gains[:n_kept]
+    gains = np.asarray(gains, dtype=float)
     thetas = np.asarray(theta_grid, dtype=float)
     if gains.size:
         threshold = threshold_gain(cavity, ceo_half)

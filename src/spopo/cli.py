@@ -17,12 +17,12 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .cavity import squeezing_spectrum, threshold_gain
+from .cavity import resonant_r, squeezing_spectrum, threshold_gain
 from .config import REFERENCE_ENERGY, ScenarioConfig, load_scenario
 from .errors import AtThresholdError, SpopoError, ValidationError
 from .kernel import build_kernel
 from .metrology import improvement_curve, optimal_probe
-from .pulses import covariance, duan_sum, min_variance_curve, resonant_branch
+from .pulses import covariance, duan_sum, min_variance_curve
 from .supermodes import (DEFAULT_GAIN_CUTOFF, kept_count, schmidt_decompose,
                          takagi_values)
 
@@ -31,22 +31,19 @@ _FLOAT_FMT = "%.12g"
 _CHUNK_ROWS = 4096
 
 
-def _write_csv(path: Path, header: list[str], rows, metadata: dict) -> Path:
-    """Write '#' metadata lines, the header and one line per row, each value
-    formatted by _FLOAT_FMT.  A 2-d array is formatted as Python floats,
-    _CHUNK_ROWS rows per %; any other iterable of rows one row per %."""
+def _write_csv(path: Path, header: list[str], rows: np.ndarray,
+               metadata: dict) -> Path:
+    """Write '#' metadata lines, the header and one line per row of the 2-d
+    array ``rows``, each value formatted by _FLOAT_FMT as a Python float,
+    _CHUNK_ROWS rows per %."""
     line = ",".join([_FLOAT_FMT] * len(header)) + "\n"
     with open(path, "w") as out:
         for key, value in metadata.items():
             out.write(f"# {key} = {value}\n")
         out.write(",".join(header) + "\n")
-        if isinstance(rows, np.ndarray):
-            for start in range(0, len(rows), _CHUNK_ROWS):
-                chunk = rows[start:start + _CHUNK_ROWS]
-                out.write((line * len(chunk)) % tuple(chunk.ravel().tolist()))
-        else:
-            for row in rows:
-                out.write(line % tuple(row))
+        for start in range(0, len(rows), _CHUNK_ROWS):
+            chunk = rows[start:start + _CHUNK_ROWS]
+            out.write((line * len(chunk)) % tuple(chunk.ravel().tolist()))
     return path
 
 
@@ -127,21 +124,23 @@ def run_supermodes(cfg: ScenarioConfig, outdir: Path, seed=None) -> list[Path]:
     meta.update(threshold_gain=_FLOAT_FMT % gth,
                 effective_pulse_energy=_FLOAT_FMT % energy,
                 n_kept=n_kept)
-    written = [_write_csv(outdir / "gains.csv", ["index", "gain"],
-                          ((n, g) for n, g in enumerate(gains)), meta)]
+    written = [_write_csv(
+        outdir / "gains.csv", ["index", "gain"],
+        np.column_stack([np.arange(gains.size, dtype=float), gains]), meta)]
     n_dump = min(n_kept, n_modes_dump)
     omegas = basis.grid.omegas
     for n in range(n_dump):
         mode = basis.modes_freq[:, n]
         written.append(_write_csv(
             outdir / f"mode_{n:03d}.csv", ["omega", "re_psi", "im_psi"],
-            zip(omegas, mode.real, mode.imag), meta))
+            np.column_stack([omegas, mode.real, mode.imag]), meta))
     if cfg.run.get("dump_kernel", False):
         flat = basis.kernel.matrix.ravel()
         kmeta = dict(meta, shape=f"{basis.grid.n_points}x{basis.grid.n_points}",
                      order="row-major")
         written.append(_write_csv(outdir / "kernel.csv", ["re", "im"],
-                                  zip(flat.real, flat.imag), kmeta))
+                                  np.column_stack([flat.real, flat.imag]),
+                                  kmeta))
     return written
 
 
@@ -171,37 +170,38 @@ def run_pulses(cfg: ScenarioConfig, outdir: Path, seed=None) -> list[Path]:
     else:
         _, _, gains, gth, _ = _decompose(cfg, 0)
         g0 = float(gains[0])
-    branch = resonant_branch(cfg.cavity.delta_rt + cfg.pump.ceo_half)
-    r = cfg.cavity.r
+    r = resonant_r(cfg.cavity, cfg.pump.ceo_half)
     n_max = _n_max(cfg)
     meta = _metadata(cfg, seed)
     meta.update(threshold_gain=_FLOAT_FMT % gth)
     ns = np.arange(1, n_max + 1)
     sigma2, theta = min_variance_curve(g0, r, ns)
-    rows = [(float(n), g0, r, s, s / 0.5, th)
-            for n, s, th in zip(ns, sigma2, theta)]
+    rows = np.column_stack([ns.astype(float), np.full(n_max, g0),
+                            np.full(n_max, cfg.cavity.r), sigma2, sigma2 / 0.5,
+                            theta])
     written = [_write_csv(outdir / "sigma2.csv",
                           ["N", "g", "r", "sigma2_abs", "sigma2_normalized",
                            "theta_sol"], rows, meta)]
     n_duan = min(n_max, 12)
     if n_duan >= 2:
-        cov = covariance(g0, r, n_duan, branch)
-        duan_rows = [(float(d), duan_sum(cov, 0, d)) for d in range(1, n_duan)]
+        cov = covariance(g0, r, n_duan)
+        seps = range(1, n_duan)
+        duan_rows = np.column_stack([np.array(seps, dtype=float),
+                                     [duan_sum(cov, 0, d) for d in seps]])
         written.append(_write_csv(outdir / "duan.csv",
                                   ["separation", "duan_sum"], duan_rows, meta))
     if cfg.run.get("dump_matrices", False):
-        cov = covariance(g0, r, min(n_max, 64), branch)
+        cov = covariance(g0, r, min(n_max, 64))
         for name, mat in (("v_plus", cov.v_plus), ("v_minus", cov.v_minus)):
             header = [f"c{j}" for j in range(cov.n_pulses)]
-            written.append(_write_csv(outdir / f"{name}.csv", header,
-                                      (tuple(row) for row in mat), meta))
+            written.append(_write_csv(outdir / f"{name}.csv", header, mat, meta))
     return written
 
 
 def run_metrology(cfg: ScenarioConfig, outdir: Path, seed=None) -> list[Path]:
     # the bound reads g0 and psi0 alone
     _, basis, gains, gth, _ = _decompose(cfg, 1, every_gain=False)
-    branch = resonant_branch(cfg.cavity.delta_rt + cfg.pump.ceo_half)
+    r = resonant_r(cfg.cavity, cfg.pump.ceo_half)
     if "ratios" in cfg.run:
         ratios = [float(x) for x in cfg.run["ratios"]]
     elif cfg.pump_ratio is not None:
@@ -210,6 +210,10 @@ def run_metrology(cfg: ScenarioConfig, outdir: Path, seed=None) -> list[Path]:
         ratios = [float(gains[0] / gth)]
     n_max = _n_max(cfg)
     curve = improvement_curve(cfg.cavity, ratios, n_max, cfg.pump.ceo_half)
+    # every refusal comes before the first file is written
+    probe = optimal_probe(basis, cfg.crystal.omega0, r,
+                          int(cfg.run.get("probe_pulses", 8)),
+                          cfg.run.get("n_bar0", 1e6), gain0=float(gains[0]))
     meta = _metadata(cfg, seed)
     meta.update(threshold_gain=_FLOAT_FMT % gth)
     n_values = curve.n_values.size
@@ -233,18 +237,15 @@ def run_metrology(cfg: ScenarioConfig, outdir: Path, seed=None) -> list[Path]:
     summary_path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     written.append(summary_path)
 
-    probe = optimal_probe(basis, cfg.crystal.omega0, cfg.cavity,
-                          int(cfg.run.get("probe_pulses", 8)),
-                          cfg.run.get("n_bar0", 1e6),
-                          gain0=float(gains[0]), branch_phase=branch)
     times = (np.arange(probe.n_pulses)[:, None] * basis.rep_period
              + basis.time_grid[None, :]).ravel()
     pmeta = _metadata(cfg, seed)
     pmeta.update(amplitude=_FLOAT_FMT % probe.amplitude,
                  spectral_spread_sq=_FLOAT_FMT % probe.spectral_spread_sq)
-    written.append(_write_csv(outdir / "probe.csv", ["t", "re", "im"],
-                              zip(times, probe.envelope.real,
-                                  probe.envelope.imag), pmeta))
+    written.append(_write_csv(
+        outdir / "probe.csv", ["t", "re", "im"],
+        np.column_stack([times, probe.envelope.real, probe.envelope.imag]),
+        pmeta))
     return written
 
 

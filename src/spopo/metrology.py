@@ -35,10 +35,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .cavity import CavityConfig, threshold_gain
+from .cavity import CavityConfig, resonant_r, threshold_gain
 from .errors import NumericalError, ValidationError
-from .pulses import (min_variance_curve, min_variance_transcendental,
-                     resonant_branch, sigma2_limit)
+from .pulses import min_variance_curve, min_variance_transcendental, sigma2_limit
 from .supermodes import SupermodeBasis
 
 #: convergence level defining the "minimum pulse number" of a curve
@@ -124,22 +123,23 @@ def fisher_information(probe, v_minus_family: Sequence[np.ndarray]) -> float:
     return total
 
 
-def optimal_probe(basis: SupermodeBasis, omega0: float, cavity: CavityConfig,
-                  n_pulses: int, n_bar0: float, gain0: float | None = None,
-                  branch_phase: str = "even") -> ProbeField:
+def optimal_probe(basis: SupermodeBasis, omega0: float, r: float,
+                  n_pulses: int, n_bar0: float,
+                  gain0: float | None = None) -> ProbeField:
     """Optimal mean probe for the time-delay bound.
 
     All amplitude goes to supermode 0 with pulse weights from the minimum-
-    variance eigenvector; the pulse envelope solves (omega0 - i d/dt)
-    psi0' = psi0 spectrally, and the overall amplitude carries
-    sqrt(N n_bar0 (omega0^2 + spread^2)).
+    variance eigenvector at the signed round-trip amplitude r (alternating
+    in sign for r < 0, see ``cavity.resonant_r``); the pulse envelope solves
+    (omega0 - i d/dt) psi0' = psi0 spectrally, and the overall amplitude
+    carries sqrt(N n_bar0 (omega0^2 + spread^2)).
     """
     if n_bar0 <= 0:
         raise ValidationError("n_bar0 must be positive")
     if basis.n_kept < 1:
         raise ValidationError("basis has no kept modes")
     g0 = basis.gains[0] if gain0 is None else float(gain0)
-    sol = min_variance_transcendental(g0, cavity.r, n_pulses, branch_phase)
+    sol = min_variance_transcendental(g0, r, n_pulses)
 
     omegas = basis.grid.omegas
     shifted = omega0 + omegas
@@ -219,7 +219,7 @@ def improvement_curve(cavity: CavityConfig, ratios: Sequence[float],
     if n_max < 1:
         raise ValidationError("n_max must be >= 1")
     # sigma^2 is the same on both resonant branches; this refuses other phases
-    resonant_branch(cavity.delta_rt + ceo_half)
+    resonant_r(cavity, ceo_half)
     gth = threshold_gain(cavity, ceo_half).gain
     ns = np.arange(1, n_max + 1)
     sig = np.empty((ratios.size, ns.size))

@@ -8,11 +8,13 @@ round-trip phase), the quadrature covariances are Toeplitz:
                    (r e^(+-g))^|j-k|
 
 (+ is the amplified x quadrature, - the squeezed p quadrature), valid only on
-the resonant branches that ``resonant_branch`` picks: total round-trip phase
-0 (even) or pi (odd) mod 2 pi.  The smallest eigenpair of V^(-) is a cosine
-mode whose angle is the root in (0, pi/N) of
+a resonant round trip, where the round-trip amplitude r e^{i phi} is real:
+r is the signed amplitude that ``cavity.resonant_r`` returns, +r at total
+round-trip phase 0 and -r at pi (mod 2 pi).  The two signs differ by
+D = diag((-1)^k), so sigma^2 depends on |r| alone.  The smallest eigenpair of
+V^(-) is a cosine mode whose angle is the root in (0, pi/N) of
 
-    f(theta) = cos(theta (N+1)/2) - q cos(theta (N-1)/2),    q = r e^{-g} < 1.
+    f(theta) = cos(theta (N+1)/2) - q cos(theta (N-1)/2),    q = |r| e^{-g} < 1.
 
 That fixed bracket holds exactly one root for every N >= 1 (arccos q at
 N = 1): f(0) = 1 - q > 0, f(pi/N) = -(1 + q) sin(pi/2N) < 0, and with
@@ -33,40 +35,18 @@ from .errors import AboveThresholdError, ValidationError
 #: truncation target for the squared tail of the input-output series
 SERIES_TAIL = 1e-14
 
-_BRANCHES = ("even", "odd")
-
-
-def _effective_r(r: float, branch_phase: str) -> float:
-    """Resonant branches: even (delta = 2 n pi) keeps r, odd flips its sign."""
-    if branch_phase not in _BRANCHES:
-        raise ValidationError(f"branch_phase must be one of {_BRANCHES}")
-    return r if branch_phase == "even" else -r
-
-
-def resonant_branch(phase: float) -> str:
-    """Closed-form branch of the total round-trip phase delta_rt + ceo_half:
-    0 (mod 2 pi) is even, pi (mod 2 pi) odd, each within 1e-12 rad."""
-    offset = abs(math.remainder(phase, 2.0 * math.pi))
-    if offset <= 1e-12:
-        return "even"
-    if abs(offset - math.pi) <= 1e-12:
-        return "odd"
-    raise ValidationError(
-        f"round-trip phase delta_rt + ceo_half = {phase:.6g} rad: the pulse "
-        "closed forms need a resonant round trip (total phase 0 or pi mod 2 pi)")
-
 
 def _check_below_threshold(gain: float, r: float, strict: bool = True) -> None:
-    """Strict mode rejects r e^g >= 1 (series divergence); the closed forms
-    accept g = -ln r itself, where only the + branch diverges."""
+    """Strict mode rejects |r| e^g >= 1 (series divergence); the closed forms
+    accept g = -ln |r| itself, where only the + branch diverges."""
     if gain < 0:
         raise ValidationError("gain must be >= 0")
-    if not 0.0 <= r < 1.0:
-        raise ValidationError(f"need 0 <= r < 1, got {r}")
-    q = r * math.exp(gain)
+    if not abs(r) < 1.0:
+        raise ValidationError(f"need |r| < 1, got {r}")
+    q = abs(r) * math.exp(gain)
     if (q >= 1.0) if strict else (q > 1.0 + 1e-12):
         raise AboveThresholdError(
-            f"r e^g = {q:.6g} {'>=' if strict else '>'} 1: above threshold")
+            f"|r| e^g = {q:.6g} {'>=' if strict else '>'} 1: above threshold")
 
 
 @dataclass(frozen=True)
@@ -74,26 +54,21 @@ class PulseCovariance:
     """Toeplitz x/p covariance matrices of N successive pulses."""
 
     n_pulses: int
-    gain: float
-    r: float
-    t: float
     v_plus: np.ndarray
     v_minus: np.ndarray
 
 
-def io_series_coefficients(gain: float, r: float, t: float,
-                           branch_phase: str = "even",
-                           s_max: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+def io_series_coefficients(gain: float, r: float, s_max: int | None = None
+                           ) -> tuple[np.ndarray, np.ndarray]:
     """Pulse input-output series coefficients for the x (+g) and p (-g) branches.
 
     Output pulse k is coeff[0] times input pulse k plus coeff[s] times input
-    pulse k-s: (-r, t^2 e^{+-g}, t^2 r e^{+-2g}, ...).  ``s_max`` defaults to
-    the smallest truncation whose squared tail is below ``SERIES_TAIL``.
+    pulse k-s: (-r, t^2 e^{+-g}, t^2 r e^{+-2g}, ...), t^2 = 1 - r^2, for the
+    signed round-trip amplitude r.  ``s_max`` defaults to the smallest
+    truncation whose squared tail is below ``SERIES_TAIL``.
     """
-    _check_below_threshold(gain, abs(r))
-    if abs(r**2 + t**2 - 1.0) > 1e-12:
-        raise ValidationError("r^2 + t^2 must equal 1")
-    r_eff = _effective_r(r, branch_phase)
+    _check_below_threshold(gain, r)
+    t2 = 1.0 - r**2
     if s_max is None:
         # tail of sum c_s^2 on the + branch is (t^2 e^g)^2 q^(2 smax) / (1-q^2),
         # q = |r| e^g < 1
@@ -101,30 +76,29 @@ def io_series_coefficients(gain: float, r: float, t: float,
         if q == 0.0:
             s_max = 1
         else:
-            lead = (t**2 * math.exp(gain)) ** 2 / (1.0 - q**2)
+            lead = (t2 * math.exp(gain)) ** 2 / (1.0 - q**2)
             s_max = max(1, int(math.ceil(
                 math.log(SERIES_TAIL / max(lead, SERIES_TAIL)) / (2.0 * math.log(q)))))
     out = []
     s = np.arange(1, s_max + 1)
     for sign in (+1.0, -1.0):
         coeff = np.empty(s_max + 1)
-        coeff[0] = -r_eff
-        coeff[1:] = t**2 * r_eff ** (s - 1) * np.exp(sign * gain * s)
+        coeff[0] = -r
+        coeff[1:] = t2 * r ** (s - 1) * np.exp(sign * gain * s)
         out.append(coeff)
     return out[0], out[1]
 
 
-def covariance(gain: float, r: float, n_pulses: int,
-               branch_phase: str = "even") -> PulseCovariance:
-    """Exact closed-form pulse covariance matrices V^(+-)(N).
+def covariance(gain: float, r: float, n_pulses: int) -> PulseCovariance:
+    """Exact closed-form pulse covariance matrices V^(+-)(N) for the signed
+    round-trip amplitude r.
 
-    Valid up to and including g = -ln r, where the amplified branch V^(+)
+    Valid up to and including g = -ln |r|, where the amplified branch V^(+)
     diverges and is reported as +inf.
     """
     _check_below_threshold(gain, r, strict=False)
     if n_pulses < 1:
         raise ValidationError("n_pulses must be >= 1")
-    r_eff = _effective_r(r, branch_phase)
     t2 = 1.0 - r**2
     idx = np.arange(n_pulses)
     sep = np.abs(idx[:, None] - idx[None, :])
@@ -137,10 +111,9 @@ def covariance(gain: float, r: float, n_pulses: int,
             continue
         diag = 0.5 * (r**2 + t2**2 * e2 / denom)
         off = -0.5 * t2 * (1.0 - e2) / denom \
-            * (r_eff * math.exp(sign * gain)) ** sep
+            * (r * math.exp(sign * gain)) ** sep
         mats.append(np.where(sep == 0, diag, off))
-    return PulseCovariance(n_pulses=n_pulses, gain=gain, r=r,
-                           t=math.sqrt(t2), v_plus=mats[0], v_minus=mats[1])
+    return PulseCovariance(n_pulses=n_pulses, v_plus=mats[0], v_minus=mats[1])
 
 
 @dataclass(frozen=True)
@@ -148,7 +121,7 @@ class MinVarianceSolution:
     """Smallest eigenpair of V^(-)(N).
 
     ``theta_sol`` is the cosine-mode angle in (0, pi/N) for the semi-analytic
-    route (arccos(r e^{-g}) at N = 1), None when the eigenpair came from a
+    route (arccos(|r| e^{-g}) at N = 1), None when the eigenpair came from a
     dense solver.
     """
 
@@ -180,16 +153,18 @@ def _variance_at_angle(gain: float, r: float, theta):
 
 def sigma2_limit(gain: float, r: float) -> float:
     """Large-N limit of the minimum variance: p-quadrature variance of the
-    squeezed comb at zero shift, (1/2) [(r - e^-g) / (1 - r e^-g)]^2."""
+    squeezed comb at zero shift, (1/2) [(|r| - e^-g) / (1 - |r| e^-g)]^2."""
     _check_below_threshold(gain, r, strict=False)
-    return _variance_at_angle(gain, r, 0.0)
+    return _variance_at_angle(gain, abs(r), 0.0)
 
 
 def min_variance_curve(gain: float, r: float,
                        n_pulses) -> tuple[np.ndarray, np.ndarray]:
     """Smallest eigenvalue of V^(-)(N) and its cosine-mode angle for an array
-    of N, bisecting f(theta) on (0, pi/N) (module docstring) to convergence."""
+    of N, bisecting f(theta) on (0, pi/N) (module docstring) to convergence.
+    Both depend on |r| alone."""
     _check_below_threshold(gain, r, strict=False)
+    r = abs(r)
     n = np.asarray(n_pulses)
     if np.any(n < 1):
         raise ValidationError("n_pulses must be >= 1")
@@ -205,23 +180,22 @@ def min_variance_curve(gain: float, r: float,
     return _variance_at_angle(gain, r, mid), mid
 
 
-def min_variance_transcendental(gain: float, r: float, n_pulses: int,
-                                branch_phase: str = "even") -> MinVarianceSolution:
+def min_variance_transcendental(gain: float, r: float,
+                                n_pulses: int) -> MinVarianceSolution:
     """Semi-analytic smallest eigenpair of V^(-)(N).
 
     Scalar view of ``min_variance_curve`` that adds the eigenvector: its
     entries are cos[theta (N - 2k - 1)/2], normalized, and the variance
     follows from the closed form at the quantized angle theta.
 
-    The odd branch is handled through the exact similarity
-    V_odd = D V_even D, D = diag((-1)^k): same spectrum, alternating signs on
-    the eigenvector, so the quantization is always solved with +r.
+    A negative r is handled through the exact similarity
+    V(-r) = D V(|r|) D, D = diag((-1)^k): same spectrum, alternating signs on
+    the eigenvector, so the quantization is always solved with |r|.
     """
-    _effective_r(r, branch_phase)  # validates branch_phase
     sigma2, theta = min_variance_curve(gain, r, n_pulses)
     k = np.arange(n_pulses)
     vec = np.cos(0.5 * theta * (n_pulses - 2 * k - 1))
-    if branch_phase == "odd":
+    if r < 0:
         vec = vec * (-1.0) ** k
     vec = vec / np.linalg.norm(vec)
     center = vec[(n_pulses - 1) // 2]

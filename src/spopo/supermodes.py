@@ -259,9 +259,9 @@ class SupermodeBasis:
             return float(np.linalg.norm(rec))
         return float(np.linalg.norm(rec - self.kernel.matrix) / denom)
 
-    def gram_defect(self, n_modes: int | None = None) -> float:
+    def gram_defect(self) -> float:
         """Max deviation of the kept-mode Gram matrix from identity."""
-        n = self.n_kept if n_modes is None else n_modes
+        n = self.n_kept
         phi = self.modes_freq[:, :n] * np.sqrt(self.grid.weight)
         return float(np.abs(phi.conj().T @ phi - np.eye(n)).max())
 

@@ -83,23 +83,20 @@ def quadrature_matrix(transform: ModePairTransform) -> np.ndarray:
     ])
 
 
-def output_covariance(transform: ModePairTransform,
-                      v_in: float = VACUUM_VARIANCE) -> tuple[float, float, float]:
-    """Quadrature covariance (var_x, var_p, cov) of the output mode.
+def output_covariance(transform: ModePairTransform) -> tuple[float, float, float]:
+    """Quadrature covariance (var_x, var_p, cov) of the output mode for a
+    vacuum input.
 
-    The input is an isotropic Gaussian state with per-quadrature variance
-    ``v_in`` (vacuum by default).  Identity in, vacuum in gives (1/2, 1/2, 0);
-    a real squeezing block c = cosh g, s = sinh g gives var_p = e^{-2g}/2.
+    The identity gives (1/2, 1/2, 0); a real squeezing block c = cosh g,
+    s = sinh g gives var_p = e^{-2g}/2.
     """
     m = quadrature_matrix(transform)
-    v = v_in * (m @ m.T)
+    v = VACUUM_VARIANCE * (m @ m.T)
     return float(v[0, 0]), float(v[1, 1]), float(v[0, 1])
 
 
-def minimum_quadrature_variance(transform: ModePairTransform,
-                                v_in: float = VACUUM_VARIANCE) -> float:
-    """Smallest output quadrature variance over all homodyne angles.
-
-    Equals ``v_in (|c| - |s|)^2``; the conjugate maximum is ``v_in (|c|+|s|)^2``.
+def minimum_quadrature_variance(transform: ModePairTransform) -> float:
+    """Smallest output quadrature variance over all homodyne angles for a
+    vacuum input: (|c| - |s|)^2 / 2; the conjugate maximum is (|c| + |s|)^2 / 2.
     """
-    return v_in * (abs(transform.c) - abs(transform.s)) ** 2
+    return VACUUM_VARIANCE * (abs(transform.c) - abs(transform.s)) ** 2

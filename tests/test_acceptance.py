@@ -80,8 +80,7 @@ def test_criterion_03_covariance_oracle_equivalence():
     start = time.perf_counter()
     worst = 0.0
     for gain, r in below_threshold_draws(rng, 100):
-        t = np.sqrt(1 - r * r)
-        cx, cp = io_series_coefficients(gain, r, t)
+        cx, cp = io_series_coefficients(gain, r)
         cov = covariance(gain, r, 6)
         for coeff, mat in ((cx, cov.v_plus), (cp, cov.v_minus)):
             worst = max(worst, abs(0.5 * np.sum(coeff**2) - mat[0, 0]))
@@ -242,7 +241,7 @@ def test_criterion_11_gaussian_qfi_oracle():
 def test_criterion_12_probe_round_trip(default_basis, default_cavity):
     from spopo import optimal_probe
     from conftest import OMEGA0
-    probe = optimal_probe(default_basis, OMEGA0, default_cavity,
+    probe = optimal_probe(default_basis, OMEGA0, default_cavity.r,
                           n_pulses=4, n_bar0=1e6, gain0=0.05)
     weight = default_basis.grid.weight
     recovered = probe.pulse_freq * (OMEGA0 + default_basis.grid.omegas)

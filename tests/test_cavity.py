@@ -3,8 +3,8 @@ import pytest
 
 from spopo import (AtThresholdError, CavityConfig, NoFiniteThresholdError,
                    ValidationError, check_symplectic, comb_io, epr_pair_check,
-                   output_covariance, pair_covariance, squeezing_spectrum,
-                   threshold_gain)
+                   output_covariance, pair_covariance, resonant_r,
+                   squeezing_spectrum, threshold_gain)
 
 from conftest import below_threshold_draws
 
@@ -32,6 +32,24 @@ class TestCavityConfig:
     def test_invalid_reflectivity(self):
         with pytest.raises(ValidationError):
             CavityConfig(r=1.0)
+
+
+class TestResonantR:
+    @pytest.mark.parametrize("delta_rt, ceo_half, sign", [
+        (0.0, 0.0, 1.0), (np.pi, 0.0, -1.0), (0.0, np.pi, -1.0),
+        (-np.pi, 0.0, -1.0), (2.0 * np.pi, 0.0, 1.0), (1.0, np.pi - 1.0, -1.0),
+        (np.pi + 5e-13, 0.0, -1.0), (np.pi - 5e-13, 0.0, -1.0),
+        (2.0 * np.pi - 5e-13, 0.0, 1.0), (0.0, -5e-13, 1.0),
+        (3.0 * np.pi, 0.0, -1.0), (-4.0 * np.pi, 0.0, 1.0)])
+    def test_signed_amplitude(self, delta_rt, ceo_half, sign):
+        assert resonant_r(CavityConfig(r=0.8894, delta_rt=delta_rt),
+                          ceo_half) == sign * 0.8894
+
+    @pytest.mark.parametrize("phase", [1e-11, -1e-11, np.pi + 1e-11,
+                                       np.pi / 2, 0.3])
+    def test_off_resonant_phase_refused(self, phase):
+        with pytest.raises(ValidationError, match="resonant"):
+            resonant_r(CavityConfig(r=0.8894, delta_rt=phase), 0.0)
 
 
 class TestThresholdGain:

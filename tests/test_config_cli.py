@@ -322,8 +322,10 @@ class TestCliRuns:
         header = ["a", "b", "c"]
         meta = {"seed": 1}
         fast = _write_csv(tmp_path / "array.csv", header, rows, meta)
-        slow = _write_csv(tmp_path / "rows.csv", header, iter(rows), meta)
-        assert fast.read_bytes() == slow.read_bytes()
+        # reference: one % per row of numpy floats, as a row loop writes it
+        reference = "# seed = 1\na,b,c\n" + "".join(
+            "%.12g,%.12g,%.12g\n" % tuple(row) for row in rows)
+        assert fast.read_text() == reference
         body = fast.read_text().splitlines()
         assert body[2:4] == ["nan,inf,-inf", "-0,0,1e-300"]
         assert len(body) == 2 + 5000
@@ -353,12 +355,73 @@ class TestCliRuns:
         out = tmp_path / "out"
         assert main(["pulses", "--config", str(path), "--out", str(out)]) == 0
         cavity = CavityConfig(r=0.8894, delta_rt=np.pi)
-        cov = covariance(0.8 * threshold_gain(cavity, 0.0).gain, cavity.r, 12,
-                         "odd")
+        cov = covariance(0.8 * threshold_gain(cavity, 0.0).gain, -cavity.r, 12)
         duan = load_table(out / "duan.csv")
         np.testing.assert_allclose(
             duan["duan_sum"], [duan_sum(cov, 0, d) for d in range(1, 12)],
             rtol=1e-11)
+        # the r column is the configured amplitude, not the signed one
+        np.testing.assert_array_equal(load_table(out / "sigma2.csv")["r"], 0.8894)
+
+    @staticmethod
+    def _run_branch(tmp_path, name, command, **overrides):
+        """Run one subcommand on scenario_dict(**overrides) in its own dir."""
+        base = tmp_path / name
+        base.mkdir()
+        path = write_config(base, scenario_dict(**overrides))
+        out = base / "out"
+        assert main([command, "--config", str(path), "--out", str(out)]) == 0
+        return out
+
+    def test_odd_branch_metrology(self, tmp_path):
+        # -r flips every other pulse of the probe; the central-pulse gauge
+        # (pulse 1 of 3) then flips all of them, so pulse k reads -(-1)^k
+        even = self._run_branch(tmp_path, "even", "metrology")
+        odd = self._run_branch(tmp_path, "odd", "metrology",
+                               **{"cavity.delta_rt": np.pi})
+        p_even, p_odd = (load_table(d / "probe.csv") for d in (even, odd))
+        n_pulses = scenario_dict()["run"]["probe_pulses"]
+        k = np.repeat(np.arange(n_pulses), p_even["t"].size // n_pulses)
+        sign = -(-1.0) ** k
+        np.testing.assert_array_equal(p_odd["t"], p_even["t"])
+        for column in ("re", "im"):
+            np.testing.assert_array_equal(p_odd[column], sign * p_even[column])
+        body = [[ln for ln in (d / "metrology.csv").read_text().splitlines()
+                 if not ln.startswith("#")] for d in (even, odd)]
+        assert body[0] == body[1]
+        summaries = [json.loads((d / "summary.json").read_text())
+                     for d in (even, odd)]
+        for summary in summaries:
+            del summary["config_hash"]
+        assert summaries[0] == summaries[1]
+
+    @pytest.mark.parametrize("command", ["pulses", "metrology"])
+    def test_pump_ceo_pi_matches_cavity_pi(self, tmp_path, command):
+        # the cavity reads the total round-trip phase delta_rt + ceo_half
+        outs = [self._run_branch(tmp_path, "cavity", command,
+                                 **{"cavity.delta_rt": np.pi}),
+                self._run_branch(tmp_path, "pump", command,
+                                 **{"pump.delta0": np.pi})]
+        names = sorted(p.name for p in outs[0].iterdir())
+        assert names == sorted(p.name for p in outs[1].iterdir())
+        for name in names:
+            texts = [[ln for ln in (d / name).read_text().splitlines()
+                      if "config_hash" not in ln] for d in outs]
+            assert texts[0] == texts[1], name
+
+    def test_metrology_zero_energy_writes_nothing(self, tmp_path, capsys):
+        # a zero pump keeps no mode, so there is no probe: refused before
+        # metrology.csv or summary.json is written
+        raw = scenario_dict()
+        del raw["pump"]["pump_ratio"]
+        raw["pump"]["energy"] = 0
+        out = tmp_path / "out"
+        code = main(["metrology", "--config", str(write_config(tmp_path, raw)),
+                     "--out", str(out)])
+        assert code == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "validation-error"
+        assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize("command", ["pulses", "metrology"])
     def test_off_resonant_phase_refused(self, tmp_path, capsys, command):

@@ -95,14 +95,14 @@ class TestFisherInformation:
 
 class TestOptimalProbe:
     def test_single_pulse_weights(self, default_basis, default_cavity):
-        probe = optimal_probe(default_basis, OMEGA0, default_cavity,
+        probe = optimal_probe(default_basis, OMEGA0, default_cavity.r,
                               n_pulses=1, n_bar0=1e6, gain0=0.05)
         assert probe.alpha_prime.shape == (default_basis.n_kept, 1)
         assert probe.alpha_prime[0, 0] == pytest.approx(probe.amplitude)
         assert not np.any(probe.alpha_prime[1:])
 
     def test_spectral_round_trip(self, default_basis, default_cavity):
-        probe = optimal_probe(default_basis, OMEGA0, default_cavity,
+        probe = optimal_probe(default_basis, OMEGA0, default_cavity.r,
                               n_pulses=4, n_bar0=1e6, gain0=0.05)
         recovered = probe.pulse_freq * (OMEGA0 + default_basis.grid.omegas)
         target = default_basis.modes_freq[:, 0]
@@ -111,7 +111,7 @@ class TestOptimalProbe:
 
     def test_photon_number_normalization(self, default_basis, default_cavity):
         n_pulses, n_bar0 = 6, 2.5e5
-        probe = optimal_probe(default_basis, OMEGA0, default_cavity,
+        probe = optimal_probe(default_basis, OMEGA0, default_cavity.r,
                               n_pulses=n_pulses, n_bar0=n_bar0, gain0=0.08)
         total = probe.total_photons(default_basis.dt)
         assert total == pytest.approx(n_pulses * n_bar0, rel=1e-8)
@@ -120,7 +120,7 @@ class TestOptimalProbe:
                                               default_cavity):
         # second moment about the carrier: tiny against omega0^2, may be
         # slightly negative (1/(omega0+w)^2 weighting pulls the mean down)
-        probe = optimal_probe(default_basis, OMEGA0, default_cavity,
+        probe = optimal_probe(default_basis, OMEGA0, default_cavity.r,
                               n_pulses=2, n_bar0=1e6, gain0=0.05)
         assert abs(probe.spectral_spread_sq) < (0.1 * OMEGA0) ** 2
         assert OMEGA0**2 + probe.spectral_spread_sq > 0
@@ -186,6 +186,19 @@ class TestImprovementCurve:
     def test_rejects_ratio_at_threshold(self, default_cavity):
         with pytest.raises(ValidationError):
             improvement_curve(default_cavity, [1.0], 10)
+
+    def test_odd_branch_equals_even(self, default_cavity):
+        odd = CavityConfig(r=default_cavity.r, delta_rt=np.pi)
+        even = improvement_curve(default_cavity, [0.5, 0.8], 30)
+        for curve in (improvement_curve(odd, [0.5, 0.8], 30),
+                      improvement_curve(default_cavity, [0.5, 0.8], 30, np.pi)):
+            np.testing.assert_array_equal(curve.sigma2, even.sigma2)
+            np.testing.assert_array_equal(curve.min_pulses_to_asymptote,
+                                          even.min_pulses_to_asymptote)
+
+    def test_off_resonant_phase_refused(self, default_cavity):
+        with pytest.raises(ValidationError, match="resonant"):
+            improvement_curve(default_cavity, [0.5], 10, 0.3)
 
 
 def first_n_by_search(gain: float, r: float, asymptote: float) -> int:
@@ -253,7 +266,7 @@ class TestFisherConsistencyWithProbe:
     def test_optimal_probe_fisher_identity(self, default_basis, default_cavity):
         # F from the quadratic form equals (1/2) amplitude^2 / sigma2_min
         n_pulses, n_bar0, g0 = 8, 1e6, 0.06
-        probe = optimal_probe(default_basis, OMEGA0, default_cavity,
+        probe = optimal_probe(default_basis, OMEGA0, default_cavity.r,
                               n_pulses=n_pulses, n_bar0=n_bar0, gain0=g0)
         families = [covariance(g0, default_cavity.r, n_pulses).v_minus]
         for _ in range(default_basis.n_kept - 1):

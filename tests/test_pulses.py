@@ -58,7 +58,7 @@ class TestSeriesCoefficients:
     def test_zero_gain_lossless(self):
         r = 0.8
         t = np.sqrt(1 - r * r)
-        cx, cp = io_series_coefficients(0.0, r, t)
+        cx, cp = io_series_coefficients(0.0, r)
         np.testing.assert_allclose(cx, cp)
         assert cx[0] == -r
         assert cx[1] == pytest.approx(t**2)
@@ -66,26 +66,30 @@ class TestSeriesCoefficients:
         assert np.sum(cx**2) == pytest.approx(1.0, abs=1e-12)
 
     def test_no_cavity_single_pass(self):
-        cx, cp = io_series_coefficients(0.4, 0.0, 1.0, s_max=3)
+        cx, cp = io_series_coefficients(0.4, 0.0, s_max=3)
         np.testing.assert_allclose(cx[2:], 0.0, atol=1e-15)
         assert cx[1] == pytest.approx(np.exp(0.4))
         assert cp[1] == pytest.approx(np.exp(-0.4))
 
     def test_sum_matches_diagonal_variance(self):
         g, r = 0.08, 0.9
-        t = np.sqrt(1 - r * r)
-        cx, cp = io_series_coefficients(g, r, t)
+        cx, cp = io_series_coefficients(g, r)
         cov = covariance(g, r, 1)
         assert 0.5 * np.sum(cp**2) == pytest.approx(cov.v_minus[0, 0], abs=1e-12)
         assert 0.5 * np.sum(cx**2) == pytest.approx(cov.v_plus[0, 0], abs=1e-10)
 
     def test_above_threshold_rejected(self):
-        with pytest.raises(AboveThresholdError):
-            io_series_coefficients(0.2, 0.9, np.sqrt(1 - 0.81))
+        for r in (0.9, -0.9):
+            with pytest.raises(AboveThresholdError):
+                io_series_coefficients(0.2, r)
 
-    def test_r_t_mismatch_rejected(self):
-        with pytest.raises(ValidationError):
-            io_series_coefficients(0.1, 0.9, 0.9)
+    def test_negative_r_alternates(self):
+        cx, cp = io_series_coefficients(0.1, 0.8)
+        flipped = io_series_coefficients(0.1, -0.8)
+        signs = -(-1.0) ** np.arange(cx.size)
+        for even, odd in zip((cx, cp), flipped):
+            # a power of a negative base may round differently by one ulp
+            np.testing.assert_allclose(odd, signs * even, rtol=1e-15, atol=0)
 
 
 class TestCovariance:
@@ -137,8 +141,8 @@ class TestCovariance:
 
     def test_odd_branch_is_sign_flip_similarity(self):
         g, r, n = 0.09, 0.8, 6
-        even = covariance(g, r, n, "even")
-        odd = covariance(g, r, n, "odd")
+        even = covariance(g, r, n)
+        odd = covariance(g, -r, n)
         signs = np.diag((-1.0) ** np.arange(n))
         np.testing.assert_allclose(odd.v_minus, signs @ even.v_minus @ signs,
                                    rtol=1e-13)
@@ -196,9 +200,9 @@ class TestMinVariance:
 
     def test_odd_branch_matches_dense(self):
         g, r, n = 0.06, 0.8, 12
-        cov = covariance(g, r, n, "odd")
+        cov = covariance(g, -r, n)
         dense = min_variance_direct(cov)
-        semi = min_variance_transcendental(g, r, n, "odd")
+        semi = min_variance_transcendental(g, -r, n)
         assert semi.sigma2 == pytest.approx(dense.sigma2, abs=1e-10)
         assert abs(np.dot(semi.eigvec, dense.eigvec)) > 1 - 1e-10
 
@@ -300,8 +304,18 @@ class TestCombIntegralOracle:
 
 class TestThresholdGuards:
     def test_above_threshold_covariance(self):
-        with pytest.raises(AboveThresholdError):
-            covariance(0.3, 0.9, 4)
+        for r in (0.9, -0.9):
+            with pytest.raises(AboveThresholdError):
+                covariance(0.3, r, 4)
+
+    @pytest.mark.parametrize("r", [1.0, -1.0, np.nan])
+    def test_unit_or_nan_r_refused(self, r):
+        with pytest.raises(ValidationError):
+            covariance(0.0, r, 4)
+
+    def test_sigma2_depends_on_abs_r(self):
+        g, r = 0.09, 0.87
+        assert sigma2_limit(g, -r) == sigma2_limit(g, r)
 
     def test_sigma2_limit_matches_closed_form(self):
         g, r = 0.09, 0.87
