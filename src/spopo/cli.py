@@ -138,8 +138,9 @@ def run_supermodes(cfg: ScenarioConfig, outdir: Path, seed=None) -> list[Path]:
         flat = basis.kernel.matrix.ravel()
         kmeta = dict(meta, shape=f"{basis.grid.n_points}x{basis.grid.n_points}",
                      order="row-major")
-        written.append(_write_csv(outdir / "kernel.csv", ["re", "im"],
-                                  np.column_stack([flat.real, flat.imag]),
+        # (re, im) rows as a view: no copy for a complex kernel, one for a real one
+        pairs = np.asarray(flat, dtype=complex).view(np.float64).reshape(-1, 2)
+        written.append(_write_csv(outdir / "kernel.csv", ["re", "im"], pairs,
                                   kmeta))
     return written
 
