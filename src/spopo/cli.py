@@ -169,7 +169,8 @@ def run_pulses(cfg: ScenarioConfig, outdir: Path, seed=None) -> list[Path]:
         gth = threshold_gain(cfg.cavity, cfg.pump.ceo_half).gain
         g0 = cfg.pump_ratio * gth
     else:
-        _, _, gains, gth, _ = _decompose(cfg, 0)
+        # g0 alone: the top Lanczos pair that metrology reads, no eigvalsh
+        _, _, gains, gth, _ = _decompose(cfg, 1, every_gain=False)
         g0 = float(gains[0])
     r = resonant_r(cfg.cavity, cfg.pump.ceo_half)
     n_max = _n_max(cfg)

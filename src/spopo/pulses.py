@@ -16,11 +16,24 @@ V^(-) is a cosine mode whose angle is the root in (0, pi/N) of
 
     f(theta) = cos(theta (N+1)/2) - q cos(theta (N-1)/2),    q = |r| e^{-g} < 1.
 
-That fixed bracket holds exactly one root for every N >= 1 (arccos q at
-N = 1): f(0) = 1 - q > 0, f(pi/N) = -(1 + q) sin(pi/2N) < 0, and with
-b = theta/2, sin((N+1) b) - sin((N-1) b) = 2 cos(N b) sin b > 0 makes
-f' = -[(N+1) sin((N+1) b) - q (N-1) sin((N-1) b)] / 2 < 0.  One array
-bisection therefore solves every N at once.
+With b = theta/2 and kappa = (1 - q)/(1 + q), f = (1 - q) cos(N b) cos b -
+(1 + q) sin(N b) sin b, so the same root solves
+
+    h(b) = N b - arctan(kappa cot b) = 0,    0 < b < pi/2N,
+
+h' = N + kappa / (sin^2 b + kappa^2 cos^2 b) > 0 and
+h'' = -kappa (1 - kappa^2) sin 2b / (sin^2 b + kappa^2 cos^2 b)^2 <= 0.
+Exactly one root lies in the bracket (arctan sqrt(kappa) at N = 1, i.e.
+theta = arccos q): h(0+) = -pi/2, h(pi/2N) > 0.  The seed
+b0 = pi / 2(N + 1/kappa) (exact for q = 0) lies at or left of it:
+N b0 = pi/2 - b0/kappa turns h(b0) <= 0 into tan b0 <= kappa tan(b0/kappa),
+true as tan x / x increases.  The tangent of a concave increasing h lies
+above it, so Newton's iterates from b0 rise monotonically to the root without
+passing it (Press et al., Numerical Recipes 9.4), quadratically once close:
+6-7 passes at the paper's q, 32 at most (N = 1, q the largest float below 1).
+f's two cosines cancel as q -> 1, which costs a solve on f about 1/(1 - q)
+ulp; both terms of h keep their relative digits, so its root comes out within
+about 2 ulp.
 """
 
 from __future__ import annotations
@@ -30,10 +43,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AboveThresholdError, ValidationError
+from .errors import AboveThresholdError, NumericalError, ValidationError
 
 #: truncation target for the squared tail of the input-output series
 SERIES_TAIL = 1e-14
+#: Newton passes of ``min_variance_curve``; the slowest start, N = 1 at
+#: kappa = 2^-54 (|r| e^-g the largest float below 1), needs 32
+NEWTON_CAP = 48
+_EPS = np.finfo(float).eps
 
 
 def _check_below_threshold(gain: float, r: float, strict: bool = True) -> None:
@@ -161,23 +178,51 @@ def sigma2_limit(gain: float, r: float) -> float:
 def min_variance_curve(gain: float, r: float,
                        n_pulses) -> tuple[np.ndarray, np.ndarray]:
     """Smallest eigenvalue of V^(-)(N) and its cosine-mode angle for an array
-    of N, bisecting f(theta) on (0, pi/N) (module docstring) to convergence.
-    Both depend on |r| alone."""
+    of N; both depend on |r| alone.
+
+    The angle is 2b for the root b of h (module docstring), by Newton from
+    b0 = pi / 2(N + 1/kappa), each iterate clipped to [b0, pi/2N].  An N
+    stops once its step reaches the rounding floor: 4 eps b, or a step no
+    shorter than the one before when that one was below sqrt(eps) b.  Every
+    N runs its own iteration, so its result does not depend on the other N
+    of the call.  An N still moving after ``NEWTON_CAP`` passes raises
+    ``NumericalError``.
+    """
     _check_below_threshold(gain, r, strict=False)
     r = abs(r)
-    n = np.asarray(n_pulses)
+    shape = np.shape(n_pulses)
+    # numpy's complex abs rounds a 0-d input apart from a 1-d array (last
+    # bit), so every call, scalar or not, runs on one 1-d array
+    n = np.ravel(n_pulses)
     if np.any(n < 1):
         raise ValidationError("n_pulses must be >= 1")
     q = r * math.exp(-gain)
-    lo, hi = np.zeros(n.shape), math.pi / n
-    while True:
-        mid = 0.5 * (lo + hi)
-        if np.all((mid == lo) | (mid == hi)):
+    kappa = (1.0 - q) / (1.0 + q)
+    seed = 0.5 * math.pi / (n + 1.0 / kappa)
+    top = 0.5 * math.pi / n
+    b, last = seed.copy(), np.full(n.shape, np.inf)
+    # indices of the N still moving; each pass works on those alone
+    active = np.arange(n.size)
+    for _ in range(NEWTON_CAP):
+        na, ba = n[active], b[active]
+        sin, cos = np.sin(ba), np.cos(ba)
+        h = na * ba - np.arctan2(kappa * cos, sin)
+        slope = na + kappa / (sin * sin + (kappa * cos) ** 2)
+        new = np.clip(ba - h / slope, seed[active], top[active])
+        size = np.abs(new - ba)
+        b[active] = new
+        prev = last[active]
+        last[active] = size
+        active = active[(size > 4.0 * _EPS * new)
+                        & ((size < prev) | (prev > math.sqrt(_EPS) * new))]
+        if not active.size:
             break
-        above = np.cos(0.5 * mid * (n + 1)) > q * np.cos(0.5 * mid * (n - 1))
-        lo = np.where(above, mid, lo)
-        hi = np.where(above, hi, mid)
-    return _variance_at_angle(gain, r, mid), mid
+    else:
+        raise NumericalError(
+            f"quantized angle still moving after {NEWTON_CAP} Newton passes")
+    theta = 2.0 * b
+    return (_variance_at_angle(gain, r, theta).reshape(shape),
+            theta.reshape(shape))
 
 
 def min_variance_transcendental(gain: float, r: float,

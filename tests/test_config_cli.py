@@ -10,7 +10,8 @@ import pytest
 
 import spopo.cli
 from spopo import (CavityConfig, ConfigError, build_kernel, covariance,
-                   duan_sum, schmidt_decompose, threshold_gain)
+                   duan_sum, optimal_probe, schmidt_decompose, threshold_gain)
+from spopo.supermodes import takagi_values
 from spopo.cli import _write_csv, main
 from spopo.config import load_scenario, parse_scenario
 
@@ -51,6 +52,20 @@ def src_env():
     src = str(Path(__file__).resolve().parents[1] / "src")
     return dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def forbid_full_eigensolves(monkeypatch, size):
+    """Make np.linalg.eigh and eigvalsh refuse matrices of ``size`` rows or
+    more: the kernel, but not a Lanczos tridiagonal."""
+    def small_only(solver):
+        def guarded(a, *args, **kwargs):
+            if np.shape(a)[0] >= size:
+                raise AssertionError("full eigensolve of the kernel")
+            return solver(a, *args, **kwargs)
+        return guarded
+
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, small_only(getattr(np.linalg, name)))
 
 
 def load_table(path):
@@ -181,11 +196,10 @@ class TestCliRuns:
         assert (out / "probe.csv").exists()
 
     @pytest.mark.parametrize("command, pump", [
-        ("squeezing", {"pump_ratio": 0.8}),
-        ("pulses", {"energy": 2e-10})], ids=["squeezing", "pulses-energy"])
+        ("squeezing", {"pump_ratio": 0.8})], ids=["squeezing"])
     def test_gains_only_runs_build_no_eigenvectors(self, tmp_path, monkeypatch,
                                                    command, pump):
-        # squeezing, and pulses for an energy config, read the gains alone
+        # squeezing reads the gains alone
         def no_eigenvectors(*args, **kwargs):
             raise AssertionError("eigenvectors computed")
 
@@ -199,19 +213,36 @@ class TestCliRuns:
 
     def test_metrology_takes_no_full_eigh(self, tmp_path, monkeypatch):
         # the bound reads g0 and psi0: Lanczos, no eigensolve of the kernel
-        def small_only(solver):
-            def guarded(a, *args, **kwargs):
-                if np.shape(a)[0] >= 341:
-                    raise AssertionError("full eigensolve of the kernel")
-                return solver(a, *args, **kwargs)
-            return guarded
-
         path = write_config(tmp_path, scenario_dict(**{"grid.n_points": 341}))
-        for name in ("eigh", "eigvalsh"):
-            monkeypatch.setattr(np.linalg, name,
-                                small_only(getattr(np.linalg, name)))
+        forbid_full_eigensolves(monkeypatch, 341)
         assert main(["metrology", "--config", str(path), "--out",
                      str(tmp_path / "out")]) == 0
+
+    def test_energy_pulses_reads_metrology_g0(self, tmp_path, monkeypatch):
+        # an energy pump's g0 comes from the top Lanczos pair, as in
+        # metrology: no full eigensolve of the kernel, and the same value
+        raw = scenario_dict(**{"grid.n_points": 341})
+        del raw["pump"]["pump_ratio"]
+        raw["pump"]["energy"] = 2e-10
+        path = write_config(tmp_path, raw)
+        cfg = load_scenario(path)
+        full_g0 = takagi_values(build_kernel(cfg.grid, cfg.pump,
+                                             cfg.crystal).matrix)[0]
+        forbid_full_eigensolves(monkeypatch, 341)
+        seen = []
+
+        def spy(*args, **kwargs):
+            seen.append(kwargs["gain0"])
+            return optimal_probe(*args, **kwargs)
+
+        monkeypatch.setattr(spopo.cli, "optimal_probe", spy)
+        for command in ("pulses", "metrology"):
+            assert main([command, "--config", str(path), "--out",
+                         str(tmp_path / command)]) == 0
+        (g0,) = seen
+        table = load_table(tmp_path / "pulses" / "sigma2.csv")
+        assert np.all(table["g"] == float(spopo.cli._FLOAT_FMT % g0))
+        assert g0 == pytest.approx(full_g0, rel=1e-12, abs=0)
 
     def test_supermodes_modes_match_full_decomposition(self, tmp_path):
         raw = scenario_dict(**{"grid.n_points": 341, "run.n_modes_dump": 3})

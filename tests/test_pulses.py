@@ -1,9 +1,14 @@
+import math
+
 import numpy as np
 import pytest
 
-from spopo import (AboveThresholdError, ValidationError, covariance, duan_sum,
-                   io_series_coefficients, min_variance_direct,
-                   min_variance_transcendental, sigma2_limit)
+import spopo.pulses
+from spopo import (AboveThresholdError, NumericalError, ValidationError,
+                   covariance, duan_sum, io_series_coefficients,
+                   min_variance_direct, min_variance_transcendental,
+                   sigma2_limit)
+from spopo.pulses import _variance_at_angle, min_variance_curve
 
 from conftest import below_threshold_draws
 
@@ -205,6 +210,95 @@ class TestMinVariance:
         semi = min_variance_transcendental(g, -r, n)
         assert semi.sigma2 == pytest.approx(dense.sigma2, abs=1e-10)
         assert abs(np.dot(semi.eigvec, dense.eigvec)) > 1 - 1e-10
+
+
+needs_longdouble = pytest.mark.skipif(
+    np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+    reason="np.longdouble is no wider than float64 on this platform")
+
+
+def reference_angle(q, n_pulses):
+    """Root in (0, pi/N) of f(theta) = cos(theta (N+1)/2) - q cos(theta (N-1)/2),
+    the defining form of the quantization, by bisection in np.longdouble for
+    the float64 q the solver forms."""
+    ld = np.longdouble
+    n = np.asarray(n_pulses, dtype=ld)
+    q = ld(q)
+    lo, hi = np.zeros(n.shape, dtype=ld), 4 * np.arctan(ld(1)) / n
+    for _ in range(96):
+        mid = (lo + hi) / 2
+        above = np.cos(mid * (n + 1) / 2) > q * np.cos(mid * (n - 1) / 2)
+        lo, hi = np.where(above, mid, lo), np.where(above, hi, mid)
+    return (lo + hi) / 2
+
+
+def ulp_distance(value, reference):
+    """|value - reference| in units of the float64 spacing at the reference."""
+    spacing = np.spacing(np.abs(reference.astype(float)))
+    return (np.abs(np.asarray(value, dtype=np.longdouble) - reference)
+            / spacing.astype(np.longdouble)).astype(float)
+
+
+class TestQuantizedAngle:
+    N_VALUES = np.array([1, 2, 3, 10, 100, 10**4, 10**6, 2 * 10**7])
+    RATIOS = (0.0, 0.5, 0.9, 0.99, 0.999, 0.99999)
+
+    @needs_longdouble
+    @pytest.mark.parametrize("r", [0.0, 0.5, 0.8894, 0.97])
+    def test_matches_extended_precision_reference(self, r):
+        ld = np.longdouble
+        pi = 4 * np.arctan(ld(1))
+        for ratio in self.RATIOS:
+            # r = 0 has no threshold, and its root does not depend on g
+            gain = ratio * -np.log(r) if r > 0 else ratio
+            q = r * math.exp(-gain)
+            ref = reference_angle(q, self.N_VALUES)
+            # the reference meets the two closed-form roots
+            assert abs(ref[0] / np.arccos(ld(q)) - 1) < 1e-17
+            if r == 0:
+                np.testing.assert_array_less(
+                    np.abs(ref * (self.N_VALUES + 1) / pi - 1), 1e-17)
+            sigma2, theta = min_variance_curve(gain, r, self.N_VALUES)
+            assert ulp_distance(theta, ref).max() <= 2.0, ratio
+            # the solver adds < 1e-14 to the closed form at the exact angle
+            exact = _variance_at_angle(gain, r, ref.astype(float))
+            np.testing.assert_allclose(sigma2, exact, rtol=1e-14, atol=0)
+
+    @needs_longdouble
+    def test_slowest_start_converges(self):
+        # |r| e^-g the largest float below 1: kappa = 2^-54, the seed sits
+        # about 2^26 below the N = 1 root and Newton needs 32 of its passes
+        r = np.nextafter(1.0, 0.0)
+        theta = min_variance_curve(0.0, r, np.array([1, 2, 10**6]))[1]
+        assert ulp_distance(theta[:1], np.arccos(np.longdouble(r)))[0] <= 2.0
+        assert np.all(np.diff(theta) < 0)
+
+    @pytest.mark.parametrize("r, ratio", [
+        (0.0, 0.0), (0.5, 0.3), (0.8894, 0.8), (0.8894, 0.99999), (0.97, 0.95)])
+    def test_batch_independent(self, r, ratio):
+        gain = ratio * -np.log(r) if r > 0 else 0.0
+        n_max = 3000
+        sigma2, theta = min_variance_curve(gain, r, np.arange(1, n_max + 1))
+        for n in (1, 2, 3, 17, 640, n_max):
+            alone = min_variance_curve(gain, r, n)
+            sol = min_variance_transcendental(gain, r, n)
+            for value in (alone[1], sol.theta_sol):
+                assert np.float64(value).tobytes() == theta[n - 1].tobytes(), n
+            for value in (alone[0], sol.sigma2):
+                assert np.float64(value).tobytes() == sigma2[n - 1].tobytes(), n
+
+    def test_paper_cavity_converges_within_eight_passes(self, monkeypatch):
+        # 6-7 passes here; one more leaves room for a platform's last-bit
+        # trigonometry
+        monkeypatch.setattr(spopo.pulses, "NEWTON_CAP", 8)
+        r = 0.8894
+        for ratio in self.RATIOS:
+            min_variance_curve(ratio * -np.log(r), r, np.arange(1, 10**4 + 1))
+
+    def test_unconverged_angle_raises(self, monkeypatch):
+        monkeypatch.setattr(spopo.pulses, "NEWTON_CAP", 3)
+        with pytest.raises(NumericalError):
+            min_variance_curve(0.0, 0.999, np.arange(1, 5))
 
 
 class TestDuanSum:
