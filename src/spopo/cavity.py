@@ -14,6 +14,13 @@ u = e^{i(theta + phi)}, d = e^{i(theta - phi)} and h = cosh g - 1,
 factored to keep the O(1) terms apart from the gain terms that cancel them
 near threshold.
 
+One evaluation at +theta gives the whole comb pair.  For a real phi,
+D(-theta) = conj D(theta), so S(-theta) = e^{2i phi} conj S(theta) and
+|S(-theta)| = |S(theta)|.  With |C|^2 - |S|^2 = 1, |C| - |S| = 1/(|C| + |S|):
+the squeezed variance (|C| - |S|)^2 / 2 = 1 / 2(|C| + |S|)^2 and the
+minimized EPR variance 1 + 2|S|^2 - 2|C(theta) S(-theta)| = (|C| - |S|)^2
+are written without the difference, which cancels near threshold.
+
 The cavity owns the round-trip phase phi: ``threshold_gain`` reads the
 oscillating branch from it, and ``resonant_r`` turns a resonant phi (0 or pi)
 into the signed round-trip amplitude +-r that the pulse layer takes.
@@ -28,7 +35,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import AtThresholdError, NoFiniteThresholdError, ValidationError
-from .symplectic import ModePairTransform
+from .symplectic import ModePairTransform, minimum_quadrature_variance
 
 #: condition-number ceiling for the input-output inversion
 CONDITION_LIMIT = 1e12
@@ -162,24 +169,17 @@ def comb_io(gain: float, theta: float, cavity: CavityConfig,
     return ModePairTransform(c=complex(c), s=complex(s))
 
 
-def _epr_variance(c_plus, s_plus, s_minus):
-    """Minimized EPR sum 2 (v_thermal - |C(theta) S(-theta)|) of the comb pair."""
-    return 2.0 * (0.5 * (1.0 + 2.0 * np.abs(s_plus) ** 2)
-                  - np.abs(c_plus * s_minus))
-
-
 def pair_covariance(gain: float, theta: float, cavity: CavityConfig,
                     ceo_half: float) -> np.ndarray:
     """4x4 covariance of the comb pair (+theta, -theta), basis (x+, p+, x-, p-).
 
     Vacuum input.  Each reduced single-comb block is thermal with variance
     (1 + 2|S|^2)/2; all cross moments sit in the ``<b(+theta) b(-theta)>``
-    correlator K = C(theta) S(-theta).
+    correlator K = C(theta) S(-theta) = C(theta) e^{2i phi} conj S(theta).
     """
-    tp = comb_io(gain, theta, cavity, ceo_half)
-    tm = comb_io(gain, -theta, cavity, ceo_half)
-    v_th = 0.5 * (1.0 + 2.0 * abs(tp.s) ** 2)
-    k = tp.c * tm.s
+    block = comb_io(gain, theta, cavity, ceo_half)
+    v_th = 0.5 * (1.0 + 2.0 * abs(block.s) ** 2)
+    k = block.c * np.exp(2j * (cavity.delta_rt + ceo_half)) * np.conj(block.s)
     re_k, im_k = k.real, k.imag
     return np.array([
         [v_th, 0.0, re_k, im_k],
@@ -195,21 +195,24 @@ def epr_pair_check(gain: float, theta: float, cavity: CavityConfig,
 
     Var((x+ - x-)/sqrt2) + Var((p+ + p-)/sqrt2), minimized over a relative
     quadrature rotation of the two combs; below 1 certifies entanglement,
-    vacuum gives exactly 1.
+    vacuum gives exactly 1.  It equals 1/(|C| + |S|)^2, twice the squeezed
+    joint-quadrature variance.
     """
-    tp = comb_io(gain, theta, cavity, ceo_half)
-    tm = comb_io(gain, -theta, cavity, ceo_half)
-    return float(_epr_variance(tp.c, tp.s, tm.s))
+    return 2.0 * minimum_quadrature_variance(
+        comb_io(gain, theta, cavity, ceo_half))
 
 
 @dataclass(frozen=True)
 class SqueezingSpectrum:
     """Per-mode variance spectra over a theta grid.
 
-    ``var_p``/``var_x`` are the extremal joint-quadrature variances
-    (|C| -+ |S|)^2 / 2 of the (+theta, -theta) pair: at theta = 0 on resonance
-    they reduce to the single-comb p/x variances.  ``epr`` is the minimized
-    two-mode EPR variance (NaN at theta = 0 where the pair degenerates).
+    ``var_x`` = (|C| + |S|)^2 / 2 and ``var_p`` = (|C| - |S|)^2 / 2
+    = 1 / 2(|C| + |S|)^2 (as |C|^2 - |S|^2 = 1) are the extremal
+    joint-quadrature variances of the (+theta, -theta) pair: at theta = 0 on
+    resonance they reduce to the single-comb p/x variances.  ``epr`` is the
+    minimized two-mode EPR variance, 2 ``var_p`` since |S(-theta)| = |S(theta)|
+    (a two-mode squeezed pair), and NaN at theta = 0 where the pair
+    degenerates.
     """
 
     theta_grid: np.ndarray
@@ -235,9 +238,8 @@ def squeezing_spectrum(gains: Sequence[float], cavity: CavityConfig,
                 f"max gain {gains.max():.6g} is at/above threshold "
                 f"{threshold.gain:.6g}", theta=threshold.branch_theta)
     c, s = _blocks(gains[:, None], thetas, cavity, ceo_half)
-    s_minus = _blocks(gains[:, None], -thetas, cavity, ceo_half)[1]
-    ac, as_ = np.abs(c), np.abs(s)
-    epr = np.where(thetas != 0.0, _epr_variance(c, s, s_minus), np.nan)
+    stretch = (np.abs(c) + np.abs(s)) ** 2
+    var_p = 0.5 / stretch
     return SqueezingSpectrum(theta_grid=thetas, gains=gains,
-                             var_x=0.5 * (ac + as_) ** 2,
-                             var_p=0.5 * (ac - as_) ** 2, epr=epr)
+                             var_x=0.5 * stretch, var_p=var_p,
+                             epr=np.where(thetas != 0.0, 2.0 * var_p, np.nan))

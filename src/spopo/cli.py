@@ -31,19 +31,19 @@ _FLOAT_FMT = "%.12g"
 _CHUNK_ROWS = 4096
 
 
-def _write_csv(path: Path, header: list[str], rows: np.ndarray,
-               metadata: dict) -> Path:
-    """Write '#' metadata lines, the header and one line per row of the 2-d
-    array ``rows``, each value formatted by _FLOAT_FMT as a Python float,
-    _CHUNK_ROWS rows per %."""
+def _write_csv(path: Path, header: list[str], rows, metadata: dict) -> Path:
+    """Write '#' metadata lines, the header and one line per row of ``rows``,
+    a 2-d array or an iterable of 2-d blocks written in turn, each value
+    formatted by _FLOAT_FMT as a Python float, _CHUNK_ROWS rows per %."""
     line = ",".join([_FLOAT_FMT] * len(header)) + "\n"
     with open(path, "w") as out:
         for key, value in metadata.items():
             out.write(f"# {key} = {value}\n")
         out.write(",".join(header) + "\n")
-        for start in range(0, len(rows), _CHUNK_ROWS):
-            chunk = rows[start:start + _CHUNK_ROWS]
-            out.write((line * len(chunk)) % tuple(chunk.ravel().tolist()))
+        for block in [rows] if isinstance(rows, np.ndarray) else rows:
+            for start in range(0, len(block), _CHUNK_ROWS):
+                chunk = block[start:start + _CHUNK_ROWS]
+                out.write((line * len(chunk)) % tuple(chunk.ravel().tolist()))
     return path
 
 
@@ -135,12 +135,16 @@ def run_supermodes(cfg: ScenarioConfig, outdir: Path, seed=None) -> list[Path]:
             outdir / f"mode_{n:03d}.csv", ["omega", "re_psi", "im_psi"],
             np.column_stack([omegas, mode.real, mode.imag]), meta))
     if cfg.run.get("dump_kernel", False):
-        flat = basis.kernel.matrix.ravel()
+        matrix = basis.kernel.matrix
         kmeta = dict(meta, shape=f"{basis.grid.n_points}x{basis.grid.n_points}",
                      order="row-major")
-        # (re, im) rows as a view: no copy for a complex kernel, one for a real one
-        pairs = np.asarray(flat, dtype=complex).view(np.float64).reshape(-1, 2)
-        written.append(_write_csv(outdir / "kernel.csv", ["re", "im"], pairs,
+        # (re, im) lines of a few matrix rows at a time: a real kernel is
+        # copied to complex one block at a time, never whole
+        step = max(1, _CHUNK_ROWS // matrix.shape[1])
+        blocks = (np.asarray(matrix[i:i + step], dtype=complex)
+                  .view(np.float64).reshape(-1, 2)
+                  for i in range(0, len(matrix), step))
+        written.append(_write_csv(outdir / "kernel.csv", ["re", "im"], blocks,
                                   kmeta))
     return written
 

@@ -98,5 +98,8 @@ def output_covariance(transform: ModePairTransform) -> tuple[float, float, float
 def minimum_quadrature_variance(transform: ModePairTransform) -> float:
     """Smallest output quadrature variance over all homodyne angles for a
     vacuum input: (|c| - |s|)^2 / 2; the conjugate maximum is (|c| + |s|)^2 / 2.
+
+    Written as 1 / 2(|c| + |s|)^2, which holds for a symplectic block
+    (|c|^2 - |s|^2 = 1) and keeps its digits where |c| - |s| would cancel.
     """
-    return VACUUM_VARIANCE * (abs(transform.c) - abs(transform.s)) ** 2
+    return VACUUM_VARIANCE / (abs(transform.c) + abs(transform.s)) ** 2

@@ -5,6 +5,7 @@ from spopo import (AtThresholdError, CavityConfig, NoFiniteThresholdError,
                    ValidationError, check_symplectic, comb_io, epr_pair_check,
                    output_covariance, pair_covariance, resonant_r,
                    squeezing_spectrum, threshold_gain)
+from spopo import cavity as cavity_module
 
 from conftest import below_threshold_draws
 
@@ -17,6 +18,49 @@ def raw_block(gain, theta, r, phase):
                         [np.exp(-1j * phase) * sh, np.exp(-1j * phase) * ch]])
     a = np.exp(1j * theta) * t_block
     return (a - r * np.eye(2)) @ np.linalg.inv(np.eye(2) - r * a)
+
+
+def random_detuned_cavity(rng, branch):
+    """Cavity with random r and round-trip phase delta_rt + ceo_half within
+    1.2 rad of ``branch`` (0 or pi); returns (cavity, ceo_half)."""
+    delta_rt = branch + rng.uniform(-0.7, 0.7)
+    return (CavityConfig(r=rng.uniform(0.3, 0.97), delta_rt=delta_rt),
+            rng.uniform(-0.5, 0.5))
+
+
+def extended_pair(gain, theta, cavity, ceo_half):
+    """|C(theta)|, |S(theta)|, |S(-theta)| of the closed form of ``_blocks``
+    in np.clongdouble, broadcast over gain and theta.
+
+    The float64 phase arguments theta +- phi are formed exactly as ``_blocks``
+    forms them: their rounding is an input error, not the solve's.
+    """
+    ld = np.longdouble
+    g, r = np.asarray(gain, dtype=ld), ld(cavity.r)
+    sh, h = np.sinh(g), 2 * np.sinh(g / 2) ** 2
+    i = np.clongdouble(1j)
+
+    def block(th):
+        up = np.exp(i * (th + cavity.delta_rt + ceo_half).astype(ld))
+        dn = np.exp(i * (th - cavity.delta_rt - ceo_half).astype(ld))
+        det = (1 - r * up) * (1 - r * dn) - r * h * (up + dn)
+        c = ((up - r) * (1 - r * dn) + h * (up + r**2 * dn)) / det
+        return np.abs(c), np.abs((1 - r**2) * up * sh / det)
+
+    theta = np.asarray(theta, dtype=float)
+    c_plus, s_plus = block(theta)
+    return c_plus, s_plus, block(-theta)[1]
+
+
+def assert_relative_below(value, reference, bound):
+    error = np.abs(np.asarray(value, dtype=np.longdouble) / reference - 1)
+    np.testing.assert_array_less(error.astype(float),
+                                 np.broadcast_to(bound, error.shape))
+
+
+needs_longdouble = pytest.mark.skipif(
+    np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+    reason="np.longdouble is no wider than float64 on this platform")
 
 
 class TestCavityConfig:
@@ -204,6 +248,29 @@ class TestPairEntanglement:
             assert np.linalg.eigvalsh(cov)[0] == pytest.approx(expected,
                                                                rel=1e-10)
 
+    @pytest.mark.parametrize("branch", [0.0, np.pi])
+    def test_pair_covariance_detuned(self, branch):
+        # K = C(theta) e^{2i phi} conj S(theta) against the 2x2 inverse at
+        # both shifts, with a round-trip phase phi away from 0 and pi
+        rng = np.random.default_rng(31 if branch else 30)
+        for _ in range(20):
+            cavity, ceo = random_detuned_cavity(rng, branch)
+            phase = cavity.delta_rt + ceo
+            g = rng.uniform(0.1, 0.95) * threshold_gain(cavity, ceo).gain
+            theta = branch + rng.uniform(-1.0, 1.0)
+            cov = pair_covariance(g, theta, cavity, ceo)
+            plus = raw_block(g, theta, cavity.r, phase)
+            minus = raw_block(g, -theta, cavity.r, phase)
+            k = plus[0, 0] * minus[0, 1]
+            assert complex(cov[0, 2], cov[0, 3]) == pytest.approx(k, rel=1e-10)
+            assert cov[1, 2] == cov[0, 3] and cov[1, 3] == -cov[0, 2]
+            assert cov[0, 0] == pytest.approx(0.5 + abs(plus[0, 1]) ** 2,
+                                              rel=1e-10)
+            # minimized EPR sum = 2 (v_thermal - |K|) of the same matrix
+            expected = 2 * (cov[0, 0] - np.hypot(cov[0, 2], cov[0, 3]))
+            assert epr_pair_check(g, theta, cavity, ceo) \
+                == pytest.approx(expected, rel=1e-9)
+
     def test_epr_matches_pair_covariance(self):
         cavity = CavityConfig(r=0.85)
         g, theta = 0.05, 0.3
@@ -274,3 +341,64 @@ class TestSqueezingSpectrum:
                 else:
                     epr = 1 + 2 * as_**2 - 2 * abs(plus[0, 0] * minus[0, 1])
                     assert spec.epr[i, j] == pytest.approx(epr, rel=1e-12, abs=0)
+
+
+class TestNearThreshold:
+    """float64 spectra against an extended-precision evaluation of the same
+    closed form up to 0.99999 of threshold, where |C| and |S| agree to about
+    ten digits and their difference would lose them."""
+
+    RATIOS = np.array([0.99, 0.999, 0.9999, 0.99999])
+    OFFSETS = np.array([0.0, 1e-4, -1e-4, 1e-3, -1e-3, 0.3])
+
+    def draws(self, branch):
+        rng = np.random.default_rng(41 if branch else 40)
+        for _ in range(12):
+            cavity, ceo = random_detuned_cavity(rng, branch)
+            gains = self.RATIOS * threshold_gain(cavity, ceo).gain
+            yield cavity, ceo, gains, branch + self.OFFSETS
+
+    def bound(self):
+        # rounding of the O(1) terms of D, amplified by 1/|D| ~ 1/(1 - g/g_th)
+        return 16 * np.finfo(float).eps / (1 - self.RATIOS[:, None])
+
+    @needs_longdouble
+    @pytest.mark.parametrize("branch", [0.0, np.pi])
+    def test_squeezing_spectrum_matches_extended(self, branch):
+        for cavity, ceo, gains, thetas in self.draws(branch):
+            spec = squeezing_spectrum(gains, cavity, ceo, thetas)
+            ac, as_, as_minus = extended_pair(gains[:, None], thetas, cavity, ceo)
+            var_x = (ac + as_) ** 2 / 2
+            var_p = 1 / (2 * (ac + as_) ** 2)
+            # |C|^2 - |S|^2 = 1 turns the EPR sum 1 + 2|S|^2 - 2|C S(-theta)|
+            # into 1 / (|C| + |S(-theta)|)^2
+            epr = 1 / (ac + as_minus) ** 2
+            assert_relative_below(spec.var_x, var_x, self.bound())
+            assert_relative_below(spec.var_p, var_p, self.bound())
+            shifted = thetas != 0.0
+            assert np.all(np.isnan(spec.epr[:, ~shifted]))
+            assert_relative_below(spec.epr[:, shifted], epr[:, shifted],
+                                  self.bound())
+
+    @needs_longdouble
+    @pytest.mark.parametrize("branch", [0.0, np.pi])
+    def test_epr_pair_check_matches_extended(self, branch):
+        for cavity, ceo, gains, thetas in self.draws(branch):
+            ac, _, as_minus = extended_pair(gains[:, None], thetas, cavity, ceo)
+            epr = 1 / (ac + as_minus) ** 2
+            values = np.array([[epr_pair_check(g, th, cavity, ceo)
+                                for th in thetas] for g in gains])
+            assert_relative_below(values, epr, self.bound())
+
+    def test_one_block_evaluation(self, monkeypatch, default_cavity):
+        calls, blocks = [], cavity_module._blocks
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return blocks(*args, **kwargs)
+
+        monkeypatch.setattr(cavity_module, "_blocks", counted)
+        gth = threshold_gain(default_cavity, 0.0).gain
+        squeezing_spectrum([0.5 * gth, 0.9 * gth], default_cavity, 0.0,
+                           np.linspace(-1.0, 1.0, 11))
+        assert len(calls) == 1
