@@ -19,7 +19,8 @@ import numpy as np
 from . import __version__
 from .cavity import resonant_r, squeezing_spectrum, threshold_gain
 from .config import REFERENCE_ENERGY, ScenarioConfig, load_scenario
-from .errors import AtThresholdError, SpopoError, ValidationError
+from .errors import (AtThresholdError, ConfigError, SpopoError,
+                     ValidationError)
 from .kernel import build_kernel
 from .metrology import improvement_curve, optimal_probe
 from .pulses import covariance, duan_sum, min_variance_curve
@@ -27,23 +28,40 @@ from .supermodes import (DEFAULT_GAIN_CUTOFF, kept_count, schmidt_decompose,
                          takagi_values)
 
 _FLOAT_FMT = "%.12g"
-#: rows of a 2-d array formatted by one % operation
+#: rows of a block formatted by one % operation
 _CHUNK_ROWS = 4096
 
 
-def _write_csv(path: Path, header: list[str], rows, metadata: dict) -> Path:
-    """Write '#' metadata lines, the header and one line per row of ``rows``,
-    a 2-d array or an iterable of 2-d blocks written in turn, each value
-    formatted by _FLOAT_FMT as a Python float, _CHUNK_ROWS rows per %."""
-    line = ",".join([_FLOAT_FMT] * len(header)) + "\n"
+def _write_csv(path: Path, header: list[str], blocks, metadata: dict) -> Path:
+    """Write '#' metadata lines, the header and the rows of ``blocks`` in turn.
+
+    A block is a list of columns, one per header entry and at least one of
+    them an array: a 1-d array, or a number that holds for the whole block
+    and is formatted once, by _FLOAT_FMT, into that block's line.  Float
+    arrays print by _FLOAT_FMT, _CHUNK_ROWS rows per %; integer arrays print
+    by %d, which is the same text as _FLOAT_FMT for |n| < 10**12.  Every
+    integer column here is an index or a length of an allocated array, so
+    it stays below that: 10**12 int64 values take 8 TB.
+    """
     with open(path, "w") as out:
         for key, value in metadata.items():
             out.write(f"# {key} = {value}\n")
         out.write(",".join(header) + "\n")
-        for block in [rows] if isinstance(rows, np.ndarray) else rows:
-            for start in range(0, len(block), _CHUNK_ROWS):
-                chunk = block[start:start + _CHUNK_ROWS]
-                out.write((line * len(chunk)) % tuple(chunk.ravel().tolist()))
+        for block in blocks:
+            arrays = [column for column in block
+                      if isinstance(column, np.ndarray)]
+            line = ",".join(
+                ("%d" if column.dtype.kind in "iu" else _FLOAT_FMT)
+                if isinstance(column, np.ndarray) else _FLOAT_FMT % column
+                for column in block) + "\n"
+            n_rows = len(arrays[0])
+            for start in range(0, n_rows, _CHUNK_ROWS):
+                stop = min(start + _CHUNK_ROWS, n_rows)
+                # row-major values: column j fills every len(arrays)-th slot
+                values = [None] * (len(arrays) * (stop - start))
+                for j, column in enumerate(arrays):
+                    values[j::len(arrays)] = column[start:stop].tolist()
+                out.write((line * (stop - start)) % tuple(values))
     return path
 
 
@@ -124,26 +142,24 @@ def run_supermodes(cfg: ScenarioConfig, outdir: Path, seed=None) -> list[Path]:
     meta.update(threshold_gain=_FLOAT_FMT % gth,
                 effective_pulse_energy=_FLOAT_FMT % energy,
                 n_kept=n_kept)
-    written = [_write_csv(
-        outdir / "gains.csv", ["index", "gain"],
-        np.column_stack([np.arange(gains.size, dtype=float), gains]), meta)]
+    written = [_write_csv(outdir / "gains.csv", ["index", "gain"],
+                          [[np.arange(gains.size), gains]], meta)]
     n_dump = min(n_kept, n_modes_dump)
     omegas = basis.grid.omegas
     for n in range(n_dump):
         mode = basis.modes_freq[:, n]
         written.append(_write_csv(
             outdir / f"mode_{n:03d}.csv", ["omega", "re_psi", "im_psi"],
-            np.column_stack([omegas, mode.real, mode.imag]), meta))
+            [[omegas, mode.real, mode.imag]], meta))
     if cfg.run.get("dump_kernel", False):
         matrix = basis.kernel.matrix
         kmeta = dict(meta, shape=f"{basis.grid.n_points}x{basis.grid.n_points}",
                      order="row-major")
-        # (re, im) lines of a few matrix rows at a time: a real kernel is
-        # copied to complex one block at a time, never whole
+        # (re, im) lines of a few matrix rows at a time, so no column or
+        # value list of the whole kernel is built
         step = max(1, _CHUNK_ROWS // matrix.shape[1])
-        blocks = (np.asarray(matrix[i:i + step], dtype=complex)
-                  .view(np.float64).reshape(-1, 2)
-                  for i in range(0, len(matrix), step))
+        blocks = ([rows.real.ravel(), rows.imag.ravel()]
+                  for rows in np.split(matrix, range(step, len(matrix), step)))
         written.append(_write_csv(outdir / "kernel.csv", ["re", "im"], blocks,
                                   kmeta))
     return written
@@ -156,16 +172,13 @@ def run_squeezing(cfg: ScenarioConfig, outdir: Path, seed=None) -> list[Path]:
     thetas = np.linspace(-theta_max, theta_max, theta_points)
     spectrum = squeezing_spectrum(gains[:n_kept], cfg.cavity,
                                   cfg.pump.ceo_half, thetas)
-    n_modes = spectrum.gains.size
-    rows = np.column_stack([
-        np.tile(thetas, n_modes), np.repeat(np.arange(n_modes, dtype=float),
-                                            thetas.size),
-        spectrum.var_x.ravel(), spectrum.var_p.ravel(), spectrum.epr.ravel()])
+    blocks = [[thetas, mode, spectrum.var_x[mode], spectrum.var_p[mode],
+               spectrum.epr[mode]] for mode in range(spectrum.gains.size)]
     meta = _metadata(cfg, seed)
     meta.update(threshold_gain=_FLOAT_FMT % gth)
     return [_write_csv(outdir / "squeezing.csv",
                        ["theta", "mode", "var_x", "var_p", "epr_variance"],
-                       rows, meta)]
+                       blocks, meta)]
 
 
 def run_pulses(cfg: ScenarioConfig, outdir: Path, seed=None) -> list[Path]:
@@ -182,25 +195,25 @@ def run_pulses(cfg: ScenarioConfig, outdir: Path, seed=None) -> list[Path]:
     meta.update(threshold_gain=_FLOAT_FMT % gth)
     ns = np.arange(1, n_max + 1)
     sigma2, theta = min_variance_curve(g0, r, ns)
-    rows = np.column_stack([ns.astype(float), np.full(n_max, g0),
-                            np.full(n_max, cfg.cavity.r), sigma2, sigma2 / 0.5,
-                            theta])
     written = [_write_csv(outdir / "sigma2.csv",
                           ["N", "g", "r", "sigma2_abs", "sigma2_normalized",
-                           "theta_sol"], rows, meta)]
+                           "theta_sol"],
+                          [[ns, g0, cfg.cavity.r, sigma2, sigma2 / 0.5, theta]],
+                          meta)]
     n_duan = min(n_max, 12)
     if n_duan >= 2:
         cov = covariance(g0, r, n_duan)
-        seps = range(1, n_duan)
-        duan_rows = np.column_stack([np.array(seps, dtype=float),
-                                     [duan_sum(cov, 0, d) for d in seps]])
+        seps = np.arange(1, n_duan)
+        sums = np.array([duan_sum(cov, 0, d) for d in seps])
         written.append(_write_csv(outdir / "duan.csv",
-                                  ["separation", "duan_sum"], duan_rows, meta))
+                                  ["separation", "duan_sum"], [[seps, sums]],
+                                  meta))
     if cfg.run.get("dump_matrices", False):
         cov = covariance(g0, r, min(n_max, 64))
         for name, mat in (("v_plus", cov.v_plus), ("v_minus", cov.v_minus)):
             header = [f"c{j}" for j in range(cov.n_pulses)]
-            written.append(_write_csv(outdir / f"{name}.csv", header, mat, meta))
+            written.append(_write_csv(outdir / f"{name}.csv", header,
+                                      [list(mat.T)], meta))
     return written
 
 
@@ -222,15 +235,13 @@ def run_metrology(cfg: ScenarioConfig, outdir: Path, seed=None) -> list[Path]:
                           cfg.run.get("n_bar0", 1e6), gain0=float(gains[0]))
     meta = _metadata(cfg, seed)
     meta.update(threshold_gain=_FLOAT_FMT % gth)
-    n_values = curve.n_values.size
-    rows = np.column_stack([
-        np.repeat(curve.ratios, n_values),
-        np.tile(curve.n_values.astype(float), curve.ratios.size),
-        curve.sigma2.ravel(), curve.improvement.ravel(),
-        np.repeat(curve.asymptote, n_values)])
+    blocks = [[ratio, curve.n_values, sigma2, improvement, asymptote]
+              for ratio, sigma2, improvement, asymptote in zip(
+                  curve.ratios, curve.sigma2, curve.improvement,
+                  curve.asymptote)]
     written = [_write_csv(outdir / "metrology.csv",
                           ["ratio", "N", "sigma2", "improvement", "asymptote"],
-                          rows, meta)]
+                          blocks, meta)]
     summary = {
         "spopo_version": __version__,
         "config_hash": cfg.config_hash,
@@ -250,8 +261,7 @@ def run_metrology(cfg: ScenarioConfig, outdir: Path, seed=None) -> list[Path]:
                  spectral_spread_sq=_FLOAT_FMT % probe.spectral_spread_sq)
     written.append(_write_csv(
         outdir / "probe.csv", ["t", "re", "im"],
-        np.column_stack([times, probe.envelope.real, probe.envelope.imag]),
-        pmeta))
+        [[times, probe.envelope.real, probe.envelope.imag]], pmeta))
     return written
 
 
@@ -290,7 +300,12 @@ def main(argv=None) -> int:
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
         written = _RUNNERS[args.command](cfg, outdir, args.seed)
-    except SpopoError as exc:
+    except (SpopoError, MemoryError) as exc:
+        if isinstance(exc, MemoryError):
+            # a size that cannot be allocated is a config value out of
+            # range; numpy's message names the size
+            exc = ConfigError("the config asks for more memory than can be "
+                              f"allocated: {exc}")
         error = {"error": exc.code, "message": str(exc)}
         if isinstance(exc, AtThresholdError) and exc.theta is not None:
             error["theta"] = exc.theta

@@ -32,10 +32,6 @@ class ModePairTransform:
     c: complex
     s: complex
 
-    def as_matrix(self) -> np.ndarray:
-        return np.array([[self.c, self.s],
-                         [np.conj(self.s), np.conj(self.c)]])
-
     def symplectic_defect(self) -> float:
         """|c|^2 - |s|^2 - 1; zero for an exact Bogoliubov block."""
         return abs(self.c) ** 2 - abs(self.s) ** 2 - 1.0

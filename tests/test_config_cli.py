@@ -19,6 +19,12 @@ from conftest import (OMEGA0, PUMP_DISPERSION, SIGNAL_DISPERSION, T0, TAU_P)
 
 DEFAULT_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "default.json"
 
+#: Linux refuses a request larger than RAM and swap, unless its overcommit
+#: mode is 1 ("always"); elsewhere such a request may be granted lazily
+_OVERCOMMIT = Path("/proc/sys/vm/overcommit_memory")
+REFUSES_HUGE_ALLOCATIONS = (_OVERCOMMIT.exists()
+                            and _OVERCOMMIT.read_text().strip() != "1")
+
 
 def scenario_dict(**overrides):
     raw = {
@@ -352,7 +358,8 @@ class TestCliRuns:
         rows[4096] = [np.nan, -0.0, 1e300]
         header = ["a", "b", "c"]
         meta = {"seed": 1}
-        fast = _write_csv(tmp_path / "array.csv", header, rows, meta)
+        fast = _write_csv(tmp_path / "array.csv", header, [list(rows.T)],
+                          meta)
         # reference: one % per row of numpy floats, as a row loop writes it
         reference = "# seed = 1\na,b,c\n" + "".join(
             "%.12g,%.12g,%.12g\n" % tuple(row) for row in rows)
@@ -360,6 +367,76 @@ class TestCliRuns:
         body = fast.read_text().splitlines()
         assert body[2:4] == ["nan,inf,-inf", "-0,0,1e-300"]
         assert len(body) == 2 + 5000
+
+    def test_write_csv_blocks_match_row_path(self, tmp_path):
+        # number columns, integer arrays up to 10**12 - 1, a one-row block
+        # and a block across the _CHUNK_ROWS boundary, in one file
+        rng = np.random.default_rng(13)
+        long = rng.standard_normal(5000)
+        blocks = [
+            [np.array([0, -7, 999_999_999_999]), np.nan,
+             np.array([1.5, -0.0, 5e-324]), -0.0],
+            [np.array([3]), np.inf, np.array([2.0]), 5e-324],
+            [np.arange(5000), -np.inf, long, 0.1],
+        ]
+        path = _write_csv(tmp_path / "blocks.csv", ["i", "a", "x", "b"],
+                          blocks, {})
+        reference = "i,a,x,b\n"
+        for block in blocks:
+            columns = np.broadcast_arrays(*map(np.asarray, block))
+            reference += "".join("%.12g,%.12g,%.12g,%.12g\n" % tuple(
+                map(float, row)) for row in zip(*columns))
+        assert path.read_text() == reference
+        lines = reference.splitlines()
+        assert lines[1:5] == ["0,nan,1.5,-0", "-7,nan,-0,-0",
+                              "999999999999,nan,4.94065645841e-324,-0",
+                              "3,inf,2,4.94065645841e-324"]
+        assert len(lines) == 1 + 3 + 1 + 5000
+
+    def test_csv_fields_print_as_float_format(self, tmp_path):
+        # every field of every CSV the four subcommands write, integer
+        # columns too, is the %.12g text of its value
+        raw = scenario_dict(**{"run.dump_kernel": True,
+                               "run.dump_matrices": True,
+                               "run.n_modes_dump": 2})
+        del raw["pump"]["pump_ratio"]
+        raw["pump"]["energy"] = 2e-10
+        path = write_config(tmp_path, raw)
+        out = tmp_path / "out"
+        for command in ("supermodes", "squeezing", "pulses", "metrology"):
+            assert main([command, "--config", str(path), "--out", str(out)]) == 0
+        names = sorted(p.name for p in out.glob("*.csv"))
+        assert names == ["duan.csv", "gains.csv", "kernel.csv", "metrology.csv",
+                         "mode_000.csv", "mode_001.csv", "probe.csv",
+                         "sigma2.csv", "squeezing.csv", "v_minus.csv",
+                         "v_plus.csv"]
+        for name in names:
+            body = [ln for ln in (out / name).read_text().splitlines()
+                    if not ln.startswith("#")][1:]
+            assert body, name
+            for line in body:
+                for field in line.split(","):
+                    assert field == "%.12g" % float(field), (name, line)
+
+    @pytest.mark.skipif(not REFUSES_HUGE_ALLOCATIONS,
+                        reason="the kernel may grant any allocation, whose "
+                               "pages would then be written")
+    @pytest.mark.parametrize("command, field, value", [
+        ("pulses", "run.N_max", 10**12),
+        ("squeezing", "run.theta_points", 10**12),
+        ("squeezing", "grid.n_points", 1_000_001),
+    ], ids=["N_max", "theta_points", "n_points"])
+    def test_unallocatable_size_is_config_error(self, tmp_path, capsys,
+                                                command, field, value):
+        # each asks numpy for one 7.28 TiB array, which a kernel that does
+        # not overcommit refuses at once, before any page is touched
+        path = write_config(tmp_path, scenario_dict(**{field: value}))
+        code = main([command, "--config", str(path), "--out",
+                     str(tmp_path / "o")])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config-error"
+        assert "7.28 TiB" in err["message"]
 
     def test_zero_n_bar0_is_config_error(self, tmp_path, capsys):
         path = write_config(tmp_path, scenario_dict(**{"run.n_bar0": 0}))
