@@ -4,6 +4,9 @@ Subcommands: supermodes | squeezing | pulses | metrology.  All outputs are CSV
 with a one-line header preceded by '#' metadata lines (tool version, config
 hash, seed); errors are emitted as a JSON object on stderr with a stable code
 and mapped to exit codes 2 (config), 3 (physics domain), 4 (numerical).
+
+A subcommand imports only the layers it runs: the supermode layer inside
+``_decompose``, pulses and metrology inside their runners.
 """
 
 from __future__ import annotations
@@ -22,10 +25,6 @@ from .config import REFERENCE_ENERGY, ScenarioConfig, load_scenario
 from .errors import (AtThresholdError, ConfigError, SpopoError,
                      ValidationError)
 from .kernel import build_kernel
-from .metrology import improvement_curve, optimal_probe
-from .pulses import covariance, duan_sum, min_variance_curve
-from .supermodes import (DEFAULT_GAIN_CUTOFF, kept_count, schmidt_decompose,
-                         takagi_values)
 
 _FLOAT_FMT = "%.12g"
 #: rows of a block formatted by one % operation
@@ -70,10 +69,6 @@ def _metadata(cfg: ScenarioConfig, seed) -> dict:
             "seed": "none" if seed is None else seed}
 
 
-def _gain_cutoff(cfg: ScenarioConfig) -> float:
-    return cfg.run.get("gain_cutoff", DEFAULT_GAIN_CUTOFF)
-
-
 def _n_max(cfg: ScenarioConfig) -> int:
     return int(cfg.run.get("N_max", 100))
 
@@ -116,8 +111,11 @@ def _decompose(cfg: ScenarioConfig, n_modes: int, every_gain: bool = True):
     Lanczos gains stray from those values by more than 1e-12 g0, the full
     decomposition replaces it.  Without it they are the basis's own.
     """
+    from .supermodes import (DEFAULT_GAIN_CUTOFF, kept_count,
+                             schmidt_decompose, takagi_values)
+
     kernel = build_kernel(cfg.grid, cfg.pump, cfg.crystal)
-    cutoff = _gain_cutoff(cfg)
+    cutoff = cfg.run.get("gain_cutoff", DEFAULT_GAIN_CUTOFF)
     decompose = partial(schmidt_decompose, kernel, cutoff,
                         rep_period=cfg.pump.rep_period)
     if not every_gain:
@@ -182,6 +180,8 @@ def run_squeezing(cfg: ScenarioConfig, outdir: Path, seed=None) -> list[Path]:
 
 
 def run_pulses(cfg: ScenarioConfig, outdir: Path, seed=None) -> list[Path]:
+    from .pulses import covariance, duan_sum, min_variance_curve
+
     if cfg.pump_ratio is not None:
         gth = threshold_gain(cfg.cavity, cfg.pump.ceo_half).gain
         g0 = cfg.pump_ratio * gth
@@ -218,6 +218,8 @@ def run_pulses(cfg: ScenarioConfig, outdir: Path, seed=None) -> list[Path]:
 
 
 def run_metrology(cfg: ScenarioConfig, outdir: Path, seed=None) -> list[Path]:
+    from .metrology import improvement_curve, optimal_probe
+
     # the bound reads g0 and psi0 alone
     _, basis, gains, gth, _ = _decompose(cfg, 1, every_gain=False)
     r = resonant_r(cfg.cavity, cfg.pump.ceo_half)
@@ -298,7 +300,11 @@ def main(argv=None) -> int:
     try:
         cfg = load_scenario(args.config)
         outdir = Path(args.out)
-        outdir.mkdir(parents=True, exist_ok=True)
+        try:
+            outdir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(
+                f"--out is not a usable directory: {exc}") from exc
         written = _RUNNERS[args.command](cfg, outdir, args.seed)
     except (SpopoError, MemoryError) as exc:
         if isinstance(exc, MemoryError):
@@ -316,5 +322,20 @@ def main(argv=None) -> int:
     return 0
 
 
+def console_main() -> int:
+    """Entry of the ``spopo`` script and of ``python -m spopo.cli``.
+
+    Runs ``main`` and then freezes every live object, so that the ending
+    process skips the garbage collector's final walk over them.  ``main``
+    leaves the collector alone: tests and the benchmark call it many times
+    in one process.
+    """
+    import gc   # only the process entry needs it
+
+    status = main()
+    gc.freeze()
+    return status
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(console_main())

@@ -119,12 +119,17 @@ class ScenarioConfig:
 
 
 def load_scenario(path: str | Path) -> ScenarioConfig:
+    # json.loads detects UTF-8, -16 or -32 in bytes (RFC 8259), so the
+    # locale plays no part
     try:
-        raw = json.loads(Path(path).read_text())
+        raw = json.loads(Path(path).read_bytes())
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(
+            f"config is not UTF-8, UTF-16 or UTF-32 text: {exc}") from exc
     return parse_scenario(raw)
 
 

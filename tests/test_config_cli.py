@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import subprocess
@@ -9,6 +10,8 @@ import numpy as np
 import pytest
 
 import spopo.cli
+import spopo.metrology
+import spopo.supermodes
 from spopo import (CavityConfig, ConfigError, build_kernel, covariance,
                    duan_sum, optimal_probe, schmidt_decompose, threshold_gain)
 from spopo.supermodes import takagi_values
@@ -129,6 +132,33 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="not valid JSON"):
             load_scenario(path)
 
+    def test_config_encoding_is_detected(self, tmp_path, capsys):
+        # json.loads reads UTF-8, -16 or -32 bytes whatever the locale; a
+        # UTF-16 byte-order mark with half a code unit after it is none
+        path = write_config(tmp_path, scenario_dict())
+        utf16 = tmp_path / "utf16.json"
+        utf16.write_bytes(path.read_text().encode("utf-16"))
+        assert load_scenario(utf16).raw == load_scenario(path).raw
+        path.write_bytes(b"\xff\xfe{")
+        out = tmp_path / "out"
+        assert main(["pulses", "--config", str(path), "--out", str(out)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config-error"
+        assert "UTF-16" in err["message"]
+        assert not out.exists()
+
+    def test_undecodable_config_as_process(self, tmp_path):
+        path = tmp_path / "scenario.json"
+        path.write_bytes(b"\xff\xfe{")
+        proc = subprocess.run(
+            [sys.executable, "-m", "spopo.cli", "pulses", "--config",
+             str(path), "--out", str(tmp_path / "out")],
+            env=src_env(), capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 2
+        assert json.loads(proc.stderr)["error"] == "config-error"
+        assert proc.stdout == ""
+        assert not (tmp_path / "out").exists()
+
 
 class TestCliRuns:
     def test_missing_field_exit_code(self, tmp_path, capsys):
@@ -241,7 +271,7 @@ class TestCliRuns:
             seen.append(kwargs["gain0"])
             return optimal_probe(*args, **kwargs)
 
-        monkeypatch.setattr(spopo.cli, "optimal_probe", spy)
+        monkeypatch.setattr(spopo.metrology, "optimal_probe", spy)
         for command in ("pulses", "metrology"):
             assert main([command, "--config", str(path), "--out",
                          str(tmp_path / command)]) == 0
@@ -274,8 +304,8 @@ class TestCliRuns:
         # Lanczos gains that stray from eigvalsh's send the dump to a full
         # decomposition
         requested = []
-        decompose = spopo.cli.schmidt_decompose
-        values = spopo.cli.takagi_values
+        decompose = spopo.supermodes.schmidt_decompose
+        values = spopo.supermodes.takagi_values
 
         def spy(*args, n_modes=None, **kwargs):
             requested.append(n_modes)
@@ -287,11 +317,11 @@ class TestCliRuns:
             return gains
 
         path = write_config(tmp_path, scenario_dict(**{"run.n_modes_dump": 2}))
-        monkeypatch.setattr(spopo.cli, "schmidt_decompose", spy)
+        monkeypatch.setattr(spopo.supermodes, "schmidt_decompose", spy)
         assert main(["supermodes", "--config", str(path), "--out",
                      str(tmp_path / "a")]) == 0
         assert requested == [2]
-        monkeypatch.setattr(spopo.cli, "takagi_values", shifted)
+        monkeypatch.setattr(spopo.supermodes, "takagi_values", shifted)
         assert main(["supermodes", "--config", str(path), "--out",
                      str(tmp_path / "b")]) == 0
         assert requested == [2, 2, None]
@@ -437,6 +467,22 @@ class TestCliRuns:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "config-error"
         assert "7.28 TiB" in err["message"]
+
+    def test_out_naming_a_file_is_config_error(self, tmp_path, capsys,
+                                               monkeypatch):
+        path = write_config(tmp_path, scenario_dict())
+        out = tmp_path / "taken"
+        out.write_text("kept")
+
+        def no_work(*args):
+            raise AssertionError("runner called")
+
+        monkeypatch.setitem(spopo.cli._RUNNERS, "pulses", no_work)
+        assert main(["pulses", "--config", str(path), "--out", str(out)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config-error"
+        assert "--out" in err["message"]
+        assert out.read_text() == "kept"
 
     def test_zero_n_bar0_is_config_error(self, tmp_path, capsys):
         path = write_config(tmp_path, scenario_dict(**{"run.n_bar0": 0}))
@@ -679,3 +725,88 @@ class TestCliRuns:
                      "--seed", "7"]) == 0
         header = (out / "sigma2.csv").read_text().splitlines()[:3]
         assert any("seed = 7" in line for line in header)
+
+
+def loaded_modules(code):
+    """numpy and spopo modules in sys.modules after ``code`` runs in a fresh
+    interpreter (``sys`` is imported)."""
+    proc = subprocess.run(
+        [sys.executable, "-c", "import json, sys; " + code + "; print(json."
+         "dumps([m for m in sys.modules if m == 'numpy' or m == 'spopo' "
+         "or m.startswith('spopo.')]))"],
+        env=src_env(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+#: the layers a subcommand may skip
+DEFERRED = {"spopo.supermodes", "spopo.pulses", "spopo.metrology"}
+
+
+class TestStartup:
+    """What a CLI process pays around its work: imports and finalization."""
+
+    def test_import_spopo_loads_no_submodule(self):
+        assert loaded_modules("import spopo") == {"spopo"}
+
+    def test_import_cli_skips_deferred_layers(self):
+        assert not loaded_modules("import spopo.cli") & DEFERRED
+
+    @pytest.mark.parametrize("command, layers", [
+        ("supermodes", {"spopo.supermodes"}),
+        ("squeezing", {"spopo.supermodes"}),
+        ("pulses", {"spopo.pulses"}),
+        ("metrology", DEFERRED)])
+    def test_subcommand_imports_only_its_layers(self, tmp_path, command,
+                                                layers):
+        # a pump_ratio config: pulses needs no kernel decomposition
+        path = write_config(tmp_path, scenario_dict())
+        argv = [command, "--config", str(path), "--out", str(tmp_path / "o")]
+        loaded = loaded_modules(
+            f"import spopo.cli; assert spopo.cli.main({argv!r}) == 0")
+        assert loaded & DEFERRED == layers
+
+    def test_exports_resolve_to_defining_module(self):
+        assert set(spopo.__all__) <= set(dir(spopo))
+        for name in spopo.__all__:
+            value = getattr(spopo, name)
+            assert value.__module__.startswith("spopo.")
+            assert getattr(sys.modules[value.__module__], name) is value
+        with pytest.raises(AttributeError, match="no_such_name"):
+            spopo.no_such_name
+
+    def test_main_leaves_collector_unfrozen(self, tmp_path):
+        path = write_config(tmp_path, scenario_dict())
+        assert main(["pulses", "--config", str(path), "--out",
+                     str(tmp_path / "o")]) == 0
+        assert gc.get_freeze_count() == 0
+
+    def test_console_main_freezes_on_the_way_out(self, tmp_path):
+        path = write_config(tmp_path, scenario_dict())
+        argv = ["spopo", "pulses", "--config", str(path), "--out",
+                str(tmp_path / "o")]
+        proc = subprocess.run(
+            [sys.executable, "-c", "import gc, sys, spopo.cli; "
+             f"sys.argv = {argv!r}; code = spopo.cli.console_main(); "
+             "print(code, gc.get_freeze_count() > 0)"],
+            env=src_env(), capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "0 True"
+
+    @pytest.mark.parametrize("command, pump, code", [
+        ("pulses", {"pump_ratio": 0.8}, 0),
+        ("supermodes", {"energy": 1e-6}, 3)], ids=["written", "at-threshold"])
+    def test_module_path_matches_in_process(self, tmp_path, capsys, command,
+                                            pump, code):
+        raw = scenario_dict()
+        del raw["pump"]["pump_ratio"]
+        raw["pump"].update(pump)
+        argv = [command, "--config", str(write_config(tmp_path, raw)),
+                "--out", str(tmp_path / "o")]
+        assert main(argv) == code
+        captured = capsys.readouterr()
+        proc = subprocess.run([sys.executable, "-m", "spopo.cli", *argv],
+                              env=src_env(), capture_output=True, text=True,
+                              timeout=120)
+        assert (proc.stdout, proc.stderr, proc.returncode) \
+            == (captured.out, captured.err, code)
