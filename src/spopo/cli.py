@@ -1,18 +1,27 @@
 """Command line runner: spopo <subcommand> --config <path> --out <dir> [--seed N].
 
-Subcommands: supermodes | squeezing | pulses | metrology.  All outputs are CSV
-with a one-line header preceded by '#' metadata lines (tool version, config
-hash, seed); errors are emitted as a JSON object on stderr with a stable code
-and mapped to exit codes 2 (config), 3 (physics domain), 4 (numerical).
+Subcommands: supermodes | squeezing | pulses | metrology.  Each output is a
+CSV file with a one-line header preceded by '#' metadata lines (tool version,
+config hash, seed), apart from metrology's ``summary.json``; stdout lists the
+outputs a run wrote.  Errors are emitted as a JSON object on stderr with a
+stable code and mapped to exit codes 2 (config), 3 (physics domain), 4
+(numerical).
+
+supermodes and squeezing also keep the unscaled gain spectrum in the run
+directory's ``.spopo-spectrum`` (SPECTRUM_FILE), which is not an output: a
+later supermodes or squeezing of the same config in that directory reads it
+instead of solving the kernel again.
 
 A subcommand imports only the layers it runs: the supermode layer inside
-``_decompose``, pulses and metrology inside their runners.
+``_lanczos`` and ``_every_gain``, pulses and metrology inside their runners.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
+import os
 import sys
 from functools import partial
 from pathlib import Path
@@ -29,6 +38,9 @@ from .kernel import build_kernel
 _FLOAT_FMT = "%.12g"
 #: rows of a block formatted by one % operation
 _CHUNK_ROWS = 4096
+#: a run directory's unscaled Takagi values, behind the key line of
+#: ``_spectrum_key``; read and written by supermodes and squeezing
+SPECTRUM_FILE = ".spopo-spectrum"
 
 
 def _write_csv(path: Path, header: list[str], blocks, metadata: dict) -> Path:
@@ -100,42 +112,115 @@ def _scale_gains(cfg: ScenarioConfig, gains: np.ndarray):
     return gains, gth, energy
 
 
-def _decompose(cfg: ScenarioConfig, n_modes: int, every_gain: bool = True):
-    """Build the kernel and decompose as much of it as a run reads.
+def _lanczos(cfg: ScenarioConfig, n_modes: int):
+    """The top ``n_modes`` supermodes of the run's kernel, by Lanczos alone.
 
-    Returns the kept-mode count, a basis of the top ``n_modes`` supermodes
-    (None for ``n_modes`` = 0), and then the scaled gains, the threshold gain
-    and the effective pulse energy of ``_scale_gains``.  With ``every_gain``
-    the gains and count are every Takagi value (``takagi_values``, no
-    eigenvector) and the basis holds at most the kept modes; should its
-    Lanczos gains stray from those values by more than 1e-12 g0, the full
-    decomposition replaces it.  Without it they are the basis's own.
+    Returns the basis, and then the scaled gains (the basis's own), the
+    threshold gain and the effective pulse energy of ``_scale_gains``.
+    """
+    from .supermodes import DEFAULT_GAIN_CUTOFF, schmidt_decompose
+
+    basis = schmidt_decompose(build_kernel(cfg.grid, cfg.pump, cfg.crystal),
+                              cfg.run.get("gain_cutoff", DEFAULT_GAIN_CUTOFF),
+                              n_modes=n_modes, rep_period=cfg.pump.rep_period)
+    return (basis, *_scale_gains(cfg, basis.gains))
+
+
+def _spectrum_key(cfg: ScenarioConfig) -> bytes:
+    """Hex sha256 of what the unscaled Takagi values depend on.
+
+    That is the canonical config JSON that ``config_hash`` digests, the spopo
+    and numpy versions, and the source of the modules that build and solve
+    the kernel; each part goes in behind its length.
+    """
+    here = Path(__file__).parent
+    digest = hashlib.sha256()
+    for part in (json.dumps(cfg.raw, sort_keys=True,
+                            separators=(",", ":")).encode(),
+                 __version__.encode(), np.__version__.encode(),
+                 *(here.joinpath(name).read_bytes()
+                   for name in ("config.py", "kernel.py", "supermodes.py"))):
+        digest.update(b"%d\n" % len(part))
+        digest.update(part)
+    return digest.hexdigest().encode()
+
+
+def _store_spectrum(outdir: Path, data: bytes | None) -> None:
+    """Put ``data`` in ``outdir/SPECTRUM_FILE`` through a per-process
+    temporary name; None means the file already holds it.
+
+    The file is a shortcut, not an output: a directory that refuses it keeps
+    what it held, and the run's outputs and exit code stay as they are.
+    """
+    if data is None:
+        return
+    path = outdir / SPECTRUM_FILE
+    temporary = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        temporary.write_bytes(data)
+        os.replace(temporary, path)
+    except OSError:
+        try:
+            temporary.unlink(missing_ok=True)
+        except OSError:
+            pass
+
+
+def _every_gain(cfg: ScenarioConfig, outdir: Path, n_modes: int):
+    """Every Takagi value of the run's kernel, and its top ``n_modes`` modes.
+
+    The unscaled values are read from ``outdir/SPECTRUM_FILE`` when its first
+    line is ``_spectrum_key(cfg)`` and n_points float64 values follow;
+    otherwise they are ``takagi_values`` of the kernel, built at most once.
+    ``eigvalsh`` gives the same bits to every process that computes them, so
+    no output depends on which subcommand computed the file.
+
+    Returns the kept-mode count, a basis of at most ``min(n_modes, n_kept)``
+    supermodes (None for ``n_modes`` = 0), the scaled gains, the threshold
+    gain and the effective pulse energy of ``_scale_gains``, and the bytes
+    of the file for ``_store_spectrum`` to write after the run's last output
+    (None when the values were read).  Should the basis's Lanczos
+    gains stray from the values by more than 1e-12 g0, the full
+    decomposition replaces it.
     """
     from .supermodes import (DEFAULT_GAIN_CUTOFF, kept_count,
                              schmidt_decompose, takagi_values)
 
-    kernel = build_kernel(cfg.grid, cfg.pump, cfg.crystal)
+    key = _spectrum_key(cfg) + b"\n"
+    size = 8 * cfg.grid.n_points
+    try:
+        with open(outdir / SPECTRUM_FILE, "rb") as stored:
+            body = stored.read(size + 1) \
+                if stored.readline(len(key)) == key else b""
+    except OSError:
+        body = b""
+    kernel = pending = None
+    if len(body) == size:
+        gains = np.frombuffer(body, "<f8")
+    else:
+        kernel = build_kernel(cfg.grid, cfg.pump, cfg.crystal)
+        gains = takagi_values(kernel.matrix)
+        pending = key + gains.astype("<f8").tobytes()
     cutoff = cfg.run.get("gain_cutoff", DEFAULT_GAIN_CUTOFF)
-    decompose = partial(schmidt_decompose, kernel, cutoff,
-                        rep_period=cfg.pump.rep_period)
-    if not every_gain:
-        basis = decompose(n_modes=n_modes)
-        return (basis.n_kept, basis, *_scale_gains(cfg, basis.gains))
-    gains = takagi_values(kernel.matrix)
     n_kept = kept_count(gains, cutoff)
     basis = None
     if n_modes:
+        if kernel is None:
+            kernel = build_kernel(cfg.grid, cfg.pump, cfg.crystal)
+        decompose = partial(schmidt_decompose, kernel, cutoff,
+                            rep_period=cfg.pump.rep_period)
         # a zero kernel keeps no mode; takagi still gives it a basis
         k = max(1, min(n_modes, n_kept))
         basis = decompose(n_modes=k)
         if np.abs(basis.gains - gains[:k]).max() > 1e-12 * gains[0]:
             basis = decompose()
-    return (n_kept, basis, *_scale_gains(cfg, gains))
+    return (n_kept, basis, *_scale_gains(cfg, gains), pending)
 
 
 def run_supermodes(cfg: ScenarioConfig, outdir: Path, seed=None) -> list[Path]:
     n_modes_dump = int(cfg.run.get("n_modes_dump", 8))
-    n_kept, basis, gains, gth, energy = _decompose(cfg, n_modes_dump)
+    n_kept, basis, gains, gth, energy, pending = _every_gain(
+        cfg, outdir, n_modes_dump)
     meta = _metadata(cfg, seed)
     meta.update(threshold_gain=_FLOAT_FMT % gth,
                 effective_pulse_energy=_FLOAT_FMT % energy,
@@ -160,11 +245,12 @@ def run_supermodes(cfg: ScenarioConfig, outdir: Path, seed=None) -> list[Path]:
                   for rows in np.split(matrix, range(step, len(matrix), step)))
         written.append(_write_csv(outdir / "kernel.csv", ["re", "im"], blocks,
                                   kmeta))
+    _store_spectrum(outdir, pending)
     return written
 
 
 def run_squeezing(cfg: ScenarioConfig, outdir: Path, seed=None) -> list[Path]:
-    n_kept, _, gains, gth, _ = _decompose(cfg, 0)
+    n_kept, _, gains, gth, _, pending = _every_gain(cfg, outdir, 0)
     theta_max = cfg.run.get("theta_max", np.pi)
     theta_points = int(cfg.run.get("theta_points", 121))
     thetas = np.linspace(-theta_max, theta_max, theta_points)
@@ -174,9 +260,11 @@ def run_squeezing(cfg: ScenarioConfig, outdir: Path, seed=None) -> list[Path]:
                spectrum.epr[mode]] for mode in range(spectrum.gains.size)]
     meta = _metadata(cfg, seed)
     meta.update(threshold_gain=_FLOAT_FMT % gth)
-    return [_write_csv(outdir / "squeezing.csv",
-                       ["theta", "mode", "var_x", "var_p", "epr_variance"],
-                       blocks, meta)]
+    written = [_write_csv(outdir / "squeezing.csv",
+                          ["theta", "mode", "var_x", "var_p", "epr_variance"],
+                          blocks, meta)]
+    _store_spectrum(outdir, pending)
+    return written
 
 
 def run_pulses(cfg: ScenarioConfig, outdir: Path, seed=None) -> list[Path]:
@@ -187,7 +275,7 @@ def run_pulses(cfg: ScenarioConfig, outdir: Path, seed=None) -> list[Path]:
         g0 = cfg.pump_ratio * gth
     else:
         # g0 alone: the top Lanczos pair that metrology reads, no eigvalsh
-        _, _, gains, gth, _ = _decompose(cfg, 1, every_gain=False)
+        _, gains, gth, _ = _lanczos(cfg, 1)
         g0 = float(gains[0])
     r = resonant_r(cfg.cavity, cfg.pump.ceo_half)
     n_max = _n_max(cfg)
@@ -221,7 +309,7 @@ def run_metrology(cfg: ScenarioConfig, outdir: Path, seed=None) -> list[Path]:
     from .metrology import improvement_curve, optimal_probe
 
     # the bound reads g0 and psi0 alone
-    _, basis, gains, gth, _ = _decompose(cfg, 1, every_gain=False)
+    basis, gains, gth, _ = _lanczos(cfg, 1)
     r = resonant_r(cfg.cavity, cfg.pump.ceo_half)
     if "ratios" in cfg.run:
         ratios = [float(x) for x in cfg.run["ratios"]]

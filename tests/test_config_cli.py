@@ -15,7 +15,7 @@ import spopo.supermodes
 from spopo import (CavityConfig, ConfigError, build_kernel, covariance,
                    duan_sum, optimal_probe, schmidt_decompose, threshold_gain)
 from spopo.supermodes import takagi_values
-from spopo.cli import _write_csv, main
+from spopo.cli import SPECTRUM_FILE, _write_csv, main
 from spopo.config import load_scenario, parse_scenario
 
 from conftest import (OMEGA0, PUMP_DISPERSION, SIGNAL_DISPERSION, T0, TAU_P)
@@ -668,18 +668,22 @@ class TestCliRuns:
         assert proc.stdout.strip() == "[]"
 
     def test_rerun_is_bitwise_identical(self, tmp_path):
+        # the third run goes into the first one's directory, where
+        # supermodes and squeezing read the spectrum the first one stored
         path = write_config(tmp_path, scenario_dict())
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         names = {"metrology": ("metrology.csv", "summary.json", "probe.csv"),
                  "pulses": ("sigma2.csv", "duan.csv"),
-                 "squeezing": ("squeezing.csv",)}
+                 "squeezing": ("squeezing.csv",),
+                 "supermodes": ("gains.csv", "mode_000.csv")}
         for command, files in names.items():
-            for out in (out_a, out_b):
+            runs = []
+            for out in (out_a, out_b, out_a):
                 assert main([command, "--config", str(path),
                              "--out", str(out / command)]) == 0
-            for name in files:
-                assert (out_a / command / name).read_bytes() \
-                    == (out_b / command / name).read_bytes()
+                runs.append([(out / command / name).read_bytes()
+                             for name in files])
+            assert runs[0] == runs[1] == runs[2]
 
     def test_default_config_golden_values(self, tmp_path):
         # shipped scenario: finesse ~ 30 cavity, ratios {0.5, 0.8, 0.95};
@@ -725,6 +729,137 @@ class TestCliRuns:
                      "--seed", "7"]) == 0
         header = (out / "sigma2.csv").read_text().splitlines()[:3]
         assert any("seed = 7" in line for line in header)
+
+
+def default_twin(name):
+    """configs/default.json, or one of its twins that CI runs: "odd" has a
+    round-trip phase of pi, "energy" sets a pulse energy and both dumps."""
+    raw = json.loads(DEFAULT_CONFIG.read_text())
+    if name == "odd":
+        raw["cavity"]["delta_rt"] = np.pi
+    elif name == "energy":
+        del raw["pump"]["pump_ratio"]
+        raw["pump"]["energy"] = 2e-10
+        raw["run"].update(dump_kernel=True, dump_matrices=True)
+    return raw
+
+
+class TestRunSpectrum:
+    """supermodes and squeezing share one gain spectrum per run directory."""
+
+    @staticmethod
+    def _run(path, out, *commands):
+        for command in commands:
+            assert main([command, "--config", str(path), "--out", str(out)]) == 0
+        return out
+
+    @staticmethod
+    def _outputs(out):
+        return {p.name: p.read_bytes() for p in out.iterdir()
+                if p.name != SPECTRUM_FILE}
+
+    @pytest.mark.parametrize("twin", ["default", "odd", "energy"])
+    def test_shared_directory_matches_own_directories(self, tmp_path, twin):
+        path = write_config(tmp_path, default_twin(twin))
+        alone = [self._run(path, tmp_path / command, command)
+                 for command in ("supermodes", "squeezing")]
+        expected = self._outputs(alone[0]) | self._outputs(alone[1])
+        for order in (("supermodes", "squeezing"), ("squeezing", "supermodes")):
+            shared = self._run(path, tmp_path / "-".join(order), *order)
+            assert self._outputs(shared) == expected, order
+        # either subcommand stores the same bits
+        spectra = {(out / SPECTRUM_FILE).read_bytes() for out in alone}
+        assert len(spectra) == 1
+        key, _, body = spectra.pop().partition(b"\n")
+        assert len(key) == 64
+        cfg = load_scenario(path)
+        assert body == takagi_values(build_kernel(
+            cfg.grid, cfg.pump, cfg.crystal).matrix).astype("<f8").tobytes()
+
+    def test_read_spectrum_is_not_solved_again(self, tmp_path, monkeypatch,
+                                               capsys):
+        path = write_config(tmp_path, scenario_dict(**{
+            "grid.n_points": 341, "run.n_modes_dump": 2}))
+        cold = self._outputs(self._run(path, tmp_path / "cold", "supermodes",
+                                       "squeezing"))
+        out = self._run(path, tmp_path / "out", "squeezing")
+        capsys.readouterr()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the stored spectrum was solved again")
+
+        # squeezing neither builds the kernel nor solves it
+        with monkeypatch.context() as patch:
+            patch.setattr(spopo.cli, "build_kernel", refuse)
+            patch.setattr(np.linalg, "eigvalsh", refuse)
+            self._run(path, out, "squeezing")
+        # supermodes builds it for its Lanczos basis, and solves no more
+        forbid_full_eigensolves(monkeypatch, 341)
+        self._run(path, out, "supermodes")
+        assert self._outputs(out) == cold
+        # stdout lists the outputs, not the spectrum
+        listed = capsys.readouterr().out.splitlines()
+        assert sorted(listed) == sorted(str(out / name) for name in cold)
+
+    @pytest.mark.parametrize("spoil", [
+        "other-config", "edited-key", "truncated", "directory"])
+    def test_unusable_spectrum_is_recomputed(self, tmp_path, capsys, spoil):
+        path = write_config(tmp_path, scenario_dict())
+        reference = self._run(path, tmp_path / "reference", "squeezing")
+        stored = (reference / SPECTRUM_FILE).read_bytes()
+        out = tmp_path / "out"
+        spectrum = out / SPECTRUM_FILE
+        if spoil == "other-config":
+            other = tmp_path / "other"
+            other.mkdir()
+            self._run(write_config(other, scenario_dict(**{"crystal.l_c": 1e-3})),
+                      out, "squeezing")
+            assert spectrum.read_bytes() != stored
+        elif spoil == "directory":
+            spectrum.mkdir(parents=True)
+        else:
+            out.mkdir()
+            spectrum.write_bytes(stored[:-8] if spoil == "truncated"
+                                 else b"0" * 64 + stored[64:])
+        capsys.readouterr()
+        for command in ("squeezing", "supermodes"):
+            self._run(path, out, command)
+            assert self._outputs(out)["squeezing.csv"] \
+                == (reference / "squeezing.csv").read_bytes()
+        if spoil == "directory":
+            # the store failed: no spectrum, and no temporary left behind
+            assert spectrum.is_dir()
+            assert sorted(p.name for p in out.iterdir() if p.name[0] == ".") \
+                == [SPECTRUM_FILE]
+        else:
+            assert spectrum.read_bytes() == stored
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert SPECTRUM_FILE not in captured.out
+
+    @pytest.mark.parametrize("command", ["supermodes", "squeezing"])
+    @pytest.mark.parametrize("overrides, error", [
+        ({"pump": {"energy": 1e-6, "tau_p": TAU_P, "T0": T0}}, "at-threshold"),
+        ({"grid": {"n_points": 41, "omega_max": 2e13}}, "spectral-leakage")],
+        ids=["at-threshold", "spectral-leakage"])
+    def test_refused_run_leaves_directory_empty(self, tmp_path, capsys,
+                                                command, overrides, error):
+        out = tmp_path / "out"
+        out.mkdir()
+        path = write_config(tmp_path, scenario_dict(**overrides))
+        assert main([command, "--config", str(path), "--out", str(out)]) == 3
+        assert json.loads(capsys.readouterr().err)["error"] == error
+        assert list(out.iterdir()) == []
+
+    def test_pulses_and_metrology_store_no_spectrum(self, tmp_path):
+        # on an energy pump both build the kernel, for one Lanczos pair
+        raw = scenario_dict()
+        del raw["pump"]["pump_ratio"]
+        raw["pump"]["energy"] = 2e-10
+        out = self._run(write_config(tmp_path, raw), tmp_path / "out",
+                        "pulses", "metrology")
+        assert not (out / SPECTRUM_FILE).exists()
+        assert all(p.name[0] != "." for p in out.iterdir())
 
 
 def loaded_modules(code):
@@ -795,9 +930,13 @@ class TestStartup:
 
     @pytest.mark.parametrize("command, pump, code", [
         ("pulses", {"pump_ratio": 0.8}, 0),
-        ("supermodes", {"energy": 1e-6}, 3)], ids=["written", "at-threshold"])
+        ("supermodes", {"energy": 1e-6}, 3),
+        ("squeezing", {"pump_ratio": 0.8}, 0)],
+        ids=["written", "at-threshold", "spectrum-read"])
     def test_module_path_matches_in_process(self, tmp_path, capsys, command,
                                             pump, code):
+        # the process runs second in the same directory: a squeezing process
+        # reads the spectrum that the in-process run stored
         raw = scenario_dict()
         del raw["pump"]["pump_ratio"]
         raw["pump"].update(pump)
