@@ -7,13 +7,21 @@ outputs a run wrote.  Errors are emitted as a JSON object on stderr with a
 stable code and mapped to exit codes 2 (config), 3 (physics domain), 4
 (numerical).
 
-supermodes and squeezing also keep the unscaled gain spectrum in the run
-directory's ``.spopo-spectrum`` (SPECTRUM_FILE), which is not an output: a
-later supermodes or squeezing of the same config in that directory reads it
-instead of solving the kernel again.
+A run directory also keeps two records, which are not outputs, behind one
+key line (``_spectrum_key``: the config, the versions and the kernel
+source); a later run of the same config in that directory reads them
+instead of solving the kernel again, and a missing, mismatched or truncated
+record is recomputed:
+
+- ``.spopo-spectrum`` (SPECTRUM_FILE), every unscaled gain, written and read
+  by supermodes and squeezing;
+- ``.spopo-basis`` (BASIS_FILE), the run's one Lanczos basis of
+  max(1, n_modes_dump) unscaled gains and modes, written and read by
+  supermodes, metrology, and pulses on an energy pump.
 
 A subcommand imports only the layers it runs: the supermode layer inside
-``_lanczos`` and ``_every_gain``, pulses and metrology inside their runners.
+``_every_gain`` and ``_run_basis``, pulses and metrology inside their
+runners.
 """
 
 from __future__ import annotations
@@ -23,7 +31,6 @@ import hashlib
 import json
 import os
 import sys
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -41,6 +48,9 @@ _CHUNK_ROWS = 4096
 #: a run directory's unscaled Takagi values, behind the key line of
 #: ``_spectrum_key``; read and written by supermodes and squeezing
 SPECTRUM_FILE = ".spopo-spectrum"
+#: a run directory's basis of ``_run_basis``, behind the same key line; read
+#: and written by supermodes, metrology, and pulses on an energy pump
+BASIS_FILE = ".spopo-basis"
 
 
 def _write_csv(path: Path, header: list[str], blocks, metadata: dict) -> Path:
@@ -112,22 +122,8 @@ def _scale_gains(cfg: ScenarioConfig, gains: np.ndarray):
     return gains, gth, energy
 
 
-def _lanczos(cfg: ScenarioConfig, n_modes: int):
-    """The top ``n_modes`` supermodes of the run's kernel, by Lanczos alone.
-
-    Returns the basis, and then the scaled gains (the basis's own), the
-    threshold gain and the effective pulse energy of ``_scale_gains``.
-    """
-    from .supermodes import DEFAULT_GAIN_CUTOFF, schmidt_decompose
-
-    basis = schmidt_decompose(build_kernel(cfg.grid, cfg.pump, cfg.crystal),
-                              cfg.run.get("gain_cutoff", DEFAULT_GAIN_CUTOFF),
-                              n_modes=n_modes, rep_period=cfg.pump.rep_period)
-    return (basis, *_scale_gains(cfg, basis.gains))
-
-
 def _spectrum_key(cfg: ScenarioConfig) -> bytes:
-    """Hex sha256 of what the unscaled Takagi values depend on.
+    """Hex sha256 of what the unscaled Takagi values and modes depend on.
 
     That is the canonical config JSON that ``config_hash`` digests, the spopo
     and numpy versions, and the source of the modules that build and solve
@@ -145,16 +141,28 @@ def _spectrum_key(cfg: ScenarioConfig) -> bytes:
     return digest.hexdigest().encode()
 
 
-def _store_spectrum(outdir: Path, data: bytes | None) -> None:
-    """Put ``data`` in ``outdir/SPECTRUM_FILE`` through a per-process
-    temporary name; None means the file already holds it.
+def _read_record(path: Path, key: bytes, size: int) -> bytes | None:
+    """The ``size`` bytes that follow the first line ``key`` of ``path``;
+    None when the file is missing or unreadable, or has another first line
+    or another length."""
+    try:
+        with open(path, "rb") as stored:
+            body = stored.read(size + 1) \
+                if stored.readline(len(key)) == key else b""
+    except OSError:
+        return None
+    return body if len(body) == size else None
 
-    The file is a shortcut, not an output: a directory that refuses it keeps
+
+def _store_record(path: Path, data: bytes | None) -> None:
+    """Put ``data`` in ``path`` through a per-process temporary name; None
+    means the file already holds it.
+
+    A record is a shortcut, not an output: a directory that refuses it keeps
     what it held, and the run's outputs and exit code stay as they are.
     """
     if data is None:
         return
-    path = outdir / SPECTRUM_FILE
     temporary = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
         temporary.write_bytes(data)
@@ -166,78 +174,117 @@ def _store_spectrum(outdir: Path, data: bytes | None) -> None:
             pass
 
 
-def _every_gain(cfg: ScenarioConfig, outdir: Path, n_modes: int):
-    """Every Takagi value of the run's kernel, and its top ``n_modes`` modes.
+def _gain_cutoff(cfg: ScenarioConfig) -> float:
+    from .supermodes import DEFAULT_GAIN_CUTOFF
 
-    The unscaled values are read from ``outdir/SPECTRUM_FILE`` when its first
-    line is ``_spectrum_key(cfg)`` and n_points float64 values follow;
-    otherwise they are ``takagi_values`` of the kernel, built at most once.
-    ``eigvalsh`` gives the same bits to every process that computes them, so
-    no output depends on which subcommand computed the file.
+    return cfg.run.get("gain_cutoff", DEFAULT_GAIN_CUTOFF)
 
-    Returns the kept-mode count, a basis of at most ``min(n_modes, n_kept)``
-    supermodes (None for ``n_modes`` = 0), the scaled gains, the threshold
-    gain and the effective pulse energy of ``_scale_gains``, and the bytes
-    of the file for ``_store_spectrum`` to write after the run's last output
-    (None when the values were read).  Should the basis's Lanczos
-    gains stray from the values by more than 1e-12 g0, the full
-    decomposition replaces it.
+
+def _every_gain(cfg: ScenarioConfig, outdir: Path):
+    """Every unscaled Takagi value of the run's kernel, and the kept count.
+
+    The values are read from ``outdir/SPECTRUM_FILE`` when its first line is
+    ``_spectrum_key(cfg)`` and n_points float64 values follow; otherwise
+    they are ``takagi_values`` of the kernel.  ``eigvalsh`` gives the same
+    bits to every process that computes them, so no output depends on which
+    subcommand computed the file.
+
+    Returns the kept-mode count, the values, the kernel (None when the values
+    were read) and the bytes of the file for ``_store_record`` to write after
+    the run's last output (None when the values were read).
     """
-    from .supermodes import (DEFAULT_GAIN_CUTOFF, kept_count,
-                             schmidt_decompose, takagi_values)
+    from .supermodes import kept_count, takagi_values
 
     key = _spectrum_key(cfg) + b"\n"
-    size = 8 * cfg.grid.n_points
-    try:
-        with open(outdir / SPECTRUM_FILE, "rb") as stored:
-            body = stored.read(size + 1) \
-                if stored.readline(len(key)) == key else b""
-    except OSError:
-        body = b""
+    body = _read_record(outdir / SPECTRUM_FILE, key, 8 * cfg.grid.n_points)
     kernel = pending = None
-    if len(body) == size:
-        gains = np.frombuffer(body, "<f8")
-    else:
+    if body is None:
         kernel = build_kernel(cfg.grid, cfg.pump, cfg.crystal)
         gains = takagi_values(kernel.matrix)
         pending = key + gains.astype("<f8").tobytes()
-    cutoff = cfg.run.get("gain_cutoff", DEFAULT_GAIN_CUTOFF)
-    n_kept = kept_count(gains, cutoff)
-    basis = None
-    if n_modes:
-        if kernel is None:
-            kernel = build_kernel(cfg.grid, cfg.pump, cfg.crystal)
-        decompose = partial(schmidt_decompose, kernel, cutoff,
-                            rep_period=cfg.pump.rep_period)
-        # a zero kernel keeps no mode; takagi still gives it a basis
-        k = max(1, min(n_modes, n_kept))
-        basis = decompose(n_modes=k)
-        if np.abs(basis.gains - gains[:k]).max() > 1e-12 * gains[0]:
-            basis = decompose()
-    return (n_kept, basis, *_scale_gains(cfg, gains), pending)
+    else:
+        gains = np.frombuffer(body, "<f8")
+    return kept_count(gains, _gain_cutoff(cfg)), gains, kernel, pending
+
+
+def _n_modes_dump(cfg: ScenarioConfig) -> int:
+    return int(cfg.run.get("n_modes_dump", 8))
+
+
+def _run_basis(cfg: ScenarioConfig, outdir: Path, kernel=None):
+    """The run's one Lanczos basis: the top k = max(1, n_modes_dump)
+    supermodes of its kernel, at most n_points of them, with unscaled gains.
+
+    The basis is read from ``outdir/BASIS_FILE`` when its first line is
+    ``_spectrum_key(cfg)`` and k float64 gains and the n_points x k
+    complex128 mode samples, row by row, follow; a basis read so carries no
+    kernel.  Otherwise it is ``schmidt_decompose(kernel, n_modes=k)``, of
+    ``kernel`` when given.  Every process that computes it takes the same
+    Lanczos steps from the same start vector, so no output depends on which
+    subcommand computed the file.
+
+    Returns the basis and the bytes of the file for ``_store_record`` to
+    write after the run's last output (None when the basis was read).
+    """
+    from .supermodes import SupermodeBasis, schmidt_decompose
+
+    n = cfg.grid.n_points
+    # a zero kernel keeps no mode; takagi still gives it a basis
+    k = min(max(1, _n_modes_dump(cfg)), n)
+    key = _spectrum_key(cfg) + b"\n"
+    body = _read_record(outdir / BASIS_FILE, key, 8 * k + 16 * n * k)
+    if body is not None:
+        return SupermodeBasis.from_modes(
+            np.frombuffer(body, "<f8", k),
+            np.frombuffer(body, "<c16", offset=8 * k).reshape(n, k),
+            cfg.grid, cfg.pump.rep_period, _gain_cutoff(cfg)), None
+    if kernel is None:
+        kernel = build_kernel(cfg.grid, cfg.pump, cfg.crystal)
+    basis = schmidt_decompose(kernel, _gain_cutoff(cfg), n_modes=k,
+                              rep_period=cfg.pump.rep_period)
+    return basis, (key + basis.gains.astype("<f8").tobytes()
+                   + basis.modes_freq.astype("<c16").tobytes())
 
 
 def run_supermodes(cfg: ScenarioConfig, outdir: Path, seed=None) -> list[Path]:
-    n_modes_dump = int(cfg.run.get("n_modes_dump", 8))
-    n_kept, basis, gains, gth, energy, pending = _every_gain(
-        cfg, outdir, n_modes_dump)
+    n_kept, values, kernel, new_spectrum = _every_gain(cfg, outdir)
+    gains, gth, energy = _scale_gains(cfg, values)
+    n_dump = min(n_kept, _n_modes_dump(cfg))
+    new_basis = None
+    if n_dump:
+        basis, new_basis = _run_basis(cfg, outdir, kernel)
+        if kernel is None:
+            kernel = basis.kernel
+        modes = basis.modes_freq
+        if np.abs(basis.gains[:n_dump] - values[:n_dump]).max() \
+                > 1e-12 * values[0]:
+            # Lanczos gains that stray from eigvalsh's: the dump takes the
+            # full decomposition, and the record keeps the Lanczos basis
+            from .supermodes import schmidt_decompose
+
+            if kernel is None:
+                kernel = build_kernel(cfg.grid, cfg.pump, cfg.crystal)
+            modes = schmidt_decompose(kernel, _gain_cutoff(cfg),
+                                      rep_period=cfg.pump.rep_period
+                                      ).modes_freq
     meta = _metadata(cfg, seed)
     meta.update(threshold_gain=_FLOAT_FMT % gth,
                 effective_pulse_energy=_FLOAT_FMT % energy,
                 n_kept=n_kept)
     written = [_write_csv(outdir / "gains.csv", ["index", "gain"],
                           [[np.arange(gains.size), gains]], meta)]
-    n_dump = min(n_kept, n_modes_dump)
-    omegas = basis.grid.omegas
+    omegas = cfg.grid.omegas
     for n in range(n_dump):
-        mode = basis.modes_freq[:, n]
+        mode = modes[:, n]
         written.append(_write_csv(
             outdir / f"mode_{n:03d}.csv", ["omega", "re_psi", "im_psi"],
             [[omegas, mode.real, mode.imag]], meta))
     if cfg.run.get("dump_kernel", False):
-        matrix = basis.kernel.matrix
-        kmeta = dict(meta, shape=f"{basis.grid.n_points}x{basis.grid.n_points}",
-                     order="row-major")
+        if kernel is None:
+            kernel = build_kernel(cfg.grid, cfg.pump, cfg.crystal)
+        matrix = kernel.matrix
+        n_points = cfg.grid.n_points
+        kmeta = dict(meta, shape=f"{n_points}x{n_points}", order="row-major")
         # (re, im) lines of a few matrix rows at a time, so no column or
         # value list of the whole kernel is built
         step = max(1, _CHUNK_ROWS // matrix.shape[1])
@@ -245,12 +292,14 @@ def run_supermodes(cfg: ScenarioConfig, outdir: Path, seed=None) -> list[Path]:
                   for rows in np.split(matrix, range(step, len(matrix), step)))
         written.append(_write_csv(outdir / "kernel.csv", ["re", "im"], blocks,
                                   kmeta))
-    _store_spectrum(outdir, pending)
+    _store_record(outdir / SPECTRUM_FILE, new_spectrum)
+    _store_record(outdir / BASIS_FILE, new_basis)
     return written
 
 
 def run_squeezing(cfg: ScenarioConfig, outdir: Path, seed=None) -> list[Path]:
-    n_kept, _, gains, gth, _, pending = _every_gain(cfg, outdir, 0)
+    n_kept, values, _, new_spectrum = _every_gain(cfg, outdir)
+    gains, gth, _ = _scale_gains(cfg, values)
     theta_max = cfg.run.get("theta_max", np.pi)
     theta_points = int(cfg.run.get("theta_points", 121))
     thetas = np.linspace(-theta_max, theta_max, theta_points)
@@ -263,19 +312,21 @@ def run_squeezing(cfg: ScenarioConfig, outdir: Path, seed=None) -> list[Path]:
     written = [_write_csv(outdir / "squeezing.csv",
                           ["theta", "mode", "var_x", "var_p", "epr_variance"],
                           blocks, meta)]
-    _store_spectrum(outdir, pending)
+    _store_record(outdir / SPECTRUM_FILE, new_spectrum)
     return written
 
 
 def run_pulses(cfg: ScenarioConfig, outdir: Path, seed=None) -> list[Path]:
     from .pulses import covariance, duan_sum, min_variance_curve
 
+    new_basis = None
     if cfg.pump_ratio is not None:
         gth = threshold_gain(cfg.cavity, cfg.pump.ceo_half).gain
         g0 = cfg.pump_ratio * gth
     else:
-        # g0 alone: the top Lanczos pair that metrology reads, no eigvalsh
-        _, gains, gth, _ = _lanczos(cfg, 1)
+        # g0 alone: the run basis's, as in metrology; no eigvalsh
+        basis, new_basis = _run_basis(cfg, outdir)
+        gains, gth, _ = _scale_gains(cfg, basis.gains)
         g0 = float(gains[0])
     r = resonant_r(cfg.cavity, cfg.pump.ceo_half)
     n_max = _n_max(cfg)
@@ -302,14 +353,16 @@ def run_pulses(cfg: ScenarioConfig, outdir: Path, seed=None) -> list[Path]:
             header = [f"c{j}" for j in range(cov.n_pulses)]
             written.append(_write_csv(outdir / f"{name}.csv", header,
                                       [list(mat.T)], meta))
+    _store_record(outdir / BASIS_FILE, new_basis)
     return written
 
 
 def run_metrology(cfg: ScenarioConfig, outdir: Path, seed=None) -> list[Path]:
     from .metrology import improvement_curve, optimal_probe
 
-    # the bound reads g0 and psi0 alone
-    basis, gains, gth, _ = _lanczos(cfg, 1)
+    # the bound reads g0 and psi0 alone: column 0 of the run basis
+    basis, new_basis = _run_basis(cfg, outdir)
+    gains, gth, _ = _scale_gains(cfg, basis.gains)
     r = resonant_r(cfg.cavity, cfg.pump.ceo_half)
     if "ratios" in cfg.run:
         ratios = [float(x) for x in cfg.run["ratios"]]
@@ -352,6 +405,7 @@ def run_metrology(cfg: ScenarioConfig, outdir: Path, seed=None) -> list[Path]:
     written.append(_write_csv(
         outdir / "probe.csv", ["t", "re", "im"],
         [[times, probe.envelope.real, probe.envelope.imag]], pmeta))
+    _store_record(outdir / BASIS_FILE, new_basis)
     return written
 
 

@@ -199,7 +199,9 @@ class SupermodeBasis:
     under dt, synthesized on first access.  ``n_kept`` counts modes with
     g_n >= cutoff * g_0.  A basis truncated to the top k modes
     (``schmidt_decompose(..., n_modes=k)``) holds k gains and k modes, and
-    counts ``n_kept`` among those k.
+    counts ``n_kept`` among those k.  ``kernel`` is the decomposed kernel,
+    or None for a basis rebuilt from stored gains and modes by
+    ``from_modes``.
     """
 
     gains: np.ndarray
@@ -208,7 +210,20 @@ class SupermodeBasis:
     rep_period: float
     time_grid: np.ndarray
     n_kept: int
-    kernel: JointKernel = field(repr=False)
+    kernel: JointKernel | None = field(default=None, repr=False)
+
+    @classmethod
+    def from_modes(cls, gains: np.ndarray, modes_freq: np.ndarray,
+                   grid: FrequencyGrid, rep_period: float,
+                   gain_cutoff: float = DEFAULT_GAIN_CUTOFF,
+                   kernel: JointKernel | None = None) -> SupermodeBasis:
+        """The basis of descending ``gains`` and mode samples ``modes_freq``
+        on ``grid``, with the per-period time grid of ``rep_period``."""
+        n = grid.n_points
+        tau = (np.arange(n) + 0.5) * rep_period / n - rep_period / 2.0
+        return cls(gains=gains, modes_freq=modes_freq, grid=grid,
+                   rep_period=float(rep_period), time_grid=tau,
+                   n_kept=kept_count(gains, gain_cutoff), kernel=kernel)
 
     @property
     def dt(self) -> float:
@@ -250,7 +265,9 @@ class SupermodeBasis:
     def reconstruction_residual(self) -> float:
         """Relative Frobenius residual of sum_n g_n psi_n psi_n^T over the
         basis's modes: every mode of a full basis, a rank-k approximation's
-        residual for a truncated one."""
+        residual for a truncated one.  A basis without its kernel has none."""
+        if self.kernel is None:
+            raise ValidationError("the basis carries no kernel to compare")
         weight = self.grid.weight
         phi = self.modes_freq * np.sqrt(weight)
         rec = (phi * self.gains) @ phi.T
@@ -284,12 +301,8 @@ def schmidt_decompose(kernel: JointKernel,
         rep_period = 2.0 * np.pi / grid.delta_omega
     gains, modes_freq = takagi(kernel, n_modes)
     modes_freq *= 1.0 / np.sqrt(grid.weight)
-    n = grid.n_points
-    tau = (np.arange(n) + 0.5) * rep_period / n - rep_period / 2.0
-    n_kept = kept_count(gains, gain_cutoff)
-    return SupermodeBasis(gains=gains, modes_freq=modes_freq, grid=grid,
-                          rep_period=float(rep_period), time_grid=tau,
-                          n_kept=n_kept, kernel=kernel)
+    return SupermodeBasis.from_modes(gains, modes_freq, grid, rep_period,
+                                     gain_cutoff, kernel)
 
 
 @dataclass(frozen=True)

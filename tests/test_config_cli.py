@@ -15,7 +15,7 @@ import spopo.supermodes
 from spopo import (CavityConfig, ConfigError, build_kernel, covariance,
                    duan_sum, optimal_probe, schmidt_decompose, threshold_gain)
 from spopo.supermodes import takagi_values
-from spopo.cli import SPECTRUM_FILE, _write_csv, main
+from spopo.cli import BASIS_FILE, SPECTRUM_FILE, _write_csv, main
 from spopo.config import load_scenario, parse_scenario
 
 from conftest import (OMEGA0, PUMP_DISPERSION, SIGNAL_DISPERSION, T0, TAU_P)
@@ -556,8 +556,10 @@ class TestCliRuns:
                                  **{"cavity.delta_rt": np.pi}),
                 self._run_branch(tmp_path, "pump", command,
                                  **{"pump.delta0": np.pi})]
-        names = sorted(p.name for p in outs[0].iterdir())
-        assert names == sorted(p.name for p in outs[1].iterdir())
+        # the outputs; the run-directory records are keyed by the config
+        names = sorted(p.name for p in outs[0].iterdir() if p.name[0] != ".")
+        assert names == sorted(p.name for p in outs[1].iterdir()
+                               if p.name[0] != ".")
         for name in names:
             texts = [[ln for ln in (d / name).read_text().splitlines()
                       if "config_hash" not in ln] for d in outs]
@@ -756,7 +758,7 @@ class TestRunSpectrum:
     @staticmethod
     def _outputs(out):
         return {p.name: p.read_bytes() for p in out.iterdir()
-                if p.name != SPECTRUM_FILE}
+                if p.name not in (SPECTRUM_FILE, BASIS_FILE)}
 
     @pytest.mark.parametrize("twin", ["default", "odd", "energy"])
     def test_shared_directory_matches_own_directories(self, tmp_path, twin):
@@ -827,10 +829,11 @@ class TestRunSpectrum:
             assert self._outputs(out)["squeezing.csv"] \
                 == (reference / "squeezing.csv").read_bytes()
         if spoil == "directory":
-            # the store failed: no spectrum, and no temporary left behind
+            # the store failed: no spectrum, and no temporary left behind;
+            # supermodes stored its basis
             assert spectrum.is_dir()
             assert sorted(p.name for p in out.iterdir() if p.name[0] == ".") \
-                == [SPECTRUM_FILE]
+                == [BASIS_FILE, SPECTRUM_FILE]
         else:
             assert spectrum.read_bytes() == stored
         captured = capsys.readouterr()
@@ -851,15 +854,163 @@ class TestRunSpectrum:
         assert json.loads(capsys.readouterr().err)["error"] == error
         assert list(out.iterdir()) == []
 
-    def test_pulses_and_metrology_store_no_spectrum(self, tmp_path):
-        # on an energy pump both build the kernel, for one Lanczos pair
+
+class TestRunBasis:
+    """supermodes, metrology and energy-pumped pulses share one Lanczos
+    basis per run directory."""
+
+    _run = staticmethod(TestRunSpectrum._run)
+    _outputs = staticmethod(TestRunSpectrum._outputs)
+
+    @pytest.mark.parametrize("twin", ["default", "odd", "energy"])
+    def test_read_basis_builds_no_kernel(self, tmp_path, monkeypatch, capsys,
+                                         twin):
+        raw = default_twin(twin)
+        path = write_config(tmp_path, raw)
+        cold = {}
+        for command in ("supermodes", "pulses", "metrology"):
+            cold |= self._outputs(self._run(path, tmp_path / command, command))
+        out = self._run(path, tmp_path / "out", "supermodes")
+        capsys.readouterr()
+        build = spopo.cli.build_kernel
+        built = []
+
+        def spy(*args, **kwargs):
+            built.append(args)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(spopo.cli, "build_kernel", spy)
+        self._run(path, out, "metrology", "pulses")
+        assert not built
+        # with both records present, supermodes builds the kernel only to
+        # dump it
+        self._run(path, out, "supermodes")
+        assert len(built) == bool(raw["run"].get("dump_kernel"))
+        assert self._outputs(out) == cold
+        # stdout lists the outputs, not the records
+        listed = capsys.readouterr().out.splitlines()
+        assert all(Path(line).name[0] != "." for line in listed)
+
+    @pytest.mark.parametrize("twin", ["default", "odd", "energy"])
+    def test_both_orders_match_own_directories(self, tmp_path, twin):
+        path = write_config(tmp_path, default_twin(twin))
+        commands = ("supermodes", "squeezing", "pulses", "metrology")
+        alone = [self._run(path, tmp_path / command, command)
+                 for command in commands]
+        expected = {}
+        for out in alone:
+            expected |= self._outputs(out)
+        bases = {(out / BASIS_FILE).read_bytes() for out in alone
+                 if (out / BASIS_FILE).exists()}
+        for order in (commands, commands[::-1]):
+            shared = self._run(path, tmp_path / "-".join(order), *order)
+            assert self._outputs(shared) == expected, order
+            bases.add((shared / BASIS_FILE).read_bytes())
+        # whoever computes the basis stores the same bits: the key line, then
+        # the unscaled gains and modes of the k = n_modes_dump basis
+        assert len(bases) == 1
+        key, _, body = bases.pop().partition(b"\n")
+        cfg = load_scenario(path)
+        basis = schmidt_decompose(
+            build_kernel(cfg.grid, cfg.pump, cfg.crystal), rep_period=T0,
+            n_modes=cfg.run["n_modes_dump"])
+        assert key == spopo.cli._spectrum_key(cfg)
+        assert body == (basis.gains.astype("<f8").tobytes()
+                        + basis.modes_freq.astype("<c16").tobytes())
+
+    @pytest.mark.parametrize("spoil", [
+        "other-config", "edited-key", "truncated", "other-n-modes-dump",
+        "directory"])
+    def test_unusable_basis_is_recomputed(self, tmp_path, capsys, spoil):
+        path = write_config(tmp_path, scenario_dict())
+        reference = self._run(path, tmp_path / "reference", "metrology")
+        stored = (reference / BASIS_FILE).read_bytes()
+        out = tmp_path / "out"
+        record = out / BASIS_FILE
+        if spoil in ("other-config", "other-n-modes-dump"):
+            other = tmp_path / "other"
+            other.mkdir()
+            overrides = ({"crystal.l_c": 1e-3} if spoil == "other-config"
+                         else {"run.n_modes_dump": 2})
+            self._run(write_config(other, scenario_dict(**overrides)), out,
+                      "metrology")
+            assert record.read_bytes() != stored
+        elif spoil == "directory":
+            record.mkdir(parents=True)
+        else:
+            out.mkdir()
+            record.write_bytes(stored[:-16] if spoil == "truncated"
+                               else b"0" * 64 + stored[64:])
+        capsys.readouterr()
+        self._run(path, out, "metrology")
+        assert self._outputs(out) == self._outputs(reference)
+        if spoil == "directory":
+            # the store failed: no basis, and no temporary left behind
+            assert record.is_dir()
+            assert [p.name for p in out.iterdir() if p.name[0] == "."] \
+                == [BASIS_FILE]
+        else:
+            assert record.read_bytes() == stored
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert BASIS_FILE not in captured.out
+
+    def test_fallback_dump_stores_the_lanczos_basis(self, tmp_path,
+                                                    monkeypatch):
+        # the full decomposition serves supermodes' own dump; the record, and
+        # so a later metrology, keep the Lanczos basis
+        path = write_config(tmp_path, scenario_dict(**{"run.n_modes_dump": 2}))
+        cold = self._run(path, tmp_path / "cold", "metrology")
+        values = spopo.supermodes.takagi_values
+
+        def shifted(matrix):
+            gains = values(matrix)
+            gains[1] *= 1.0 + 1e-9
+            return gains
+
+        monkeypatch.setattr(spopo.supermodes, "takagi_values", shifted)
+        out = self._run(path, tmp_path / "out", "supermodes")
+        monkeypatch.undo()
+        assert (out / BASIS_FILE).read_bytes() \
+            == (cold / BASIS_FILE).read_bytes()
+        self._run(path, out, "metrology")
+        for name in ("metrology.csv", "summary.json", "probe.csv"):
+            assert (out / name).read_bytes() == (cold / name).read_bytes()
+
+    @pytest.mark.parametrize("command", ["metrology", "pulses"])
+    def test_at_threshold_run_leaves_directory_empty(self, tmp_path, capsys,
+                                                     command):
+        # a refusal after the basis is solved stores no record; supermodes
+        # is TestRunSpectrum's case, and a zero-energy metrology TestCliRuns'
+        raw = scenario_dict()
+        del raw["pump"]["pump_ratio"]
+        raw["pump"]["energy"] = 1e-6
+        out = tmp_path / "out"
+        out.mkdir()
+        path = write_config(tmp_path, raw)
+        assert main([command, "--config", str(path), "--out", str(out)]) == 3
+        assert json.loads(capsys.readouterr().err)["error"] == "at-threshold"
+        assert list(out.iterdir()) == []
+
+    def test_pulses_and_metrology_store_the_basis_alone(self, tmp_path):
+        # on an energy pump both read g0 from the basis; neither needs every
+        # gain
         raw = scenario_dict()
         del raw["pump"]["pump_ratio"]
         raw["pump"]["energy"] = 2e-10
-        out = self._run(write_config(tmp_path, raw), tmp_path / "out",
-                        "pulses", "metrology")
-        assert not (out / SPECTRUM_FILE).exists()
-        assert all(p.name[0] != "." for p in out.iterdir())
+        path = write_config(tmp_path, raw)
+        first = self._run(path, tmp_path / "pulses", "pulses")
+        out = self._run(path, tmp_path / "out", "metrology", "pulses")
+        assert sorted(p.name for p in out.iterdir() if p.name[0] == ".") \
+            == [BASIS_FILE]
+        assert (out / BASIS_FILE).read_bytes() \
+            == (first / BASIS_FILE).read_bytes()
+        assert (out / "sigma2.csv").read_bytes() \
+            == (first / "sigma2.csv").read_bytes()
+        # a pump_ratio config's pulses needs no basis, and stores none
+        ratio = self._run(write_config(tmp_path, scenario_dict()),
+                          tmp_path / "ratio", "pulses")
+        assert all(p.name[0] != "." for p in ratio.iterdir())
 
 
 def loaded_modules(code):

@@ -7,7 +7,7 @@ from spopo import (FrequencyGrid, JointKernel, ValidationError,
                    pulse_train_from_coefficients, schmidt_decompose,
                    synthesize_comb, takagi)
 
-from spopo.supermodes import kept_count, takagi_values
+from spopo.supermodes import SupermodeBasis, kept_count, takagi_values
 
 from conftest import T0, make_pump
 
@@ -238,6 +238,18 @@ class TestTopModes:
         residual = np.linalg.norm(matrix @ u.conj() - u * top, axis=0)
         assert np.all(residual <= 1e-12 * g0)
 
+    @pytest.mark.parametrize("n_points", [171, 1361])
+    def test_top_gain_keeps_its_bits_up_to_four_modes(
+            self, full_factorisations, full_eigh_calls, n_points):
+        # every k <= 4 runs the same 40 Lanczos steps, so g0 is the k = 1
+        # value bit for bit: an energy pump's g0 in the CLI comes from a
+        # basis of k = n_modes_dump
+        matrix = full_factorisations[n_points][0]
+        g0 = takagi(matrix, 1)[0][0]
+        for k in (2, 3, 4):
+            assert takagi(matrix, k)[0][0].tobytes() == g0.tobytes(), k
+        assert not full_eigh_calls
+
     def test_rerun_is_bitwise_identical(self, full_factorisations):
         matrix = full_factorisations[171][0]
         first, second = takagi(matrix, 4), takagi(matrix, 4)
@@ -320,6 +332,20 @@ class TestTopModes:
 
 
 class TestSchmidtDecompose:
+    def test_basis_from_stored_modes(self, default_kernel, default_basis):
+        # gains and modes alone rebuild the basis, without its kernel
+        basis = SupermodeBasis.from_modes(
+            default_basis.gains, default_basis.modes_freq, default_kernel.grid,
+            T0, gain_cutoff=1e-6)
+        assert basis.kernel is None
+        assert basis.n_kept == default_basis.n_kept
+        assert basis.rep_period == default_basis.rep_period
+        assert basis.time_grid.tobytes() == default_basis.time_grid.tobytes()
+        assert basis.modes_time.tobytes() == default_basis.modes_time.tobytes()
+        assert basis.gram_defect() == default_basis.gram_defect()
+        with pytest.raises(ValidationError, match="no kernel"):
+            basis.reconstruction_residual()
+
     def test_basis_invariants(self, default_basis):
         assert default_basis.gains[0] == default_basis.gains.max()
         assert np.all(np.diff(default_basis.gains) <= 1e-14)
