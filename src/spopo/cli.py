@@ -8,8 +8,8 @@ stable code and mapped to exit codes 2 (config), 3 (physics domain), 4
 (numerical).
 
 A run directory also keeps two records, which are not outputs, behind one
-key line (``_spectrum_key``: the config, the versions and the kernel
-source); a later run of the same config in that directory reads them
+key line (``_spectrum_key``: the grid, pump and crystal, the versions and the
+kernel source); a later run of the same kernel in that directory reads them
 instead of solving the kernel again, and a missing, mismatched or truncated
 record is recomputed:
 
@@ -19,9 +19,10 @@ record is recomputed:
   max(1, n_modes_dump) unscaled gains and modes, written and read by
   supermodes, metrology, and pulses on an energy pump.
 
-A subcommand imports only the layers it runs: the supermode layer inside
-``_every_gain`` and ``_run_basis``, pulses and metrology inside their
-runners.
+``main`` hands each runner a ``_Run``, which builds the kernel, reads or
+computes the records on first use and stores the computed ones once the
+runner returns.  A subcommand imports only the layers it runs: the
+supermode layer inside ``_Run``, pulses and metrology inside their runners.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ import hashlib
 import json
 import os
 import sys
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -45,11 +47,10 @@ from .kernel import build_kernel
 _FLOAT_FMT = "%.12g"
 #: rows of a block formatted by one % operation
 _CHUNK_ROWS = 4096
-#: a run directory's unscaled Takagi values, behind the key line of
-#: ``_spectrum_key``; read and written by supermodes and squeezing
+#: a run directory's unscaled Takagi values (``_Run.values``), behind the key
+#: line of ``_spectrum_key``
 SPECTRUM_FILE = ".spopo-spectrum"
-#: a run directory's basis of ``_run_basis``, behind the same key line; read
-#: and written by supermodes, metrology, and pulses on an energy pump
+#: a run directory's run basis (``_Run.basis``), behind the same key line
 BASIS_FILE = ".spopo-basis"
 
 
@@ -91,10 +92,6 @@ def _metadata(cfg: ScenarioConfig, seed) -> dict:
             "seed": "none" if seed is None else seed}
 
 
-def _n_max(cfg: ScenarioConfig) -> int:
-    return int(cfg.run.get("N_max", 100))
-
-
 def _scale_gains(cfg: ScenarioConfig, gains: np.ndarray):
     """Exact gain rescaling for pump_ratio configs, plus the threshold check.
 
@@ -125,14 +122,14 @@ def _scale_gains(cfg: ScenarioConfig, gains: np.ndarray):
 def _spectrum_key(cfg: ScenarioConfig) -> bytes:
     """Hex sha256 of what the unscaled Takagi values and modes depend on.
 
-    That is the canonical config JSON that ``config_hash`` digests, the spopo
-    and numpy versions, and the source of the modules that build and solve
-    the kernel; each part goes in behind its length.
+    That is the parsed kernel inputs (the grid, the pump and the crystal; a
+    pump_ratio config's pump holds REFERENCE_ENERGY, whatever its ratio), the
+    spopo and numpy versions, and the source of the modules that build and
+    solve the kernel; each part goes in behind its length.
     """
     here = Path(__file__).parent
     digest = hashlib.sha256()
-    for part in (json.dumps(cfg.raw, sort_keys=True,
-                            separators=(",", ":")).encode(),
+    for part in (repr((cfg.grid, cfg.pump, cfg.crystal)).encode(),
                  __version__.encode(), np.__version__.encode(),
                  *(here.joinpath(name).read_bytes()
                    for name in ("config.py", "kernel.py", "supermodes.py"))):
@@ -141,28 +138,12 @@ def _spectrum_key(cfg: ScenarioConfig) -> bytes:
     return digest.hexdigest().encode()
 
 
-def _read_record(path: Path, key: bytes, size: int) -> bytes | None:
-    """The ``size`` bytes that follow the first line ``key`` of ``path``;
-    None when the file is missing or unreadable, or has another first line
-    or another length."""
-    try:
-        with open(path, "rb") as stored:
-            body = stored.read(size + 1) \
-                if stored.readline(len(key)) == key else b""
-    except OSError:
-        return None
-    return body if len(body) == size else None
-
-
-def _store_record(path: Path, data: bytes | None) -> None:
-    """Put ``data`` in ``path`` through a per-process temporary name; None
-    means the file already holds it.
+def _store_record(path: Path, data: bytes) -> None:
+    """Put ``data`` in ``path`` through a per-process temporary name.
 
     A record is a shortcut, not an output: a directory that refuses it keeps
     what it held, and the run's outputs and exit code stay as they are.
     """
-    if data is None:
-        return
     temporary = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
         temporary.write_bytes(data)
@@ -174,97 +155,108 @@ def _store_record(path: Path, data: bytes | None) -> None:
             pass
 
 
-def _gain_cutoff(cfg: ScenarioConfig) -> float:
-    from .supermodes import DEFAULT_GAIN_CUTOFF
+class _Run:
+    """One subcommand's run of a config into ``outdir``: what its runner
+    reads of the kernel, each part built on first use and at most once.
 
-    return cfg.run.get("gain_cutoff", DEFAULT_GAIN_CUTOFF)
+    - ``kernel``: the joint kernel.
+    - ``values``: every unscaled Takagi value, in SPECTRUM_FILE.
+    - ``basis``: the run basis, the top k = max(1, n_modes_dump) supermodes
+      (at most n_points) with unscaled gains, in BASIS_FILE.  A basis read
+      from the file carries no kernel.
 
-
-def _every_gain(cfg: ScenarioConfig, outdir: Path):
-    """Every unscaled Takagi value of the run's kernel, and the kept count.
-
-    The values are read from ``outdir/SPECTRUM_FILE`` when its first line is
-    ``_spectrum_key(cfg)`` and n_points float64 values follow; otherwise
-    they are ``takagi_values`` of the kernel.  ``eigvalsh`` gives the same
-    bits to every process that computes them, so no output depends on which
-    subcommand computed the file.
-
-    Returns the kept-mode count, the values, the kernel (None when the values
-    were read) and the bytes of the file for ``_store_record`` to write after
-    the run's last output (None when the values were read).
+    A record is read when its first line is ``_spectrum_key`` and a body of
+    the right length follows; otherwise it is computed, and ``store`` writes
+    it after the runner's last output, so a refused run stores nothing.
+    ``eigvalsh`` gives the same bits to every process that computes them,
+    and the Lanczos steps start from the same vector, so no output depends
+    on which subcommand computed a record.
     """
-    from .supermodes import kept_count, takagi_values
 
-    key = _spectrum_key(cfg) + b"\n"
-    body = _read_record(outdir / SPECTRUM_FILE, key, 8 * cfg.grid.n_points)
-    kernel = pending = None
-    if body is None:
-        kernel = build_kernel(cfg.grid, cfg.pump, cfg.crystal)
-        gains = takagi_values(kernel.matrix)
-        pending = key + gains.astype("<f8").tobytes()
-    else:
-        gains = np.frombuffer(body, "<f8")
-    return kept_count(gains, _gain_cutoff(cfg)), gains, kernel, pending
+    def __init__(self, cfg: ScenarioConfig, outdir: Path):
+        self.cfg = cfg
+        self.outdir = outdir
+        self._pending = {}
 
+    @cached_property
+    def _key(self) -> bytes:
+        return _spectrum_key(self.cfg) + b"\n"
 
-def _n_modes_dump(cfg: ScenarioConfig) -> int:
-    return int(cfg.run.get("n_modes_dump", 8))
+    def _record(self, name: str, size: int, compute) -> bytes:
+        """The ``size`` bytes of record ``name`` after the key line, read
+        from ``outdir`` or else ``compute()``d and kept for ``store``."""
+        try:
+            with open(self.outdir / name, "rb") as stored:
+                body = stored.read(size + 1) \
+                    if stored.readline(len(self._key)) == self._key else b""
+        except OSError:
+            body = b""
+        if len(body) != size:
+            body = compute()
+            self._pending[name] = self._key + body
+        return body
 
+    def store(self) -> None:
+        for name, data in self._pending.items():
+            _store_record(self.outdir / name, data)
 
-def _run_basis(cfg: ScenarioConfig, outdir: Path, kernel=None):
-    """The run's one Lanczos basis: the top k = max(1, n_modes_dump)
-    supermodes of its kernel, at most n_points of them, with unscaled gains.
+    @cached_property
+    def kernel(self):
+        cfg = self.cfg
+        return build_kernel(cfg.grid, cfg.pump, cfg.crystal)
 
-    The basis is read from ``outdir/BASIS_FILE`` when its first line is
-    ``_spectrum_key(cfg)`` and k float64 gains and the n_points x k
-    complex128 mode samples, row by row, follow; a basis read so carries no
-    kernel.  Otherwise it is ``schmidt_decompose(kernel, n_modes=k)``, of
-    ``kernel`` when given.  Every process that computes it takes the same
-    Lanczos steps from the same start vector, so no output depends on which
-    subcommand computed the file.
+    @cached_property
+    def values(self) -> np.ndarray:
+        from .supermodes import takagi_values
 
-    Returns the basis and the bytes of the file for ``_store_record`` to
-    write after the run's last output (None when the basis was read).
-    """
-    from .supermodes import SupermodeBasis, schmidt_decompose
+        body = self._record(
+            SPECTRUM_FILE, 8 * self.cfg.grid.n_points,
+            lambda: takagi_values(self.kernel.matrix).astype("<f8").tobytes())
+        return np.frombuffer(body, "<f8")
 
-    n = cfg.grid.n_points
-    # a zero kernel keeps no mode; takagi still gives it a basis
-    k = min(max(1, _n_modes_dump(cfg)), n)
-    key = _spectrum_key(cfg) + b"\n"
-    body = _read_record(outdir / BASIS_FILE, key, 8 * k + 16 * n * k)
-    if body is not None:
+    @property
+    def n_kept(self) -> int:
+        from .supermodes import kept_count
+
+        return kept_count(self.values, self.cfg.run["gain_cutoff"])
+
+    @cached_property
+    def basis(self):
+        from .supermodes import SupermodeBasis, schmidt_decompose
+
+        cfg = self.cfg
+        n = cfg.grid.n_points
+        # a zero kernel keeps no mode; takagi still gives it a basis
+        k = min(max(1, cfg.run["n_modes_dump"]), n)
+
+        def compute():
+            basis = schmidt_decompose(self.kernel, cfg.run["gain_cutoff"],
+                                      n_modes=k,
+                                      rep_period=cfg.pump.rep_period)
+            return (basis.gains.astype("<f8").tobytes()
+                    + basis.modes_freq.astype("<c16").tobytes())
+
+        body = self._record(BASIS_FILE, 8 * k + 16 * n * k, compute)
         return SupermodeBasis.from_modes(
             np.frombuffer(body, "<f8", k),
             np.frombuffer(body, "<c16", offset=8 * k).reshape(n, k),
-            cfg.grid, cfg.pump.rep_period, _gain_cutoff(cfg)), None
-    if kernel is None:
-        kernel = build_kernel(cfg.grid, cfg.pump, cfg.crystal)
-    basis = schmidt_decompose(kernel, _gain_cutoff(cfg), n_modes=k,
-                              rep_period=cfg.pump.rep_period)
-    return basis, (key + basis.gains.astype("<f8").tobytes()
-                   + basis.modes_freq.astype("<c16").tobytes())
+            cfg.grid, cfg.pump.rep_period, cfg.run["gain_cutoff"])
 
 
-def run_supermodes(cfg: ScenarioConfig, outdir: Path, seed=None) -> list[Path]:
-    n_kept, values, kernel, new_spectrum = _every_gain(cfg, outdir)
+def run_supermodes(run: _Run, seed=None) -> list[Path]:
+    cfg, outdir = run.cfg, run.outdir
+    values, n_kept = run.values, run.n_kept
     gains, gth, energy = _scale_gains(cfg, values)
-    n_dump = min(n_kept, _n_modes_dump(cfg))
-    new_basis = None
+    n_dump = min(n_kept, cfg.run["n_modes_dump"])
     if n_dump:
-        basis, new_basis = _run_basis(cfg, outdir, kernel)
-        if kernel is None:
-            kernel = basis.kernel
-        modes = basis.modes_freq
-        if np.abs(basis.gains[:n_dump] - values[:n_dump]).max() \
+        modes = run.basis.modes_freq
+        if np.abs(run.basis.gains[:n_dump] - values[:n_dump]).max() \
                 > 1e-12 * values[0]:
             # Lanczos gains that stray from eigvalsh's: the dump takes the
             # full decomposition, and the record keeps the Lanczos basis
             from .supermodes import schmidt_decompose
 
-            if kernel is None:
-                kernel = build_kernel(cfg.grid, cfg.pump, cfg.crystal)
-            modes = schmidt_decompose(kernel, _gain_cutoff(cfg),
+            modes = schmidt_decompose(run.kernel, cfg.run["gain_cutoff"],
                                       rep_period=cfg.pump.rep_period
                                       ).modes_freq
     meta = _metadata(cfg, seed)
@@ -279,10 +271,8 @@ def run_supermodes(cfg: ScenarioConfig, outdir: Path, seed=None) -> list[Path]:
         written.append(_write_csv(
             outdir / f"mode_{n:03d}.csv", ["omega", "re_psi", "im_psi"],
             [[omegas, mode.real, mode.imag]], meta))
-    if cfg.run.get("dump_kernel", False):
-        if kernel is None:
-            kernel = build_kernel(cfg.grid, cfg.pump, cfg.crystal)
-        matrix = kernel.matrix
+    if cfg.run["dump_kernel"]:
+        matrix = run.kernel.matrix
         n_points = cfg.grid.n_points
         kmeta = dict(meta, shape=f"{n_points}x{n_points}", order="row-major")
         # (re, im) lines of a few matrix rows at a time, so no column or
@@ -292,44 +282,38 @@ def run_supermodes(cfg: ScenarioConfig, outdir: Path, seed=None) -> list[Path]:
                   for rows in np.split(matrix, range(step, len(matrix), step)))
         written.append(_write_csv(outdir / "kernel.csv", ["re", "im"], blocks,
                                   kmeta))
-    _store_record(outdir / SPECTRUM_FILE, new_spectrum)
-    _store_record(outdir / BASIS_FILE, new_basis)
     return written
 
 
-def run_squeezing(cfg: ScenarioConfig, outdir: Path, seed=None) -> list[Path]:
-    n_kept, values, _, new_spectrum = _every_gain(cfg, outdir)
-    gains, gth, _ = _scale_gains(cfg, values)
-    theta_max = cfg.run.get("theta_max", np.pi)
-    theta_points = int(cfg.run.get("theta_points", 121))
-    thetas = np.linspace(-theta_max, theta_max, theta_points)
-    spectrum = squeezing_spectrum(gains[:n_kept], cfg.cavity,
+def run_squeezing(run: _Run, seed=None) -> list[Path]:
+    cfg = run.cfg
+    gains, gth, _ = _scale_gains(cfg, run.values)
+    theta_max = cfg.run["theta_max"]
+    thetas = np.linspace(-theta_max, theta_max, cfg.run["theta_points"])
+    spectrum = squeezing_spectrum(gains[:run.n_kept], cfg.cavity,
                                   cfg.pump.ceo_half, thetas)
     blocks = [[thetas, mode, spectrum.var_x[mode], spectrum.var_p[mode],
                spectrum.epr[mode]] for mode in range(spectrum.gains.size)]
     meta = _metadata(cfg, seed)
     meta.update(threshold_gain=_FLOAT_FMT % gth)
-    written = [_write_csv(outdir / "squeezing.csv",
-                          ["theta", "mode", "var_x", "var_p", "epr_variance"],
-                          blocks, meta)]
-    _store_record(outdir / SPECTRUM_FILE, new_spectrum)
-    return written
+    return [_write_csv(run.outdir / "squeezing.csv",
+                       ["theta", "mode", "var_x", "var_p", "epr_variance"],
+                       blocks, meta)]
 
 
-def run_pulses(cfg: ScenarioConfig, outdir: Path, seed=None) -> list[Path]:
+def run_pulses(run: _Run, seed=None) -> list[Path]:
     from .pulses import covariance, duan_sum, min_variance_curve
 
-    new_basis = None
+    cfg, outdir = run.cfg, run.outdir
     if cfg.pump_ratio is not None:
         gth = threshold_gain(cfg.cavity, cfg.pump.ceo_half).gain
         g0 = cfg.pump_ratio * gth
     else:
         # g0 alone: the run basis's, as in metrology; no eigvalsh
-        basis, new_basis = _run_basis(cfg, outdir)
-        gains, gth, _ = _scale_gains(cfg, basis.gains)
+        gains, gth, _ = _scale_gains(cfg, run.basis.gains)
         g0 = float(gains[0])
     r = resonant_r(cfg.cavity, cfg.pump.ceo_half)
-    n_max = _n_max(cfg)
+    n_max = cfg.run["N_max"]
     meta = _metadata(cfg, seed)
     meta.update(threshold_gain=_FLOAT_FMT % gth)
     ns = np.arange(1, n_max + 1)
@@ -347,21 +331,21 @@ def run_pulses(cfg: ScenarioConfig, outdir: Path, seed=None) -> list[Path]:
         written.append(_write_csv(outdir / "duan.csv",
                                   ["separation", "duan_sum"], [[seps, sums]],
                                   meta))
-    if cfg.run.get("dump_matrices", False):
+    if cfg.run["dump_matrices"]:
         cov = covariance(g0, r, min(n_max, 64))
         for name, mat in (("v_plus", cov.v_plus), ("v_minus", cov.v_minus)):
             header = [f"c{j}" for j in range(cov.n_pulses)]
             written.append(_write_csv(outdir / f"{name}.csv", header,
                                       [list(mat.T)], meta))
-    _store_record(outdir / BASIS_FILE, new_basis)
     return written
 
 
-def run_metrology(cfg: ScenarioConfig, outdir: Path, seed=None) -> list[Path]:
+def run_metrology(run: _Run, seed=None) -> list[Path]:
     from .metrology import improvement_curve, optimal_probe
 
+    cfg, outdir = run.cfg, run.outdir
     # the bound reads g0 and psi0 alone: column 0 of the run basis
-    basis, new_basis = _run_basis(cfg, outdir)
+    basis = run.basis
     gains, gth, _ = _scale_gains(cfg, basis.gains)
     r = resonant_r(cfg.cavity, cfg.pump.ceo_half)
     if "ratios" in cfg.run:
@@ -370,12 +354,12 @@ def run_metrology(cfg: ScenarioConfig, outdir: Path, seed=None) -> list[Path]:
         ratios = [cfg.pump_ratio]
     else:
         ratios = [float(gains[0] / gth)]
-    n_max = _n_max(cfg)
-    curve = improvement_curve(cfg.cavity, ratios, n_max, cfg.pump.ceo_half)
+    curve = improvement_curve(cfg.cavity, ratios, cfg.run["N_max"],
+                              cfg.pump.ceo_half)
     # every refusal comes before the first file is written
     probe = optimal_probe(basis, cfg.crystal.omega0, r,
-                          int(cfg.run.get("probe_pulses", 8)),
-                          cfg.run.get("n_bar0", 1e6), gain0=float(gains[0]))
+                          cfg.run["probe_pulses"], cfg.run["n_bar0"],
+                          gain0=float(gains[0]))
     meta = _metadata(cfg, seed)
     meta.update(threshold_gain=_FLOAT_FMT % gth)
     blocks = [[ratio, curve.n_values, sigma2, improvement, asymptote]
@@ -405,7 +389,6 @@ def run_metrology(cfg: ScenarioConfig, outdir: Path, seed=None) -> list[Path]:
     written.append(_write_csv(
         outdir / "probe.csv", ["t", "re", "im"],
         [[times, probe.envelope.real, probe.envelope.imag]], pmeta))
-    _store_record(outdir / BASIS_FILE, new_basis)
     return written
 
 
@@ -447,7 +430,9 @@ def main(argv=None) -> int:
         except OSError as exc:
             raise ConfigError(
                 f"--out is not a usable directory: {exc}") from exc
-        written = _RUNNERS[args.command](cfg, outdir, args.seed)
+        run = _Run(cfg, outdir)
+        written = _RUNNERS[args.command](run, args.seed)
+        run.store()
     except (SpopoError, MemoryError) as exc:
         if isinstance(exc, MemoryError):
             # a size that cannot be allocated is a config value out of

@@ -9,12 +9,9 @@ Schema (all values SI):
     crystal: l_c (m); d_eff (m/V); n0; A_eff (m^2); omega0 (rad/s);
              signal_dispersion, pump_dispersion (4 Taylor coefficients each)
     cavity:  exactly one of r / finesse; delta_rt (rad)
-    run:     optional subcommand knobs, defaults in parentheses:
-             theta_points (121), theta_max (pi), N_max (100), ratios
-             ([pump_ratio], or [g0 / g_th] for an energy pump), gain_cutoff
-             (1e-6; in [0, 1], so mode 0 is kept whenever g0 > 0),
-             n_modes_dump (8), dump_kernel (false), dump_matrices (false),
-             probe_pulses (8), n_bar0 (1e6)
+    run:     optional subcommand knobs: each of RUN_DEFAULTS (gain_cutoff
+             in [0, 1], so mode 0 is kept whenever g0 > 0), and ratios
+             ([pump_ratio], or [g0 / g_th] for an energy pump)
 
 Every number must be finite: Python's json reads NaN, Infinity and
 -Infinity, and a config holding one anywhere above (a dispersion
@@ -36,6 +33,12 @@ from .kernel import CrystalConfig, FrequencyGrid, PumpConfig
 #: reference pulse energy used to obtain mode shapes when the pump is
 #: specified through a threshold ratio (gains are rescaled exactly afterwards)
 REFERENCE_ENERGY = 1e-9
+
+#: the default of every run knob but ``ratios``; ``ScenarioConfig.run`` holds
+#: each of them, from the config or from here
+RUN_DEFAULTS = {"theta_points": 121, "theta_max": math.pi, "N_max": 100,
+                "gain_cutoff": 1e-6, "n_modes_dump": 8, "dump_kernel": False,
+                "dump_matrices": False, "probe_pulses": 8, "n_bar0": 1e6}
 
 
 def _require(section: dict, section_name: str, key: str):
@@ -206,5 +209,7 @@ def parse_scenario(raw: dict) -> ScenarioConfig:
         raise
     except SpopoError as exc:
         raise ConfigError(f"invalid configuration: {exc}") from exc
+    # a new dict: raw, and so config_hash, stays as the file gave it
     return ScenarioConfig(grid=grid, pump=pump, crystal=crystal, cavity=cavity,
-                          pump_ratio=pump_ratio, run=run, raw=raw)
+                          pump_ratio=pump_ratio, run=RUN_DEFAULTS | run,
+                          raw=raw)

@@ -20,10 +20,11 @@ from functools import cached_property
 
 import numpy as np
 
+from .config import RUN_DEFAULTS
 from .errors import ValidationError
 from .kernel import FrequencyGrid, JointKernel, PumpConfig, check_symmetric
 
-DEFAULT_GAIN_CUTOFF = 1e-6
+DEFAULT_GAIN_CUTOFF = RUN_DEFAULTS["gain_cutoff"]
 
 
 def takagi(matrix: np.ndarray | JointKernel, n_modes: int | None = None

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import json
 import os
 import subprocess
@@ -125,6 +126,31 @@ class TestConfigValidation:
             parse_scenario(scenario_dict(**{"run.ratios": [1.0]}))
         with pytest.raises(ConfigError, match="run.dump_kernel"):
             parse_scenario(scenario_dict(**{"run.dump_kernel": "yes"}))
+
+    def test_run_defaults_fill_a_new_dict(self):
+        # a config without a run section gets every documented default; its
+        # raw document, and so its hash, stay as given
+        raw = scenario_dict()
+        del raw["run"]
+        canonical = json.dumps(raw, sort_keys=True, separators=(",", ":"))
+        cfg = parse_scenario(raw)
+        assert cfg.run == {"theta_points": 121, "theta_max": np.pi,
+                           "N_max": 100, "gain_cutoff": 1e-6,
+                           "n_modes_dump": 8, "dump_kernel": False,
+                           "dump_matrices": False, "probe_pulses": 8,
+                           "n_bar0": 1e6}
+        assert "run" not in cfg.raw
+        assert json.dumps(raw, sort_keys=True, separators=(",", ":")) \
+            == canonical
+        assert cfg.config_hash \
+            == hashlib.sha256(canonical.encode()).hexdigest()[:16]
+        # a given knob wins, and the given run section is left as it was
+        raw = scenario_dict()
+        cfg = parse_scenario(raw)
+        assert raw["run"] == scenario_dict()["run"]
+        assert cfg.run == dict(scenario_dict()["run"], gain_cutoff=1e-6,
+                               n_modes_dump=8, dump_kernel=False,
+                               dump_matrices=False)
 
     def test_bad_json_file(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -862,16 +888,9 @@ class TestRunBasis:
     _run = staticmethod(TestRunSpectrum._run)
     _outputs = staticmethod(TestRunSpectrum._outputs)
 
-    @pytest.mark.parametrize("twin", ["default", "odd", "energy"])
-    def test_read_basis_builds_no_kernel(self, tmp_path, monkeypatch, capsys,
-                                         twin):
-        raw = default_twin(twin)
-        path = write_config(tmp_path, raw)
-        cold = {}
-        for command in ("supermodes", "pulses", "metrology"):
-            cold |= self._outputs(self._run(path, tmp_path / command, command))
-        out = self._run(path, tmp_path / "out", "supermodes")
-        capsys.readouterr()
+    @staticmethod
+    def _spy_builds(monkeypatch):
+        """The arguments of every ``cli.build_kernel`` call from now on."""
         build = spopo.cli.build_kernel
         built = []
 
@@ -880,6 +899,26 @@ class TestRunBasis:
             return build(*args, **kwargs)
 
         monkeypatch.setattr(spopo.cli, "build_kernel", spy)
+        return built
+
+    @pytest.mark.parametrize("twin", ["default", "odd", "energy"])
+    def test_read_basis_builds_no_kernel(self, tmp_path, monkeypatch, capsys,
+                                         twin):
+        raw = default_twin(twin)
+        path = write_config(tmp_path, raw)
+        built = self._spy_builds(monkeypatch)
+        cold = {}
+        # a cold subcommand builds the kernel once, dump_kernel included; a
+        # pump_ratio pulses builds none
+        for command, builds in (("supermodes", 1),
+                                ("pulses", int(twin == "energy")),
+                                ("metrology", 1)):
+            built.clear()
+            cold |= self._outputs(self._run(path, tmp_path / command, command))
+            assert len(built) == builds, command
+        out = self._run(path, tmp_path / "out", "supermodes")
+        capsys.readouterr()
+        built.clear()
         self._run(path, out, "metrology", "pulses")
         assert not built
         # with both records present, supermodes builds the kernel only to
@@ -890,6 +929,32 @@ class TestRunBasis:
         # stdout lists the outputs, not the records
         listed = capsys.readouterr().out.splitlines()
         assert all(Path(line).name[0] != "." for line in listed)
+
+    def test_run_knob_edits_reuse_the_records(self, tmp_path, monkeypatch,
+                                              capsys):
+        # the records depend on the grid, the pump and the crystal: edits of
+        # run knobs and of the pump ratio read them
+        out = self._run(write_config(tmp_path, default_twin("default")),
+                        tmp_path / "out", "supermodes", "squeezing",
+                        "metrology")
+        records = {name: (out / name).read_bytes()
+                   for name in (SPECTRUM_FILE, BASIS_FILE)}
+        raw = default_twin("default")
+        raw["run"].update(N_max=50, ratios=[0.3, 0.6])
+        raw["pump"]["pump_ratio"] = 0.7
+        (tmp_path / "edited").mkdir()
+        path = write_config(tmp_path / "edited", raw)
+        cold = {}
+        for command in ("squeezing", "metrology"):
+            cold |= self._outputs(self._run(path, tmp_path / command, command))
+        capsys.readouterr()
+        built = self._spy_builds(monkeypatch)
+        self._run(path, out, "squeezing", "metrology")
+        assert not built
+        outputs = self._outputs(out)
+        assert {name: outputs[name] for name in cold} == cold
+        assert {name: (out / name).read_bytes() for name in records} \
+            == records
 
     @pytest.mark.parametrize("twin", ["default", "odd", "energy"])
     def test_both_orders_match_own_directories(self, tmp_path, twin):
