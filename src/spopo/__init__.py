@@ -16,26 +16,22 @@ __version__ = "0.1.0"
 
 #: defining submodule of each exported name
 _EXPORTS = {
-    "cavity": ("CavityConfig", "SqueezingSpectrum", "ThresholdResult",
-               "comb_io", "epr_pair_check", "pair_covariance", "resonant_r",
-               "squeezing_spectrum", "threshold_gain"),
+    "cavity": ("CavityConfig", "ModePairTransform", "SqueezingSpectrum",
+               "ThresholdResult", "check_symplectic", "comb_io",
+               "output_covariance", "resonant_r", "squeezing_spectrum",
+               "threshold_gain"),
     "errors": ("AboveThresholdError", "AtThresholdError", "ConfigError",
                "NoFiniteThresholdError", "NumericalError", "SpopoError",
                "SpectralLeakageError", "ValidationError"),
     "kernel": ("CrystalConfig", "FrequencyGrid", "JointKernel", "PumpConfig",
                "build_kernel", "chi0", "phase_matching"),
     "metrology": ("ImprovementCurve", "MetrologyResult", "ProbeField",
-                  "TranslationGenerator", "cramer_rao", "fisher_information",
-                  "improvement_curve", "omega_matrix", "optimal_probe"),
+                  "cramer_rao", "fisher_information", "improvement_curve",
+                  "optimal_probe"),
     "pulses": ("MinVarianceSolution", "PulseCovariance", "covariance",
                "duan_sum", "io_series_coefficients", "min_variance_direct",
                "min_variance_transcendental", "sigma2_limit"),
-    "supermodes": ("CombFunction", "SupermodeBasis", "comb_inner_product",
-                   "project_pulse", "pulse_train_from_coefficients",
-                   "schmidt_decompose", "synthesize_comb", "takagi"),
-    "symplectic": ("ModePairTransform", "check_symplectic", "compose",
-                   "minimum_quadrature_variance", "output_covariance",
-                   "quadrature_matrix"),
+    "supermodes": ("SupermodeBasis", "schmidt_decompose", "takagi"),
 }
 _SOURCE = {name: module for module, names in _EXPORTS.items()
            for name in names}

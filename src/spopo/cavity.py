@@ -14,6 +14,16 @@ u = e^{i(theta + phi)}, d = e^{i(theta - phi)} and h = cosh g - 1,
 factored to keep the O(1) terms apart from the gain terms that cancel them
 near threshold.
 
+Each (C, S) is a lossless pair transform: it mixes the annihilation operator
+of one comb with the creation operator of its partner,
+
+    b = c a  +  s a_partner^dag,
+
+and is represented by the block ``[[c, s], [s*, c*]]``.  Preserving the
+commutation relations requires ``|c|^2 - |s|^2 = 1``; for scalar blocks the
+cross commutator ``[b, b_partner]`` vanishes identically, so that single
+condition is the whole symplectic constraint.
+
 One evaluation at +theta gives the whole comb pair.  For a real phi,
 D(-theta) = conj D(theta), so S(-theta) = e^{2i phi} conj S(theta) and
 |S(-theta)| = |S(theta)|.  With |C|^2 - |S|^2 = 1, |C| - |S| = 1/(|C| + |S|):
@@ -35,10 +45,58 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import AtThresholdError, NoFiniteThresholdError, ValidationError
-from .symplectic import ModePairTransform, minimum_quadrature_variance
 
 #: condition-number ceiling for the input-output inversion
 CONDITION_LIMIT = 1e12
+
+DEFAULT_SYMPLECTIC_TOL = 1e-10
+
+#: vacuum variance of each quadrature, x = (a + a^dag)/sqrt(2)
+VACUUM_VARIANCE = 0.5
+
+
+@dataclass(frozen=True)
+class ModePairTransform:
+    """One comb-pair Bogoliubov block ``[[c, s], [s*, c*]]``."""
+
+    c: complex
+    s: complex
+
+    def symplectic_defect(self) -> float:
+        """|c|^2 - |s|^2 - 1; zero for an exact Bogoliubov block."""
+        return abs(self.c) ** 2 - abs(self.s) ** 2 - 1.0
+
+
+def check_symplectic(transform: ModePairTransform,
+                     tol: float = DEFAULT_SYMPLECTIC_TOL) -> bool:
+    """Check the Bogoliubov condition |c|^2 - |s|^2 = 1.
+
+    Near threshold |c| grows large, so the defect is compared against a
+    tolerance scaled by |c|^2 (plain float64 cancellation floor).
+    """
+    if tol <= 0:
+        raise ValidationError("tolerance must be positive")
+    scale = max(1.0, abs(transform.c) ** 2)
+    return abs(transform.symplectic_defect()) <= tol * scale
+
+
+def output_covariance(transform: ModePairTransform) -> tuple[float, float, float]:
+    """Quadrature covariance (var_x, var_p, cov) of the output mode for a
+    vacuum input, in the degenerate (self-paired) case.
+
+    The block acts on (x, p) as the real 2x2 matrix
+    [[Re(c + s), -Im(c - s)], [Im(c + s), Re(c - s)]], whose determinant is
+    |c|^2 - |s|^2, i.e. 1 for a symplectic block.  The identity gives
+    (1/2, 1/2, 0); a real squeezing block c = cosh g, s = sinh g gives
+    var_p = e^{-2g}/2.
+    """
+    c, s = transform.c, transform.s
+    m = np.array([
+        [np.real(c + s), -np.imag(c - s)],
+        [np.imag(c + s), np.real(c - s)],
+    ])
+    v = VACUUM_VARIANCE * (m @ m.T)
+    return float(v[0, 0]), float(v[1, 1]), float(v[0, 1])
 
 
 @dataclass(frozen=True)
@@ -167,39 +225,6 @@ def comb_io(gain: float, theta: float, cavity: CavityConfig,
     """
     c, s = _blocks(gain, theta, cavity, ceo_half)
     return ModePairTransform(c=complex(c), s=complex(s))
-
-
-def pair_covariance(gain: float, theta: float, cavity: CavityConfig,
-                    ceo_half: float) -> np.ndarray:
-    """4x4 covariance of the comb pair (+theta, -theta), basis (x+, p+, x-, p-).
-
-    Vacuum input.  Each reduced single-comb block is thermal with variance
-    (1 + 2|S|^2)/2; all cross moments sit in the ``<b(+theta) b(-theta)>``
-    correlator K = C(theta) S(-theta) = C(theta) e^{2i phi} conj S(theta).
-    """
-    block = comb_io(gain, theta, cavity, ceo_half)
-    v_th = 0.5 * (1.0 + 2.0 * abs(block.s) ** 2)
-    k = block.c * np.exp(2j * (cavity.delta_rt + ceo_half)) * np.conj(block.s)
-    re_k, im_k = k.real, k.imag
-    return np.array([
-        [v_th, 0.0, re_k, im_k],
-        [0.0, v_th, im_k, -re_k],
-        [re_k, im_k, v_th, 0.0],
-        [im_k, -re_k, 0.0, v_th],
-    ])
-
-
-def epr_pair_check(gain: float, theta: float, cavity: CavityConfig,
-                   ceo_half: float) -> float:
-    """Two-mode EPR variance of the (+theta, -theta) comb pair.
-
-    Var((x+ - x-)/sqrt2) + Var((p+ + p-)/sqrt2), minimized over a relative
-    quadrature rotation of the two combs; below 1 certifies entanglement,
-    vacuum gives exactly 1.  It equals 1/(|C| + |S|)^2, twice the squeezed
-    joint-quadrature variance.
-    """
-    return 2.0 * minimum_quadrature_variance(
-        comb_io(gain, theta, cavity, ceo_half))
 
 
 @dataclass(frozen=True)

@@ -168,9 +168,13 @@ class _Run:
     A record is read when its first line is ``_spectrum_key`` and a body of
     the right length follows; otherwise it is computed, and ``store`` writes
     it after the runner's last output, so a refused run stores nothing.
-    ``eigvalsh`` gives the same bits to every process that computes them,
-    and the Lanczos steps start from the same vector, so no output depends
-    on which subcommand computed a record.
+    For one numpy, BLAS build and BLAS thread count, ``eigvalsh`` gives the
+    same bits to every process that computes them, and the Lanczos steps
+    start from the same vector, so no output depends on which subcommand
+    computed a record.  Across BLAS thread counts the gains from ``n_kept``
+    on differ in their last bits, and at 1361 points so do the modes,
+    ``squeezing.csv`` and ``probe.csv``; the key does not hold the thread
+    count.
     """
 
     def __init__(self, cfg: ScenarioConfig, outdir: Path):

@@ -45,29 +45,6 @@ ASYMPTOTE_FRACTION = 0.99
 
 
 @dataclass(frozen=True)
-class TranslationGenerator:
-    """Hermitian matrix of the time-translation generator over kept modes."""
-
-    omega0: float
-    matrix: np.ndarray
-
-    def hermiticity_defect(self) -> float:
-        """Relative deviation from Hermiticity (entries scale with omega0)."""
-        return float(np.abs(self.matrix - self.matrix.conj().T).max()
-                     / max(1.0, np.abs(self.matrix).max()))
-
-
-def omega_matrix(basis: SupermodeBasis, omega0: float) -> TranslationGenerator:
-    """Spectral evaluation Omega_mn = sum_i psi_m*(w_i)(omega0 + w_i) psi_n(w_i) dw/2pi."""
-    if omega0 <= 0:
-        raise ValidationError("omega0 must be positive")
-    n = basis.n_kept
-    phi = basis.modes_freq[:, :n] * math.sqrt(basis.grid.weight)
-    weighted = phi.conj().T * (omega0 + basis.grid.omegas)[None, :]
-    return TranslationGenerator(omega0=omega0, matrix=weighted @ phi)
-
-
-@dataclass(frozen=True)
 class ProbeField:
     """Mean probe field over N pulses.
 

@@ -9,8 +9,8 @@ train (frequency comb)
 whose spectrum is a comb shifted by theta / T0 from the down-conversion
 centers.  Time-domain samples are produced by discrete Fourier synthesis on a
 per-period grid; on a comb-aligned frequency grid (spacing exactly 2 pi / T0)
-that synthesis is exactly unitary, so projections and reconstructions below
-hold at machine precision.
+that synthesis is exactly unitary, so the synthesized psi_n(t) stay
+orthonormal at machine precision.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import numpy as np
 
 from .config import RUN_DEFAULTS
 from .errors import ValidationError
-from .kernel import FrequencyGrid, JointKernel, PumpConfig, check_symmetric
+from .kernel import FrequencyGrid, JointKernel, check_symmetric
 
 DEFAULT_GAIN_CUTOFF = RUN_DEFAULTS["gain_cutoff"]
 
@@ -278,10 +278,11 @@ class SupermodeBasis:
         return float(np.linalg.norm(rec - self.kernel.matrix) / denom)
 
     def gram_defect(self) -> float:
-        """Max deviation of the kept-mode Gram matrix from identity."""
+        """Max deviation of the kept-mode Gram matrix from identity; 0 when
+        no mode is kept, as the empty Gram matrix is the empty identity."""
         n = self.n_kept
         phi = self.modes_freq[:, :n] * np.sqrt(self.grid.weight)
-        return float(np.abs(phi.conj().T @ phi - np.eye(n)).max())
+        return float(np.abs(phi.conj().T @ phi - np.eye(n)).max(initial=0.0))
 
 
 def schmidt_decompose(kernel: JointKernel,
@@ -305,83 +306,3 @@ def schmidt_decompose(kernel: JointKernel,
     return SupermodeBasis.from_modes(gains, modes_freq, grid, rep_period,
                                      gain_cutoff, kernel)
 
-
-@dataclass(frozen=True)
-class CombFunction:
-    """Sampled frequency comb f_n(theta, t) over an integer number of periods.
-
-    Quasi-periodic by construction: f(t + T0) = f(t) e^{i ceo} with
-    ceo = theta + ceo_half.
-    """
-
-    mode_index: int
-    theta: float
-    ceo: float
-    samples: np.ndarray
-    times: np.ndarray
-    rep_period: float
-    n_periods: int
-
-    @property
-    def dt(self) -> float:
-        return float(self.times[1] - self.times[0])
-
-
-def synthesize_comb(basis: SupermodeBasis, n: int, theta: float,
-                    n_periods: int, pump: PumpConfig) -> CombFunction:
-    """Build the pulse train f_n(theta, t) over ``n_periods`` periods."""
-    if not 0 <= n < basis.n_kept:
-        raise ValidationError(f"mode index {n} out of kept range {basis.n_kept}")
-    if not -np.pi <= theta <= np.pi:
-        raise ValidationError("theta must lie in [-pi, pi]")
-    if n_periods < 1:
-        raise ValidationError("n_periods must be >= 1")
-    ceo = theta + pump.ceo_half
-    pulse = basis.modes_time[:, n] / np.sqrt(2.0 * np.pi)
-    phases = np.exp(1j * np.arange(n_periods) * ceo)
-    samples = (phases[:, None] * pulse[None, :]).ravel()
-    times = (np.arange(n_periods)[:, None] * basis.rep_period
-             + basis.time_grid[None, :]).ravel()
-    return CombFunction(mode_index=n, theta=float(theta), ceo=float(ceo),
-                        samples=samples, times=times,
-                        rep_period=basis.rep_period, n_periods=n_periods)
-
-
-def comb_inner_product(f: CombFunction, g: CombFunction) -> complex:
-    """Per-period normalized overlap (1/K) int f* g dt over the common window."""
-    if f.n_periods != g.n_periods or f.samples.shape != g.samples.shape \
-            or abs(f.dt - g.dt) > 1e-15 * f.dt:
-        raise ValidationError("comb functions live on different grids")
-    return complex(np.vdot(f.samples, g.samples) * f.dt / f.n_periods)
-
-
-def project_pulse(field_samples: np.ndarray, basis: SupermodeBasis,
-                  n: int, k: int) -> complex:
-    """Overlap of period ``k`` of a sampled field with supermode ``n``.
-
-    The field must be sampled on the basis time grid, consecutively from
-    period 0; this is the classical-amplitude analogue of the pulse operator
-    a_{n,k}.
-    """
-    m = basis.time_grid.size
-    field = np.asarray(field_samples)
-    if n < 0 or n >= basis.gains.size:
-        raise ValidationError("mode index out of range")
-    if k < 0 or field.size < (k + 1) * m:
-        raise ValidationError(
-            f"field has {field.size} samples; period {k} needs {(k + 1) * m}")
-    segment = field[k * m:(k + 1) * m]
-    return complex(np.vdot(basis.modes_time[:, n], segment) * basis.dt)
-
-
-def pulse_train_from_coefficients(basis: SupermodeBasis,
-                                  coefficients: np.ndarray) -> np.ndarray:
-    """Synthesize a(t) = sum_{n,k} a_{n,k} psi_n(t - k T0) on the basis grid.
-
-    ``coefficients[n, k]`` covers all decomposition modes (not just kept
-    ones); the inverse of ``project_pulse``.
-    """
-    coeff = np.asarray(coefficients)
-    if coeff.shape[0] != basis.gains.size:
-        raise ValidationError("coefficient rows must cover all modes")
-    return (basis.modes_time @ coeff).T.ravel()

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from spopo import (AtThresholdError, CavityConfig, NoFiniteThresholdError,
-                   ValidationError, check_symplectic, comb_io, epr_pair_check,
-                   output_covariance, pair_covariance, resonant_r,
-                   squeezing_spectrum, threshold_gain)
+                   ValidationError, check_symplectic, comb_io,
+                   output_covariance, resonant_r, squeezing_spectrum,
+                   threshold_gain)
 from spopo import cavity as cavity_module
 
 from conftest import below_threshold_draws
@@ -18,6 +18,53 @@ def raw_block(gain, theta, r, phase):
                         [np.exp(-1j * phase) * sh, np.exp(-1j * phase) * ch]])
     a = np.exp(1j * theta) * t_block
     return (a - r * np.eye(2)) @ np.linalg.inv(np.eye(2) - r * a)
+
+
+def pair_covariance(gain, theta, cavity, ceo_half):
+    """4x4 vacuum-input covariance of the comb pair (+theta, -theta) in the
+    basis (x+, p+, x-, p-), from the ``raw_block`` inverses at +-theta.
+
+    b(+-theta) = C a(+-theta) + S a^dag(-+theta) with a = (x + i p)/sqrt2
+    gives sqrt2 b = C (x + i p) + S (x' - i p'); its real and imaginary
+    coefficient rows are the output quadratures' rows of M, and the
+    covariance is M M^T / 2.
+    """
+    phase = cavity.delta_rt + ceo_half
+    rows = []
+    for sign in (1.0, -1.0):
+        block = raw_block(gain, sign * theta, cavity.r, phase)
+        c, s = block[0, 0], block[0, 1]
+        own = [[c.real, -c.imag], [c.imag, c.real]]
+        partner = [[s.real, s.imag], [s.imag, -s.real]]
+        rows.append(np.hstack([own, partner] if sign > 0 else [partner, own]))
+    m = np.vstack(rows)
+    return 0.5 * m @ m.T
+
+
+def assert_pair_matches_spectrum(gain, theta, cavity, ceo_half, rel):
+    """The pair covariance against ``squeezing_spectrum`` at one point:
+    thermal single-comb marginals of one temperature, the correlator
+    K = <b(theta) b(-theta)> = C(theta) S(-theta) in the cross block, smallest
+    eigenvalue var_p, and EPR variance 2 (v_thermal - |K|)."""
+    cov = pair_covariance(gain, theta, cavity, ceo_half)
+    spec = squeezing_spectrum([gain], cavity, ceo_half, [theta])
+    v_th = cov[0, 0]
+    assert v_th > 0.5
+    for k in (0, 2):
+        assert abs(cov[k, k] - v_th) <= rel * v_th
+        assert abs(cov[k + 1, k + 1] - v_th) <= rel * v_th
+        assert abs(cov[k, k + 1]) <= rel * v_th
+    # the cross block is [[Re K, Im K], [Im K, -Re K]]
+    phase = cavity.delta_rt + ceo_half
+    k = raw_block(gain, theta, cavity.r, phase)[0, 0] \
+        * raw_block(gain, -theta, cavity.r, phase)[0, 1]
+    assert complex(cov[0, 2], cov[0, 3]) == pytest.approx(k, rel=rel)
+    assert abs(cov[1, 2] - cov[0, 3]) <= rel * v_th
+    assert abs(cov[1, 3] + cov[0, 2]) <= rel * v_th
+    assert np.linalg.eigvalsh(cov)[0] == pytest.approx(spec.var_p[0, 0],
+                                                      rel=rel)
+    k_abs = np.hypot(cov[0, 2], cov[0, 3])
+    assert spec.epr[0, 0] == pytest.approx(2 * (v_th - k_abs), rel=rel)
 
 
 def random_detuned_cavity(rng, branch):
@@ -207,79 +254,62 @@ class TestCombIO:
 
 
 class TestPairEntanglement:
+    """The (+theta, -theta) pair physics of ``squeezing_spectrum``."""
+
     def test_vacuum_epr_is_one(self):
-        assert epr_pair_check(0.0, 0.4, CavityConfig(r=0.8), 0.0) \
-            == pytest.approx(1.0, abs=1e-12)
+        spec = squeezing_spectrum([0.0], CavityConfig(r=0.8), 0.0, [0.4])
+        assert spec.epr[0, 0] == pytest.approx(1.0, abs=1e-12)
 
     def test_entangled_near_resonance(self):
         cavity = CavityConfig(r=0.889)
         gth = threshold_gain(cavity, 0.0).gain
-        value = epr_pair_check(0.8 * gth, cavity.t**2 / 10, cavity, 0.0)
-        assert value < 1.0
+        spec = squeezing_spectrum([0.8 * gth], cavity, 0.0,
+                                  [cavity.t**2 / 10])
+        assert spec.epr[0, 0] < 1.0
 
     def test_approaches_one_toward_pi(self):
         cavity = CavityConfig(r=0.889)
         gth = threshold_gain(cavity, 0.0).gain
-        values = [epr_pair_check(0.5 * gth, th, cavity, 0.0)
-                  for th in (0.5, 1.5, 2.5, 3.0)]
+        values = list(squeezing_spectrum([0.5 * gth], cavity, 0.0,
+                                         [0.5, 1.5, 2.5, 3.0]).epr[0])
         assert all(v < 1.0 for v in values)
         assert values == sorted(values)
         assert values[-1] > 0.99
 
     def test_pair_covariance_reduced_state_thermal(self):
         cavity = CavityConfig(r=0.889)
-        gth = threshold_gain(cavity, 0.0).gain
-        cov = pair_covariance(0.8 * gth, 0.05, cavity, 0.0)
-        # single-comb marginals: isotropic, hotter than vacuum
+        g = 0.8 * threshold_gain(cavity, 0.0).gain
+        cov = pair_covariance(g, 0.05, cavity, 0.0)
+        # single-comb marginals: isotropic, hotter than vacuum, at
+        # (1 + 2|S|^2) / 2
+        s_abs = abs(raw_block(g, 0.05, cavity.r, 0.0)[0, 1])
         for k in (0, 2):
             assert cov[k, k] == pytest.approx(cov[k + 1, k + 1], rel=1e-12)
-            assert cov[k, k] > 0.5
+            assert cov[k, k] == pytest.approx(0.5 + s_abs**2, rel=1e-12)
             assert cov[k, k + 1] == pytest.approx(0.0, abs=1e-12)
 
     def test_pair_covariance_minimum_eigenvalue(self):
         # smallest eigenvalue of the 4x4 pair covariance is the squeezed
-        # joint-quadrature variance (|C| - |S|)^2 / 2
+        # joint-quadrature variance var_p = (|C| - |S|)^2 / 2
         cavity = CavityConfig(r=0.88)
         gth = threshold_gain(cavity, 0.0).gain
         for theta in (0.02, 0.3, 1.0):
-            cov = pair_covariance(0.7 * gth, theta, cavity, 0.0)
-            block = comb_io(0.7 * gth, theta, cavity, 0.0)
-            expected = 0.5 * (abs(block.c) - abs(block.s)) ** 2
-            assert np.linalg.eigvalsh(cov)[0] == pytest.approx(expected,
-                                                               rel=1e-10)
+            assert_pair_matches_spectrum(0.7 * gth, theta, cavity, 0.0,
+                                         rel=1e-10)
 
     @pytest.mark.parametrize("branch", [0.0, np.pi])
     def test_pair_covariance_detuned(self, branch):
-        # K = C(theta) e^{2i phi} conj S(theta) against the 2x2 inverse at
-        # both shifts, with a round-trip phase phi away from 0 and pi
+        # a round-trip phase away from 0 and pi, on both branches
         rng = np.random.default_rng(31 if branch else 30)
         for _ in range(20):
             cavity, ceo = random_detuned_cavity(rng, branch)
-            phase = cavity.delta_rt + ceo
             g = rng.uniform(0.1, 0.95) * threshold_gain(cavity, ceo).gain
             theta = branch + rng.uniform(-1.0, 1.0)
-            cov = pair_covariance(g, theta, cavity, ceo)
-            plus = raw_block(g, theta, cavity.r, phase)
-            minus = raw_block(g, -theta, cavity.r, phase)
-            k = plus[0, 0] * minus[0, 1]
-            assert complex(cov[0, 2], cov[0, 3]) == pytest.approx(k, rel=1e-10)
-            assert cov[1, 2] == cov[0, 3] and cov[1, 3] == -cov[0, 2]
-            assert cov[0, 0] == pytest.approx(0.5 + abs(plus[0, 1]) ** 2,
-                                              rel=1e-10)
-            # minimized EPR sum = 2 (v_thermal - |K|) of the same matrix
-            expected = 2 * (cov[0, 0] - np.hypot(cov[0, 2], cov[0, 3]))
-            assert epr_pair_check(g, theta, cavity, ceo) \
-                == pytest.approx(expected, rel=1e-9)
+            assert_pair_matches_spectrum(g, theta, cavity, ceo, rel=1e-9)
 
     def test_epr_matches_pair_covariance(self):
-        cavity = CavityConfig(r=0.85)
-        g, theta = 0.05, 0.3
-        cov = pair_covariance(g, theta, cavity, 0.0)
-        # minimized EPR sum = 2 (v_thermal - |K|)
-        k_abs = np.hypot(cov[0, 2], cov[0, 3])
-        expected = 2 * (cov[0, 0] - k_abs)
-        assert epr_pair_check(g, theta, cavity, 0.0) \
-            == pytest.approx(expected, rel=1e-12)
+        assert_pair_matches_spectrum(0.05, 0.3, CavityConfig(r=0.85), 0.0,
+                                     rel=1e-12)
 
 
 class TestSqueezingSpectrum:
@@ -379,16 +409,6 @@ class TestNearThreshold:
             assert np.all(np.isnan(spec.epr[:, ~shifted]))
             assert_relative_below(spec.epr[:, shifted], epr[:, shifted],
                                   self.bound())
-
-    @needs_longdouble
-    @pytest.mark.parametrize("branch", [0.0, np.pi])
-    def test_epr_pair_check_matches_extended(self, branch):
-        for cavity, ceo, gains, thetas in self.draws(branch):
-            ac, _, as_minus = extended_pair(gains[:, None], thetas, cavity, ceo)
-            epr = 1 / (ac + as_minus) ** 2
-            values = np.array([[epr_pair_check(g, th, cavity, ceo)
-                                for th in thetas] for g in gains])
-            assert_relative_below(values, epr, self.bound())
 
     def test_one_block_evaluation(self, monkeypatch, default_cavity):
         calls, blocks = [], cavity_module._blocks

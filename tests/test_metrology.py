@@ -6,7 +6,7 @@ import pytest
 from spopo import (CavityConfig, ValidationError, covariance, cramer_rao,
                    fisher_information, improvement_curve,
                    min_variance_direct, min_variance_transcendental,
-                   omega_matrix, optimal_probe, sigma2_limit, threshold_gain)
+                   optimal_probe, sigma2_limit, threshold_gain)
 from spopo.metrology import ASYMPTOTE_FRACTION, _first_n_at_asymptote
 from spopo.pulses import min_variance_curve
 
@@ -35,27 +35,6 @@ def fock_variance_of_x(squeeze: float, displacement: complex,
     mean = np.vdot(state, x_op @ state).real
     second = np.vdot(state, x_op @ (x_op @ state)).real
     return second - mean**2
-
-
-class TestOmegaMatrix:
-    def test_hermitian(self, default_basis):
-        gen = omega_matrix(default_basis, OMEGA0)
-        assert gen.hermiticity_defect() < 1e-12
-
-    def test_narrowband_diagonal_near_carrier(self, default_basis):
-        gen = omega_matrix(default_basis, OMEGA0)
-        assert gen.matrix[0, 0].real == pytest.approx(OMEGA0, rel=1e-3)
-
-    def test_shifted_gaussian_first_moment(self, default_basis):
-        # mode centered at an on-grid offset delta: <omega0 + w> = omega0 + delta
-        grid = default_basis.grid
-        shift_index = 10
-        delta = shift_index * grid.delta_omega
-        psi = np.exp(-(grid.omegas - delta) ** 2
-                     / (2 * (grid.omega_max / 10) ** 2))
-        psi = psi / np.sqrt(np.sum(np.abs(psi) ** 2) * grid.weight)
-        moment = np.sum((OMEGA0 + grid.omegas) * np.abs(psi) ** 2) * grid.weight
-        assert moment == pytest.approx(OMEGA0 + delta, rel=1e-12)
 
 
 class TestFisherInformation:

@@ -3,9 +3,7 @@ import pytest
 
 import spopo.supermodes
 from spopo import (FrequencyGrid, JointKernel, ValidationError,
-                   build_kernel, comb_inner_product, project_pulse,
-                   pulse_train_from_coefficients, schmidt_decompose,
-                   synthesize_comb, takagi)
+                   build_kernel, schmidt_decompose, takagi)
 
 from spopo.supermodes import SupermodeBasis, kept_count, takagi_values
 
@@ -359,6 +357,8 @@ class TestSchmidtDecompose:
         basis = schmidt_decompose(kernel, rep_period=T0)
         assert basis.n_kept == 0
         assert not np.any(basis.gains)
+        # the empty Gram matrix is the empty identity
+        assert basis.gram_defect() == 0.0
 
     def test_double_gaussian_geometric_spectrum(self):
         kernel = double_gaussian_kernel(1.0, 0.25)
@@ -471,102 +471,6 @@ class TestSchmidtDecompose:
         assert np.abs(gram - np.eye(n)).max() < 1e-10
 
 
-class TestCombSynthesis:
-    def test_zero_shift_replicates_pulses(self, default_basis):
-        comb = synthesize_comb(default_basis, 0, 0.0, 4, make_pump(ceo_half=0.0))
-        m = default_basis.time_grid.size
-        for k in range(1, 4):
-            np.testing.assert_allclose(comb.samples[k * m:(k + 1) * m],
-                                       comb.samples[:m], rtol=0, atol=1e-15)
-
-    def test_pi_shift_alternates_sign(self, default_basis):
-        comb = synthesize_comb(default_basis, 0, np.pi, 4, make_pump(ceo_half=0.0))
-        m = default_basis.time_grid.size
-        scale = np.abs(comb.samples).max()
-        np.testing.assert_allclose(comb.samples[m:2 * m], -comb.samples[:m],
-                                   rtol=0, atol=1e-12 * scale)
-
-    def test_quasi_periodicity(self, default_basis):
-        pump = make_pump(ceo_half=0.4)
-        comb = synthesize_comb(default_basis, 1, 0.8, 6, pump)
-        m = default_basis.time_grid.size
-        factor = np.exp(1j * comb.ceo)
-        shifted = comb.samples[m:]
-        scale = np.abs(comb.samples).max()
-        assert np.abs(shifted - factor * comb.samples[:-m]).max() < 1e-9 * scale
-
-    def test_spectrum_peaks_at_shifted_comb_teeth(self, default_basis):
-        # FFT over many periods: teeth sit at (2 n pi + ceo)/T0
-        theta, ceo_half, periods = 0.9, 0.35, 64
-        pump = make_pump(ceo_half=ceo_half)
-        comb = synthesize_comb(default_basis, 0, theta, periods, pump)
-        spectrum = np.abs(np.fft.fft(comb.samples))
-        freqs = np.fft.fftfreq(comb.samples.size, d=comb.dt) * 2 * np.pi
-        peak = freqs[np.argmax(spectrum)]
-        comb_spacing = 2 * np.pi / T0
-        offset = (peak - (theta + ceo_half) / T0) / comb_spacing
-        assert abs(offset - round(offset)) < 2.0 / periods
-
-    def test_mode_out_of_range(self, default_basis):
-        with pytest.raises(ValidationError):
-            synthesize_comb(default_basis, default_basis.n_kept, 0.0, 2, make_pump())
-
-
-class TestInnerProductsAndProjection:
-    def test_self_overlap_per_period(self, default_basis):
-        comb = synthesize_comb(default_basis, 0, 0.0, 8, make_pump())
-        value = comb_inner_product(comb, comb)
-        assert value.real == pytest.approx(1.0 / (2 * np.pi), rel=1e-10)
-        assert abs(value.imag) < 1e-12
-
-    def test_mode_orthogonality(self, default_basis):
-        pump = make_pump()
-        f0 = synthesize_comb(default_basis, 0, 0.0, 8, pump)
-        f1 = synthesize_comb(default_basis, 1, 0.0, 8, pump)
-        assert abs(comb_inner_product(f0, f1)) < 1e-9
-
-    def test_theta_grid_orthogonality(self, default_basis):
-        periods = 16
-        pump = make_pump()
-        f_a = synthesize_comb(default_basis, 0, 0.0, periods, pump)
-        f_b = synthesize_comb(default_basis, 0, 2 * np.pi / periods, periods, pump)
-        assert abs(comb_inner_product(f_a, f_b)) < 1e-12
-
-    def test_grid_mismatch_rejected(self, default_basis):
-        f_a = synthesize_comb(default_basis, 0, 0.0, 4, make_pump())
-        f_b = synthesize_comb(default_basis, 0, 0.0, 5, make_pump())
-        with pytest.raises(ValidationError):
-            comb_inner_product(f_a, f_b)
-
-    def test_single_pulse_in_third_period(self, default_basis):
-        m = default_basis.time_grid.size
-        field = np.zeros(5 * m, dtype=complex)
-        field[3 * m:4 * m] = default_basis.modes_time[:, 0]
-        assert project_pulse(field, default_basis, 0, 3) == pytest.approx(1.0, rel=1e-10)
-        assert abs(project_pulse(field, default_basis, 1, 3)) < 1e-10
-        assert abs(project_pulse(field, default_basis, 0, 2)) < 1e-12
-
-    def test_zero_field(self, default_basis):
-        m = default_basis.time_grid.size
-        assert project_pulse(np.zeros(2 * m), default_basis, 0, 1) == 0.0
-
-    def test_coefficient_round_trip(self, default_basis):
-        rng = np.random.default_rng(21)
-        periods = 4
-        n_modes = default_basis.gains.size
-        coeff = rng.standard_normal((n_modes, periods)) \
-            + 1j * rng.standard_normal((n_modes, periods))
-        field = pulse_train_from_coefficients(default_basis, coeff)
-        recovered = np.array([[project_pulse(field, default_basis, n, k)
-                               for k in range(periods)] for n in range(8)])
-        np.testing.assert_allclose(recovered, coeff[:8], rtol=0, atol=1e-9)
-
-    def test_insufficient_samples(self, default_basis):
-        m = default_basis.time_grid.size
-        with pytest.raises(ValidationError):
-            project_pulse(np.zeros(2 * m), default_basis, 0, 2)
-
-
 class TestCompleteness:
     def test_band_limited_reconstruction(self, default_basis):
         """Appendix-style completeness surrogate: comb projections on a full
@@ -582,11 +486,8 @@ class TestCompleteness:
         synth = np.exp(1j * np.outer(basis.time_grid, w)) * basis.grid.weight
         signal = (synth @ spectra.T).T  # (periods, samples) per-period pulses
 
-        m = basis.time_grid.size
-        field = signal.ravel()
-        n_modes = basis.gains.size
-        proj = np.array([[project_pulse(field, basis, n, k)
-                          for k in range(periods)] for n in range(n_modes)])
+        # per-period overlaps with every supermode, (modes, periods)
+        proj = basis.modes_time.conj().T @ signal.T * basis.dt
 
         thetas = 2 * np.pi * np.arange(periods) / periods - np.pi
         phases = np.exp(-1j * np.outer(thetas + ceo_half, np.arange(periods)))
