@@ -49,6 +49,21 @@ class TestOutputCovariance:
             # a symplectic block keeps the vacuum's covariance determinant
             assert var_x * var_p - cov**2 == pytest.approx(0.25, rel=1e-10)
 
+    def test_quadrature_matrix_det_is_one(self):
+        # the block acts on (x, p) as the real matrix of output_covariance's
+        # docstring; its determinant is |c|^2 - |s|^2 = 1 and the output
+        # covariance is (1/2) m m^T
+        rng = np.random.default_rng(3)
+        for _ in range(100):
+            t = random_block(rng)
+            c, s = t.c, t.s
+            m = np.array([[np.real(c + s), -np.imag(c - s)],
+                          [np.imag(c + s), np.real(c - s)]])
+            assert np.linalg.det(m) == pytest.approx(1.0, rel=1e-10)
+            var_x, var_p, cov = output_covariance(t)
+            np.testing.assert_allclose([[var_x, cov], [cov, var_p]],
+                                       0.5 * m @ m.T, rtol=1e-12, atol=1e-15)
+
     def test_minimum_variance_over_angles(self):
         # squeezing_spectrum's theta = 0 var_p is the smallest variance over
         # all homodyne angles: the smaller eigenvalue of the 2x2 covariance
