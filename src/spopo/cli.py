@@ -8,10 +8,10 @@ stable code and mapped to exit codes 2 (config), 3 (physics domain), 4
 (numerical).
 
 A run directory also keeps two records, which are not outputs, behind one
-key line (``_spectrum_key``: the grid, pump and crystal, the versions and the
-kernel source); a later run of the same kernel in that directory reads them
-instead of solving the kernel again, and a missing, mismatched or truncated
-record is recomputed:
+key line (``_spectrum_key``: the grid, pump and crystal, the versions, the
+kernel source and the BLAS thread settings); a later run of the same kernel
+in that directory reads them instead of solving the kernel again, and a
+missing, mismatched or truncated record is recomputed:
 
 - ``.spopo-spectrum`` (SPECTRUM_FILE), every unscaled gain, written and read
   by supermodes and squeezing;
@@ -19,10 +19,10 @@ record is recomputed:
   max(1, n_modes_dump) unscaled gains and modes, written and read by
   supermodes, metrology, and pulses on an energy pump.
 
-``main`` hands each runner a ``_Run``, which builds the kernel, reads or
-computes the records on first use and stores the computed ones once the
-runner returns.  A subcommand imports only the layers it runs: the
-supermode layer inside ``_Run``, pulses and metrology inside their runners.
+``main`` hands each runner a ``_Run``, which holds the operating point, builds
+the kernel, reads or computes the records on first use and stores the
+computed ones once the runner returns.  A subcommand imports only its layers:
+the supermode layer inside ``_Run``, pulses and metrology in their runners.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ import numpy as np
 
 from . import __version__
 from .cavity import resonant_r, squeezing_spectrum, threshold_gain
-from .config import REFERENCE_ENERGY, ScenarioConfig, load_scenario
+from .config import ScenarioConfig, load_scenario
 from .errors import (AtThresholdError, ConfigError, SpopoError,
                      ValidationError)
 from .kernel import build_kernel
@@ -52,6 +52,9 @@ _CHUNK_ROWS = 4096
 SPECTRUM_FILE = ".spopo-spectrum"
 #: a run directory's run basis (``_Run.basis``), behind the same key line
 BASIS_FILE = ".spopo-basis"
+#: the environment variables that set OpenBLAS's thread count
+_BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
+                          "OMP_NUM_THREADS")
 
 
 def _write_csv(path: Path, header: list[str], blocks, metadata: dict) -> Path:
@@ -92,45 +95,24 @@ def _metadata(cfg: ScenarioConfig, seed) -> dict:
             "seed": "none" if seed is None else seed}
 
 
-def _scale_gains(cfg: ScenarioConfig, gains: np.ndarray):
-    """Exact gain rescaling for pump_ratio configs, plus the threshold check.
-
-    Gains scale as sqrt(pulse_energy), so a threshold ratio translates into a
-    pure multiplicative factor on the reference-energy gains; mode shapes are
-    energy independent.  Returns the gains, the threshold gain and the
-    effective pulse energy.
-    """
-    gth = threshold_gain(cfg.cavity, cfg.pump.ceo_half).gain
-    if cfg.pump_ratio is not None:
-        if gains[0] <= 0:
-            if cfg.pump_ratio > 0:
-                raise ValidationError(
-                    "cannot scale to a nonzero pump ratio: reference gain is 0")
-            scale = 0.0
-        else:
-            scale = cfg.pump_ratio * gth / gains[0]
-        gains = gains * scale
-        energy = REFERENCE_ENERGY * scale**2
-    else:
-        energy = cfg.pump.pulse_energy
-    if gains.size and gains[0] >= gth:
-        raise AtThresholdError(
-            f"pump drives g0 = {gains[0]:.6g} at/above threshold {gth:.6g}")
-    return gains, gth, energy
-
-
 def _spectrum_key(cfg: ScenarioConfig) -> bytes:
     """Hex sha256 of what the unscaled Takagi values and modes depend on.
 
     That is the parsed kernel inputs (the grid, the pump and the crystal; a
     pump_ratio config's pump holds REFERENCE_ENERGY, whatever its ratio), the
-    spopo and numpy versions, and the source of the modules that build and
-    solve the kernel; each part goes in behind its length.
+    spopo and numpy versions, the source of the modules that build and
+    solve the kernel, and the BLAS threading that OpenBLAS is told: the
+    _BLAS_THREAD_VARIABLES (None when unset) and the usable CPU count; each
+    part goes in behind its length.
     """
     here = Path(__file__).parent
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count())
+    threads = [os.environ.get(name) for name in _BLAS_THREAD_VARIABLES]
     digest = hashlib.sha256()
     for part in (repr((cfg.grid, cfg.pump, cfg.crystal)).encode(),
                  __version__.encode(), np.__version__.encode(),
+                 repr((threads, cpus)).encode(),
                  *(here.joinpath(name).read_bytes()
                    for name in ("config.py", "kernel.py", "supermodes.py"))):
         digest.update(b"%d\n" % len(part))
@@ -156,9 +138,12 @@ def _store_record(path: Path, data: bytes) -> None:
 
 
 class _Run:
-    """One subcommand's run of a config into ``outdir``: what its runner
-    reads of the kernel, each part built on first use and at most once.
+    """One subcommand's run of a config into ``outdir``: its operating point
+    and what it reads of the kernel, each built on first use and at most once.
 
+    - ``threshold``, ``g0``: the operating point, g_th and the top gain at
+      the run's pump: pump_ratio * g_th, with no kernel, or the run basis's
+      top gain ``scaled`` to an energy pump, with no eigvalsh.
     - ``kernel``: the joint kernel.
     - ``values``: every unscaled Takagi value, in SPECTRUM_FILE.
     - ``basis``: the run basis, the top k = max(1, n_modes_dump) supermodes
@@ -173,8 +158,9 @@ class _Run:
     start from the same vector, so no output depends on which subcommand
     computed a record.  Across BLAS thread counts the gains from ``n_kept``
     on differ in their last bits, and at 1361 points so do the modes,
-    ``squeezing.csv`` and ``probe.csv``; the key does not hold the thread
-    count.
+    ``squeezing.csv`` and ``probe.csv``; so the key holds the thread
+    variables and the CPU count.  That is what OpenBLAS is told, not what
+    it does: the process cannot ask the library how many threads it runs.
     """
 
     def __init__(self, cfg: ScenarioConfig, outdir: Path):
@@ -203,6 +189,36 @@ class _Run:
     def store(self) -> None:
         for name, data in self._pending.items():
             _store_record(self.outdir / name, data)
+
+    @cached_property
+    def threshold(self) -> float:
+        return threshold_gain(self.cfg.cavity, self.cfg.pump.ceo_half).gain
+
+    def scaled(self, gains: np.ndarray):
+        """``gains`` at the run's pump and that pump's pulse energy; refuses a
+        top gain at or above the threshold.  Gains scale as sqrt(pulse_energy),
+        so a pump_ratio is one factor on its pump's REFERENCE_ENERGY gains."""
+        cfg, gth = self.cfg, self.threshold
+        scale = 1.0
+        if cfg.pump_ratio is not None:
+            if gains[0] > 0:
+                scale = cfg.pump_ratio * gth / gains[0]
+            elif cfg.pump_ratio > 0:
+                raise ValidationError(
+                    "cannot scale to a nonzero pump ratio: reference gain is 0")
+            else:
+                scale = 0.0
+            gains = gains * scale
+        if gains.size and gains[0] >= gth:
+            raise AtThresholdError(
+                f"pump drives g0 = {gains[0]:.6g} at/above threshold {gth:.6g}")
+        return gains, cfg.pump.pulse_energy * scale**2
+
+    @cached_property
+    def g0(self) -> float:
+        if self.cfg.pump_ratio is not None:
+            return self.cfg.pump_ratio * self.threshold
+        return float(self.scaled(self.basis.gains)[0][0])
 
     @cached_property
     def kernel(self):
@@ -250,7 +266,7 @@ class _Run:
 def run_supermodes(run: _Run, seed=None) -> list[Path]:
     cfg, outdir = run.cfg, run.outdir
     values, n_kept = run.values, run.n_kept
-    gains, gth, energy = _scale_gains(cfg, values)
+    gains, energy = run.scaled(values)
     n_dump = min(n_kept, cfg.run["n_modes_dump"])
     if n_dump:
         modes = run.basis.modes_freq
@@ -264,7 +280,7 @@ def run_supermodes(run: _Run, seed=None) -> list[Path]:
                                       rep_period=cfg.pump.rep_period
                                       ).modes_freq
     meta = _metadata(cfg, seed)
-    meta.update(threshold_gain=_FLOAT_FMT % gth,
+    meta.update(threshold_gain=_FLOAT_FMT % run.threshold,
                 effective_pulse_energy=_FLOAT_FMT % energy,
                 n_kept=n_kept)
     written = [_write_csv(outdir / "gains.csv", ["index", "gain"],
@@ -291,7 +307,7 @@ def run_supermodes(run: _Run, seed=None) -> list[Path]:
 
 def run_squeezing(run: _Run, seed=None) -> list[Path]:
     cfg = run.cfg
-    gains, gth, _ = _scale_gains(cfg, run.values)
+    gains, _ = run.scaled(run.values)
     theta_max = cfg.run["theta_max"]
     thetas = np.linspace(-theta_max, theta_max, cfg.run["theta_points"])
     spectrum = squeezing_spectrum(gains[:run.n_kept], cfg.cavity,
@@ -299,7 +315,7 @@ def run_squeezing(run: _Run, seed=None) -> list[Path]:
     blocks = [[thetas, mode, spectrum.var_x[mode], spectrum.var_p[mode],
                spectrum.epr[mode]] for mode in range(spectrum.gains.size)]
     meta = _metadata(cfg, seed)
-    meta.update(threshold_gain=_FLOAT_FMT % gth)
+    meta.update(threshold_gain=_FLOAT_FMT % run.threshold)
     return [_write_csv(run.outdir / "squeezing.csv",
                        ["theta", "mode", "var_x", "var_p", "epr_variance"],
                        blocks, meta)]
@@ -308,18 +324,11 @@ def run_squeezing(run: _Run, seed=None) -> list[Path]:
 def run_pulses(run: _Run, seed=None) -> list[Path]:
     from .pulses import covariance, duan_sum, min_variance_curve
 
-    cfg, outdir = run.cfg, run.outdir
-    if cfg.pump_ratio is not None:
-        gth = threshold_gain(cfg.cavity, cfg.pump.ceo_half).gain
-        g0 = cfg.pump_ratio * gth
-    else:
-        # g0 alone: the run basis's, as in metrology; no eigvalsh
-        gains, gth, _ = _scale_gains(cfg, run.basis.gains)
-        g0 = float(gains[0])
+    cfg, outdir, g0 = run.cfg, run.outdir, run.g0
     r = resonant_r(cfg.cavity, cfg.pump.ceo_half)
     n_max = cfg.run["N_max"]
     meta = _metadata(cfg, seed)
-    meta.update(threshold_gain=_FLOAT_FMT % gth)
+    meta.update(threshold_gain=_FLOAT_FMT % run.threshold)
     ns = np.arange(1, n_max + 1)
     sigma2, theta = min_variance_curve(g0, r, ns)
     written = [_write_csv(outdir / "sigma2.csv",
@@ -349,23 +358,22 @@ def run_metrology(run: _Run, seed=None) -> list[Path]:
 
     cfg, outdir = run.cfg, run.outdir
     # the bound reads g0 and psi0 alone: column 0 of the run basis
-    basis = run.basis
-    gains, gth, _ = _scale_gains(cfg, basis.gains)
+    basis, g0 = run.basis, run.g0
     r = resonant_r(cfg.cavity, cfg.pump.ceo_half)
     if "ratios" in cfg.run:
         ratios = [float(x) for x in cfg.run["ratios"]]
     elif cfg.pump_ratio is not None:
         ratios = [cfg.pump_ratio]
     else:
-        ratios = [float(gains[0] / gth)]
+        ratios = [g0 / run.threshold]
     curve = improvement_curve(cfg.cavity, ratios, cfg.run["N_max"],
                               cfg.pump.ceo_half)
     # every refusal comes before the first file is written
     probe = optimal_probe(basis, cfg.crystal.omega0, r,
                           cfg.run["probe_pulses"], cfg.run["n_bar0"],
-                          gain0=float(gains[0]))
+                          gain0=g0)
     meta = _metadata(cfg, seed)
-    meta.update(threshold_gain=_FLOAT_FMT % gth)
+    meta.update(threshold_gain=_FLOAT_FMT % run.threshold)
     blocks = [[ratio, curve.n_values, sigma2, improvement, asymptote]
               for ratio, sigma2, improvement, asymptote in zip(
                   curve.ratios, curve.sigma2, curve.improvement,
@@ -376,7 +384,7 @@ def run_metrology(run: _Run, seed=None) -> list[Path]:
     summary = {
         "spopo_version": __version__,
         "config_hash": cfg.config_hash,
-        "threshold_gain": gth,
+        "threshold_gain": run.threshold,
         "ratios": list(map(float, curve.ratios)),
         "asymptote": list(map(float, curve.asymptote)),
         "min_pulses_to_asymptote": list(map(int, curve.min_pulses_to_asymptote)),

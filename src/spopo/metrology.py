@@ -54,7 +54,13 @@ class ProbeField:
     probe pulse spectrum psi0(w)/(omega0 + w) before amplitude scaling.
     ``spectral_spread_sq`` is the second moment of the probe spectrum about
     the carrier, <(omega0 + w)^2> - omega0^2, which makes the amplitude
-    normalization exact: sum |envelope|^2 dt = N n_bar0.  It can come out
+    normalization exact on a comb-aligned grid: sum |envelope|^2 dt =
+    N n_bar0 to rounding (7e-15 relative on configs/default.json).  On a
+    finer grid the sum over the time grid only approximates the spectral
+    norm: 2.2e-7 off at 0.97 of the comb spacing, 7.5e-6 at 0.999 and
+    1.1e-4 at 0.5 on the same config.  A coarser grid, whose spacing
+    exceeds 2 pi / rep_period by more than 1e-12 of it, is refused by
+    ``SupermodeBasis.time_samples``.  ``spectral_spread_sq`` can come out
     slightly negative: the 1/(omega0 + w)^2 spectral weighting of the probe
     pulse shifts its mean frequency just below the carrier.
     """

@@ -238,13 +238,22 @@ class SupermodeBasis:
         t_j w_i of the time grid that ``schmidt_decompose`` builds is
         2 pi (j - h)(i - h) / m with h = (m - 1) / 2, so the sum is
         an inverse DFT between two twiddles, evaluated by FFT with each
-        twiddle phase reduced to an exact integer multiple of 2 pi / m.  Other
-        grids take the direct O(m^2) sum.
+        twiddle phase reduced to an exact integer multiple of 2 pi / m.  Finer
+        grids take the direct O(m^2) sum.  A coarser grid (rep_period *
+        delta_omega > 2 pi (1 + 1e-12)) is a ``ValidationError``: its
+        samples synthesize a pulse that repeats every 2 pi / delta_omega, less
+        than rep_period, so the period's time grid would hold part of the
+        next copy.
         """
         grid = self.grid
         m = grid.n_points
-        if abs(self.rep_period * grid.delta_omega - 2.0 * np.pi) \
-                > 1e-12 * 2.0 * np.pi:
+        excess = self.rep_period * grid.delta_omega - 2.0 * np.pi
+        if excess > 1e-12 * 2.0 * np.pi:
+            raise ValidationError(
+                f"grid spacing {grid.delta_omega:.6g} rad/s is coarser than "
+                "the comb's 2 pi / rep_period: the synthesized pulse would "
+                "repeat within one period")
+        if abs(excess) > 1e-12 * 2.0 * np.pi:
             synth = np.exp(1j * np.outer(self.time_grid, grid.omegas)) \
                 * grid.weight
             return synth @ freq_samples

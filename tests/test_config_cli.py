@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -12,6 +13,7 @@ import pytest
 
 import spopo.cli
 import spopo.metrology
+import spopo.pulses
 import spopo.supermodes
 from spopo import (CavityConfig, ConfigError, build_kernel, covariance,
                    duan_sum, optimal_probe, schmidt_decompose, threshold_gain)
@@ -1076,6 +1078,191 @@ class TestRunBasis:
         ratio = self._run(write_config(tmp_path, scenario_dict()),
                           tmp_path / "ratio", "pulses")
         assert all(p.name[0] != "." for p in ratio.iterdir())
+
+
+#: the variables that set OpenBLAS's thread count
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
+                         "OMP_NUM_THREADS")
+
+
+class TestRecordKey:
+    """The record key holds the BLAS threading that OpenBLAS is told."""
+
+    def test_blas_thread_settings_change_the_key(self, monkeypatch):
+        cfg = load_scenario(DEFAULT_CONFIG)
+        for name in BLAS_THREAD_VARIABLES:
+            monkeypatch.delenv(name, raising=False)
+        keys = [spopo.cli._spectrum_key(cfg)]
+        for name in BLAS_THREAD_VARIABLES:
+            # unset, empty, "1" and "2" are four different keys
+            for value in ("", "1", "2"):
+                monkeypatch.setenv(name, value)
+                keys.append(spopo.cli._spectrum_key(cfg))
+            monkeypatch.delenv(name)
+        # one CPU more is another key
+        if hasattr(os, "sched_getaffinity"):
+            cpus = os.sched_getaffinity(0)
+            monkeypatch.setattr(os, "sched_getaffinity",
+                                lambda pid: cpus | {max(cpus) + 1})
+        else:
+            count = os.cpu_count()
+            monkeypatch.setattr(os, "cpu_count", lambda: count + 1)
+        keys.append(spopo.cli._spectrum_key(cfg))
+        assert len(set(keys)) == len(keys)
+
+    def test_other_thread_count_writes_its_own_bytes(self, tmp_path):
+        # at 341 points the squeezing.csv of one and two OpenBLAS threads
+        # differ in their last digits: a squeezing under two threads after
+        # a supermodes under one must not read the one-thread spectrum
+        raw = json.loads(DEFAULT_CONFIG.read_text())
+        raw["grid"]["n_points"] = 341
+        path = write_config(tmp_path, raw)
+
+        def run(command, out, threads):
+            env = src_env()
+            for name in BLAS_THREAD_VARIABLES:
+                env.pop(name, None)
+            env["OPENBLAS_NUM_THREADS"] = threads
+            proc = subprocess.run(
+                [sys.executable, "-m", "spopo.cli", command, "--config",
+                 str(path), "--out", str(out)],
+                env=env, capture_output=True, text=True, timeout=120)
+            assert (proc.returncode, proc.stderr) == (0, "")
+
+        run("supermodes", tmp_path / "mixed", "1")
+        run("squeezing", tmp_path / "mixed", "2")
+        run("squeezing", tmp_path / "cold", "2")
+        assert (tmp_path / "mixed" / "squeezing.csv").read_bytes() \
+            == (tmp_path / "cold" / "squeezing.csv").read_bytes()
+
+
+class TestOperatingPoint:
+    """One threshold and one g0 per run, whichever subcommand reads them."""
+
+    def test_metrology_and_pulses_take_one_g0(self, tmp_path, monkeypatch):
+        raw = json.loads(DEFAULT_CONFIG.read_text())
+        raw["pump"]["pump_ratio"] = 0.44
+        path = write_config(tmp_path, raw)
+        seen = {}
+        curve = spopo.pulses.min_variance_curve
+
+        def probe_spy(*args, **kwargs):
+            seen["metrology"] = kwargs["gain0"]
+            return optimal_probe(*args, **kwargs)
+
+        def curve_spy(g0, *args):
+            seen["pulses"] = g0
+            return curve(g0, *args)
+
+        monkeypatch.setattr(spopo.metrology, "optimal_probe", probe_spy)
+        monkeypatch.setattr(spopo.pulses, "min_variance_curve", curve_spy)
+        for command in ("metrology", "pulses"):
+            assert main([command, "--config", str(path), "--out",
+                         str(tmp_path / command)]) == 0
+        cfg = load_scenario(path)
+        g0 = 0.44 * threshold_gain(cfg.cavity, cfg.pump.ceo_half).gain
+        assert seen["metrology"].hex() == seen["pulses"].hex() == g0.hex()
+
+    @pytest.mark.parametrize("command, code", [
+        ("supermodes", 3), ("squeezing", 3), ("pulses", 0), ("metrology", 3)])
+    def test_zero_kernel_at_a_pump_ratio(self, tmp_path, capsys, command,
+                                         code):
+        # no gain to scale to 0.8 g_th; pulses' g0 needs no kernel
+        raw = json.loads(DEFAULT_CONFIG.read_text())
+        raw["crystal"]["d_eff"] = 0.0
+        out = tmp_path / "out"
+        assert main([command, "--config", str(write_config(tmp_path, raw)),
+                     "--out", str(out)]) == code
+        if code:
+            err = json.loads(capsys.readouterr().err)
+            assert err["error"] == "validation-error"
+            assert list(out.iterdir()) == []
+        else:
+            table = load_table(out / "sigma2.csv")
+            cfg = parse_scenario(raw)
+            g_th = threshold_gain(cfg.cavity, cfg.pump.ceo_half).gain
+            assert np.all(table["g"] == float("%.12g" % (0.8 * g_th)))
+
+    def test_energy_pump_ratio_defaults_to_g0_over_threshold(self, tmp_path):
+        raw = json.loads(DEFAULT_CONFIG.read_text())
+        del raw["pump"]["pump_ratio"]
+        raw["pump"]["energy"] = 2e-10
+        del raw["run"]["ratios"]
+        path = write_config(tmp_path, raw)
+        out = tmp_path / "out"
+        assert main(["metrology", "--config", str(path), "--out",
+                     str(out)]) == 0
+        cfg = load_scenario(path)
+        basis = schmidt_decompose(
+            build_kernel(cfg.grid, cfg.pump, cfg.crystal), rep_period=T0,
+            n_modes=cfg.run["n_modes_dump"])
+        g_th = threshold_gain(cfg.cavity, cfg.pump.ceo_half).gain
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["ratios"] == [float(basis.gains[0]) / g_th]
+        assert summary["threshold_gain"] == g_th
+        assert set(load_table(out / "metrology.csv")["ratio"]) \
+            == {float("%.12g" % (basis.gains[0] / g_th))}
+
+    def test_squeezing_just_below_threshold_is_refused(self, tmp_path,
+                                                       capsys):
+        # 1 - 1e-12 of threshold passes the ratio check; the resolvent's
+        # condition limit in cavity._blocks refuses it on the theta = 0 branch
+        raw = json.loads(DEFAULT_CONFIG.read_text())
+        raw["pump"]["pump_ratio"] = 0.999999999999
+        out = tmp_path / "out"
+        assert main(["squeezing", "--config",
+                     str(write_config(tmp_path, raw)), "--out",
+                     str(out)]) == 3
+        err = json.loads(capsys.readouterr().err)
+        assert (err["error"], err["theta"]) == ("at-threshold", 0.0)
+        assert "singular" in err["message"]
+        assert list(out.iterdir()) == []
+
+    def test_finesse_cavity_runs_every_subcommand(self, tmp_path):
+        raw = json.loads(DEFAULT_CONFIG.read_text())
+        raw["cavity"] = {"finesse": 30.0, "delta_rt": 0.0}
+        path = write_config(tmp_path, raw)
+        out = tmp_path / "out"
+        for command in ("supermodes", "squeezing", "pulses", "metrology"):
+            assert main([command, "--config", str(path), "--out",
+                         str(out)]) == 0
+        g_th = threshold_gain(CavityConfig.from_finesse(30.0), 0.0).gain
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["threshold_gain"] == g_th
+        for name in ("gains.csv", "squeezing.csv", "sigma2.csv",
+                     "metrology.csv"):
+            assert f"# threshold_gain = {g_th:.12g}\n" \
+                in (out / name).read_text(), name
+        table = load_table(out / "sigma2.csv")
+        assert np.all(table["r"] == float("%.12g" % math.sqrt(
+            1.0 - 2.0 * math.pi / 30.0)))
+
+    @pytest.mark.parametrize("finesse", [2.0 * math.pi, 1.0])
+    def test_finesse_at_most_two_pi_is_config_error(self, tmp_path, capsys,
+                                                     finesse):
+        raw = json.loads(DEFAULT_CONFIG.read_text())
+        raw["cavity"] = {"finesse": finesse}
+        out = tmp_path / "out"
+        assert main(["pulses", "--config", str(write_config(tmp_path, raw)),
+                     "--out", str(out)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config-error"
+        assert "finesse" in err["message"]
+        assert not out.exists()
+
+    def test_coarse_grid_metrology_is_refused(self, tmp_path, capsys):
+        # a spacing above 2 pi / T0 would synthesize a pulse that repeats
+        # within one period; 1.1x put 1.0056 N n_bar0 photons in probe.csv
+        raw = json.loads(DEFAULT_CONFIG.read_text())
+        raw["grid"]["omega_max"] = 1.1 * parse_scenario(raw).grid.omega_max
+        out = tmp_path / "out"
+        path = write_config(tmp_path, raw)
+        assert main(["metrology", "--config", str(path), "--out",
+                     str(out)]) == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "validation-error"
+        assert "coarser" in err["message"]
+        assert list(out.iterdir()) == []
 
 
 def loaded_modules(code):
