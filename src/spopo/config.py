@@ -15,7 +15,9 @@ Schema (all values SI):
 
 Every number must be finite: Python's json reads NaN, Infinity and
 -Infinity, and a config holding one anywhere above (a dispersion
-coefficient, a run knob or a ratio included) is a config error.
+coefficient, a run knob or a ratio included) is a config error.  So is a
+key the schema does not name, at the top level or in any section: a
+misspelled knob would otherwise run with its default.
 """
 
 from __future__ import annotations
@@ -40,11 +42,28 @@ RUN_DEFAULTS = {"theta_points": 121, "theta_max": math.pi, "N_max": 100,
                 "gain_cutoff": 1e-6, "n_modes_dump": 8, "dump_kernel": False,
                 "dump_matrices": False, "probe_pulses": 8, "n_bar0": 1e6}
 
+#: the keys each section of the schema names; the top level holds the sections
+_SECTION_KEYS = {
+    "grid": {"n_points", "omega_max"},
+    "pump": {"energy", "pump_ratio", "tau_p", "T0", "delta0"},
+    "crystal": {"l_c", "d_eff", "n0", "A_eff", "omega0", "signal_dispersion",
+                "pump_dispersion"},
+    "cavity": {"r", "finesse", "delta_rt"},
+    "run": {*RUN_DEFAULTS, "ratios"},
+}
+
 
 def _require(section: dict, section_name: str, key: str):
     if key not in section:
         raise ConfigError(f"missing required field: {section_name}.{key}")
     return section[key]
+
+
+def _refuse_unknown(section: dict, section_name: str, known) -> None:
+    unknown = sorted(section.keys() - known)
+    if unknown:
+        raise ConfigError(
+            f"unknown keys in {section_name}: {', '.join(unknown)}")
 
 
 def _is_number(value) -> bool:
@@ -139,6 +158,7 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
 def parse_scenario(raw: dict) -> ScenarioConfig:
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
+    _refuse_unknown(raw, "the config root", _SECTION_KEYS)
     for name in ("grid", "pump", "crystal", "cavity"):
         if name not in raw or not isinstance(raw[name], dict):
             raise ConfigError(f"missing required section: {name}")
@@ -147,6 +167,8 @@ def parse_scenario(raw: dict) -> ScenarioConfig:
     run = raw.get("run", {})
     if not isinstance(run, dict):
         raise ConfigError("run section must be an object")
+    for name, known in _SECTION_KEYS.items():
+        _refuse_unknown(raw.get(name, {}), name, known)
     _validate_run_section(run)
 
     t0 = _number(pump_sec, "pump", "T0")

@@ -192,9 +192,9 @@ class JointKernel:
     """Discretised symmetric kernel with the quadrature weight folded in.
 
     ``matrix[i, j]`` = (d_omega / 2 pi) S(w_i, w_j); singular values of the
-    matrix approximate the continuous gains g_n.  A real input stays real
-    (float64); a complex one is stored as complex128.  The symmetry check
-    runs on construction: ``matrix`` is a read-only view of the checked
+    matrix approximate the continuous gains g_n.  The matrix is real
+    (float64): a complex one is refused (``ValidationError``).  The symmetry
+    check runs on construction: ``matrix`` is a read-only view of the checked
     array (a caller must not keep writing to an array it passed in).
     """
 
@@ -202,8 +202,9 @@ class JointKernel:
     grid: FrequencyGrid
 
     def __post_init__(self):
-        m = np.asarray(self.matrix,
-                       dtype=complex if np.iscomplexobj(self.matrix) else float)
+        if np.iscomplexobj(self.matrix):
+            raise ValidationError("kernel matrix must be real")
+        m = np.asarray(self.matrix, dtype=float)
         if m.shape != (self.grid.n_points, self.grid.n_points):
             raise ValidationError("kernel matrix does not match the grid")
         check_symmetric(m, "kernel matrix")

@@ -1,8 +1,9 @@
 """Takagi decomposition of the joint kernel and the frequency-comb basis.
 
-The symmetric kernel factorises as S = sum_n g_n psi_n psi_n^T with g_n >= 0
-and orthonormal supermodes psi_n; each supermode extends to a continuous pulse
-train (frequency comb)
+The real symmetric kernel factorises as S = sum_n g_n psi_n psi_n^T with
+g_n >= 0 and orthonormal supermodes psi_n, read off its eigendecomposition
+(psi_n is an eigenvector, times i where its eigenvalue is negative); each
+supermode extends to a continuous pulse train (frequency comb)
 
     f_n(theta, t) = (2 pi)^{-1/2} sum_k psi_n(t - k T0) e^{i k (theta + ceo_half)}
 
@@ -29,24 +30,20 @@ DEFAULT_GAIN_CUTOFF = RUN_DEFAULTS["gain_cutoff"]
 
 def takagi(matrix: np.ndarray | JointKernel, n_modes: int | None = None
            ) -> tuple[np.ndarray, np.ndarray]:
-    """Takagi factorisation M = U diag(vals) U^T of a complex symmetric matrix.
+    """Takagi factorisation M = U diag(vals) U^T of a real symmetric matrix.
 
-    Returns singular values in descending order and the unitary U whose
-    columns are the symmetric-SVD modes, in a deterministic sign gauge: at
-    each column's largest-|.| sample Re > 0, or Im > 0 when that sample is
-    purely imaginary.  A real symmetric input is handled through its
-    eigendecomposition (phases i absorb negative eigenvalues).  For complex
-    M = B + iC, an eigenvector [x; y] of [[B, C], [C, -B]] with eigenvalue
-    val gives the mode x + iy (Horn & Johnson, Matrix Analysis 4.4).
+    M = X diag(lam) X^T is its eigendecomposition, so vals = |lam| in
+    descending order and column n of the unitary U is x_n, or i x_n where
+    lam_n < 0 (the phase i absorbs the sign).  Each x_n is in a
+    deterministic sign gauge: its largest-|.| sample is positive.
 
-    ``n_modes = k`` returns the top k values and the first k columns of U.
-    For real input they come from ``_top_eigenpairs`` (Lanczos, O(n^2 k))
-    when it resolves them and from the full ``eigh`` otherwise; complex input
-    is factorised in full and sliced.
+    ``n_modes = k`` returns the top k values and the first k columns of U,
+    from ``_top_eigenpairs`` (Lanczos, O(n^2 k)) when it resolves them and
+    from the full ``eigh`` otherwise.
 
     A ``JointKernel`` is factorised as its matrix, without repeating the
     finite-and-symmetric check it passed on construction; any other input
-    is checked here.
+    is checked here, and a complex one is refused (``ValidationError``).
     """
     checked = isinstance(matrix, JointKernel)
     m = matrix.matrix if checked else np.asarray(matrix)
@@ -56,35 +53,26 @@ def takagi(matrix: np.ndarray | JointKernel, n_modes: int | None = None
     if n_modes is not None and not 1 <= n_modes <= n:
         raise ValidationError(f"n_modes must lie in [1, {n}]")
     if not checked:
+        if np.iscomplexobj(m):
+            raise ValidationError("takagi needs a real matrix")
         check_symmetric(m, "takagi matrix")
     k = n if n_modes is None else n_modes
     if not np.any(m):
         return np.zeros(k), np.eye(n, k, dtype=complex)
-    if np.isrealobj(m):
-        top = None if n_modes is None else _top_eigenpairs(m, k)
-        if top is None:
-            lam, x = np.linalg.eigh(m)
-            order = np.argsort(np.abs(lam))[::-1][:k]
-            lam, x = lam[order], x[:, order]
-        else:
-            lam, x = top
-        # the mode is x (lam >= 0) or i x, and either is gauged by x's sign
-        sign = np.where(_sign_flips(x), -1.0, 1.0)
-        positive = lam >= 0
-        u = np.empty(x.shape, dtype=complex)
-        np.multiply(x, np.where(positive, sign, 0.0), out=u.real)
-        np.multiply(x, np.where(positive, 0.0, sign), out=u.imag)
-        return np.abs(lam), u
-    b, c = m.real, m.imag
-    lam, vecs = np.linalg.eigh(np.block([[b, c], [c, -b]]))
-    top = slice(None, n - 1, -1)
-    # k zero values leave a 2k-dimensional null space, closed under u -> iu,
-    # whose k picked columns need not be orthonormal; QR completes U and keeps
-    # the val > 0 columns, once the phases of R's diagonal are put back
-    q, r = np.linalg.qr(vecs[:n, top] + 1j * vecs[n:, top])
-    u = q[:, :k] * np.exp(1j * np.angle(r.diagonal()[:k]))
-    np.negative(u, out=u, where=_sign_flips(u))
-    return np.maximum(lam[top][:k], 0.0), u
+    top = None if n_modes is None else _top_eigenpairs(m, k)
+    if top is None:
+        lam, x = np.linalg.eigh(m)
+        order = np.argsort(np.abs(lam))[::-1][:k]
+        lam, x = lam[order], x[:, order]
+    else:
+        lam, x = top
+    # the mode is x (lam >= 0) or i x, and either is gauged by x's sign
+    sign = np.where(_sign_flips(x), -1.0, 1.0)
+    positive = lam >= 0
+    u = np.empty(x.shape, dtype=complex)
+    np.multiply(x, np.where(positive, sign, 0.0), out=u.real)
+    np.multiply(x, np.where(positive, 0.0, sign), out=u.imag)
+    return np.abs(lam), u
 
 
 #: relative residual |M x - theta x| / |theta_0| a Lanczos pair must meet
@@ -160,26 +148,24 @@ def _start_vector(n: int) -> np.ndarray:
     return (x >> np.uint64(11)).astype(float) - 2.0**52
 
 
-def _sign_flips(modes: np.ndarray) -> np.ndarray:
-    """Columns whose max-|.| sample has Re < 0, or Re = 0 (to 1e-12 of its
-    magnitude) and Im < 0: the ones the gauge negates.  Only the sign may be
-    touched: any other phase would break the symmetric factorisation."""
-    z = modes[np.argmax(np.abs(modes), axis=0), np.arange(modes.shape[1])]
-    return np.where(np.abs(z.real) > 1e-12 * np.abs(z), z.real < 0, z.imag < 0)
+def _sign_flips(x: np.ndarray) -> np.ndarray:
+    """Columns of the real eigenvectors ``x`` whose max-|.| sample is
+    negative: the ones the gauge negates.  Only the sign may be touched:
+    any other phase would break the symmetric factorisation."""
+    return x[np.argmax(np.abs(x), axis=0), np.arange(x.shape[1])] < 0
 
 
 def takagi_values(matrix: np.ndarray) -> np.ndarray:
-    """Takagi values of a symmetric matrix in descending order, without modes.
-
-    The values ``takagi`` returns, to rounding, at the cost of an eigenvalue-
-    only LAPACK call for real input and a singular-value-only one for complex
-    input.  The symmetry check is the caller's: a ``JointKernel`` matrix has
-    passed it on construction.
+    """Takagi values of a real symmetric matrix in descending order, without
+    modes: the values ``takagi`` returns, to rounding, at the cost of an
+    eigenvalue-only LAPACK call.  A complex matrix is refused
+    (``ValidationError``): ``eigvalsh`` would read it as Hermitian.  The
+    symmetry check is the caller's: a ``JointKernel`` matrix has passed it
+    on construction.
     """
-    m = np.asarray(matrix)
-    if np.isrealobj(m):
-        return np.sort(np.abs(np.linalg.eigvalsh(m)))[::-1]
-    return np.linalg.svd(m, compute_uv=False)
+    if np.iscomplexobj(matrix):
+        raise ValidationError("takagi_values needs a real matrix")
+    return np.sort(np.abs(np.linalg.eigvalsh(matrix)))[::-1]
 
 
 def kept_count(gains: np.ndarray, gain_cutoff: float = DEFAULT_GAIN_CUTOFF) -> int:

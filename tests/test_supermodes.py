@@ -22,23 +22,23 @@ def double_gaussian_kernel(a, b, omega_max=14.0, n_points=301, amplitude=1.0):
     w = grid.omegas
     w1, w2 = np.meshgrid(w, w, indexing="ij")
     matrix = amplitude * np.exp(-a * (w1 + w2) ** 2 - b * (w1 - w2) ** 2) * grid.weight
-    return JointKernel(matrix=matrix.astype(complex), grid=grid)
+    return JointKernel(matrix=matrix, grid=grid)
 
 
-def complex_symmetric_case(name):
-    """Complex symmetric input of the Takagi tests; a number seeds a random
+def symmetric_case(name):
+    """Real symmetric input of the Takagi tests; a number seeds a random
     10 x 10 matrix.  Rank 3 of 12 and the zero row leave exact zero values,
     and the double-Gaussian kernel numerically zero ones."""
     if name == "double-gaussian-301":
         return double_gaussian_kernel(1.0, 0.25).matrix
     if name == "degenerate-4":
-        m = np.zeros((4, 4), dtype=complex)
+        m = np.zeros((4, 4))
         m[0, 1] = m[1, 0] = m[2, 3] = m[3, 2] = 1.0
         return m
     rng = np.random.default_rng(int(name) if name.isdigit() else 6)
     n = {"random-60": 60, "degenerate-3x20": 60, "rank-3-of-12": 12,
          "zero-row": 12}.get(name, 10)
-    m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    m = rng.standard_normal((n, n))
     if name == "degenerate-3x20":
         q = np.linalg.qr(m)[0]
         return (q * np.repeat([3.0, 2.0, 1.0], 20)) @ q.T
@@ -106,7 +106,7 @@ class TestTakagi:
         assert abs(np.vdot(u[:, 0], psi)) == pytest.approx(1.0, abs=1e-10)
 
     def test_zero_kernel(self):
-        vals, u = takagi(np.zeros((11, 11), dtype=complex))
+        vals, u = takagi(np.zeros((11, 11)))
         assert not np.any(vals)
         np.testing.assert_allclose(u, np.eye(11))
 
@@ -123,8 +123,8 @@ class TestTakagi:
     @pytest.mark.parametrize("case", [
         "3", "4", "5", "random-60", "degenerate-4", "degenerate-3x20",
         "rank-3-of-12", "zero-row", "double-gaussian-301"])
-    def test_random_complex_symmetric(self, case):
-        m = complex_symmetric_case(case)
+    def test_symmetric_cases(self, case):
+        m = symmetric_case(case)
         n = m.shape[0]
         vals, u = takagi(m)
         np.testing.assert_allclose((u * vals) @ u.T, m, rtol=0,
@@ -146,6 +146,20 @@ class TestTakagi:
             with pytest.raises(ValidationError, match="square"):
                 takagi(np.ones(shape))
 
+    def test_complex_input_refused(self, default_kernel):
+        # the joint kernel is real; a complex array is refused before the
+        # symmetry and grid checks, even with a zero imaginary part
+        grid = default_kernel.grid
+        asymmetric = np.array([[0.0, 1j], [0.0, 0.0]])
+        for m in (default_kernel.matrix + 0j, symmetric_case("3") * (1 + 2j),
+                  asymmetric):
+            with pytest.raises(ValidationError, match="real"):
+                takagi(m)
+            with pytest.raises(ValidationError, match="real"):
+                takagi_values(m)
+            with pytest.raises(ValidationError, match="real"):
+                JointKernel(matrix=m, grid=grid)
+
     def test_joint_kernel_is_not_checked_again(self, default_kernel,
                                                monkeypatch):
         # a JointKernel was checked on construction; a bare array is checked
@@ -164,15 +178,13 @@ class TestTakagi:
 
     def test_sign_gauge_matches_per_column_loop(self, default_kernel):
         # takagi's U is already in the gauge, and columns negated at random
-        # are gauged back to it; compared bytewise (signed zeros).  The real
-        # kernel's modes carry phase 1 and phase i (eigenvalues of both
-        # signs); as a complex array its phase-i modes leave the embedding
-        # with max samples that are imaginary up to rounding
+        # are gauged back to it; compared bytewise (signed zeros).  The
+        # kernel's modes carry phase 1 and phase i (eigenvalues of both signs)
         real = default_kernel.matrix
         lam = np.linalg.eigvalsh(real)
         assert lam.min() < 0 < lam.max()
         rng = np.random.default_rng(9)
-        for m in (real, real + 0j, complex_symmetric_case("random-60")):
+        for m in (real, symmetric_case("random-60")):
             u = takagi(m)[1]
             assert u.tobytes() == fix_mode_signs_loop(u).tobytes()
             flipped = u.copy()
@@ -281,7 +293,7 @@ class TestTopModes:
         # decay (mu = 0.957) leaves an even start vector, which sees the odd
         # modes through rounding noise alone, short of the residual tolerance
         kernel = double_gaussian_kernel(1.0, 0.0005, omega_max=40.0,
-                                        n_points=601).matrix.real
+                                        n_points=601).matrix
         matrix = (kernel + kernel[::-1, ::-1]) / 2.0
         gains, u = takagi(matrix, 6)
         assert not full_eigh_calls
@@ -301,7 +313,7 @@ class TestTopModes:
                 takagi(rank3, k)
             assert not full_eigh_calls
         for matrix in (np.zeros((n, n)), np.eye(n), rank3,
-                       complex_symmetric_case("rank-3-of-12")):
+                       symmetric_case("rank-3-of-12")):
             for k in (1, 3, 4):
                 gains, u = takagi(matrix, k)
                 assert np.all(np.isfinite(gains)) and np.all(np.isfinite(u))
@@ -423,15 +435,6 @@ class TestSchmidtDecompose:
         assert kept_count(values) \
             == schmidt_decompose(kernel, rep_period=T0).n_kept
 
-    def test_takagi_values_complex_symmetric(self):
-        rng = np.random.default_rng(8)
-        m = rng.standard_normal((40, 40)) + 1j * rng.standard_normal((40, 40))
-        m = m + m.T
-        values = takagi_values(m)
-        reference = takagi(m)[0]
-        assert np.abs(values - reference).max() <= 1e-14 * values[0]
-        assert kept_count(values, 0.05) == kept_count(reference, 0.05)
-
     def test_one_pass_modes_match_complex_chain(self, default_pump,
                                                 default_crystal):
         # equal values, nonzero parts equal bit for bit, zeros in the same
@@ -439,9 +442,7 @@ class TestSchmidtDecompose:
         kernels = [build_kernel(FrequencyGrid.comb_aligned(n, T0),
                                 default_pump, default_crystal)
                    for n in (171, 1361)]
-        gaussian = double_gaussian_kernel(1.0, 0.25)
-        kernels.append(JointKernel(matrix=gaussian.matrix.real,
-                                   grid=gaussian.grid))
+        kernels.append(double_gaussian_kernel(1.0, 0.25))
         # degenerate 2x2 blocks give eigenvectors whose largest |x| is a
         # +/- tie; the zero row gives exact zeros of both signs
         small = FrequencyGrid(n_points=5, omega_max=1.0)
