@@ -2,8 +2,8 @@
 
 Supermode decomposition of the joint down-conversion kernel, cavity
 input-output squeezing and comb-pair entanglement spectra, closed-form
-pulse-train covariance matrices, and quantum Cramer-Rao bounds for
-time-delay estimation.
+pulse-train covariance matrices, and the time-delay Fisher information and
+its improvement over the coherent-probe limit.
 
 Exported names load on first access (PEP 562): ``import spopo`` imports
 neither numpy nor any submodule, and ``spopo.takagi`` imports
@@ -25,9 +25,8 @@ _EXPORTS = {
                "SpectralLeakageError", "ValidationError"),
     "kernel": ("CrystalConfig", "FrequencyGrid", "JointKernel", "PumpConfig",
                "build_kernel", "chi0", "phase_matching"),
-    "metrology": ("ImprovementCurve", "MetrologyResult", "ProbeField",
-                  "cramer_rao", "fisher_information", "improvement_curve",
-                  "optimal_probe"),
+    "metrology": ("ImprovementCurve", "ProbeField", "fisher_information",
+                  "improvement_curve", "optimal_probe"),
     "pulses": ("MinVarianceSolution", "PulseCovariance", "covariance",
                "duan_sum", "io_series_coefficients", "min_variance_direct",
                "min_variance_transcendental", "sigma2_limit"),

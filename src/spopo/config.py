@@ -160,8 +160,10 @@ def parse_scenario(raw: dict) -> ScenarioConfig:
         raise ConfigError("config root must be a JSON object")
     _refuse_unknown(raw, "the config root", _SECTION_KEYS)
     for name in ("grid", "pump", "crystal", "cavity"):
-        if name not in raw or not isinstance(raw[name], dict):
+        if name not in raw:
             raise ConfigError(f"missing required section: {name}")
+        if not isinstance(raw[name], dict):
+            raise ConfigError(f"section {name} must be an object")
     grid_sec, pump_sec = raw["grid"], raw["pump"]
     crystal_sec, cavity_sec = raw["crystal"], raw["cavity"]
     run = raw.get("run", {})

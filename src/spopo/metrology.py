@@ -1,12 +1,29 @@
-"""Quantum Fisher information and Cramer-Rao bound for time-delay estimation.
+"""Quantum Fisher information for time-delay estimation, and the pulse
+number at which the improvement over the coherent probe levels off.
 
-A time translation of the pulse train is generated (per pulse) by the
-frequency-weighted quadratic form Omega_mn = int psi_m*(t)(omega0 - i d/dt)
-psi_n(t) dt.  For an intense probe the Fisher information reduces to a
-Gaussian quadratic form in the p-quadrature covariance, maximised by putting
-all probe amplitude in supermode 0 with the pulse weights of the minimum-
-variance eigenvector; the resulting bound improves on the coherent-probe
-standard quantum limit by 1/(sqrt 2 sigma).
+Quadratures are x = (a + a^dag)/sqrt 2 and p = (a - a^dag)/(i sqrt 2), so
+the vacuum variance is 1/2.  A delay tau multiplies each frequency component
+of the mean field by e^{i (omega0 + w) tau}, so at tau = 0 a real mean field
+moves along i (omega0 + w) times itself: the p quadrature of the derivative
+mode, the normalised (omega0 + w)-weighted mean field, moves at
+mu' = d<p>/dtau = sqrt 2 alpha', with alpha' the real amplitude of that
+derivative.  Only the mean depends on tau, so the Fisher information of the
+Gaussian state is the mean-shift form F = mu'^T V^-1 mu' over the p
+covariance V.  With ``alpha_prime[k, n]`` the amplitude in supermode k and
+pulse n, and V_k^(-) the pulse p-covariance of supermode k,
+
+    F = 2 sum_k alpha'_k^T [V_k^(-)]^-1 alpha'_k.
+
+``optimal_probe`` makes supermode 0 the derivative mode: its pulse spectrum
+is psi0(w) / (omega0 + w).  For N pulses of n_bar0 photons on average,
+sum |alpha'|^2 = N n_bar0 omega_eff^2, with omega_eff^2 the second moment of
+omega0 + w over the probe spectrum.  A coherent probe (V = I/2) gives
+F = 4 N n_bar0 omega_eff^2, the standard quantum limit
+dtau_SQL = F^-1/2 = 1 / (2 sqrt(N n_bar0) omega_eff) (Lamine, Fabre and
+Treps, PRL 101, 123601 (2008)).  Pulse weights on the minimum-variance
+eigenvector of V_0^(-), at eigenvalue sigma^2, give
+F = 2 N n_bar0 omega_eff^2 / sigma^2: the Cramer-Rao bound F^-1/2 improves
+on dtau_SQL by 1/(sqrt 2 sigma), which ``improvement_curve`` reports.
 
 The pulse number reaching a target improvement has a closed form.  With
 a = e^-g and q = r a, sigma^2(N) = (1/2) |r - a e^{i theta_N}|^2
@@ -48,26 +65,22 @@ ASYMPTOTE_FRACTION = 0.99
 class ProbeField:
     """Mean probe field over N pulses.
 
-    ``alpha_prime[n, k]`` are the (real) generator-weighted mean amplitudes
-    entering the Fisher quadratic form; ``envelope`` samples the mean field
-    over the N periods of the basis time grid; ``pulse_freq`` samples the
-    probe pulse spectrum psi0(w)/(omega0 + w) before amplitude scaling.
-    ``spectral_spread_sq`` is the second moment of the probe spectrum about
-    the carrier, <(omega0 + w)^2> - omega0^2, which makes the amplitude
-    normalization exact on a comb-aligned grid: sum |envelope|^2 dt =
-    N n_bar0 to rounding (7e-15 relative on configs/default.json).  On a
-    finer grid the sum over the time grid only approximates the spectral
-    norm: 2.2e-7 off at 0.97 of the comb spacing, 7.5e-6 at 0.999 and
-    1.1e-4 at 0.5 on the same config.  A coarser grid, whose spacing
-    exceeds 2 pi / rep_period by more than 1e-12 of it, is refused by
-    ``SupermodeBasis.time_samples``.  ``spectral_spread_sq`` can come out
-    slightly negative: the 1/(omega0 + w)^2 spectral weighting of the probe
-    pulse shifts its mean frequency just below the carrier.
+    ``alpha_prime[k, n]`` are the (real) derivative amplitudes entering
+    ``fisher_information``; ``envelope`` samples the mean field over the N
+    periods of the basis time grid; ``pulse_freq`` samples the probe pulse
+    spectrum psi0(w)/(omega0 + w) before amplitude scaling.
+    ``omega_eff_sq`` is the second moment <(omega0 + w)^2> of the probe
+    spectrum, which makes the amplitude normalization exact on a
+    comb-aligned grid: sum |envelope|^2 dt = N n_bar0 to rounding (7e-15
+    relative on configs/default.json).  On a finer grid the sum over the
+    time grid only approximates the spectral norm: 2.2e-7 off at 0.97 of the
+    comb spacing, 7.5e-6 at 0.999 and 1.1e-4 at 0.5 on the same config.  A
+    coarser grid, whose spacing exceeds 2 pi / rep_period by more than
+    1e-12 of it, is refused by ``SupermodeBasis.time_samples``.
     """
 
     alpha_prime: np.ndarray
-    n_bar0: float
-    spectral_spread_sq: float
+    omega_eff_sq: float
     amplitude: float
     envelope: np.ndarray
     pulse_freq: np.ndarray
@@ -77,16 +90,16 @@ class ProbeField:
         return float(np.sum(np.abs(self.envelope) ** 2) * dt)
 
 
-def fisher_information(probe, v_minus_family: Sequence[np.ndarray]) -> float:
-    """Gaussian Fisher information F = (1/2) sum_n alpha_n^T [V_n^(-)]^-1 alpha_n.
+def fisher_information(alpha_prime: np.ndarray,
+                       v_minus_family: Sequence[np.ndarray]) -> float:
+    """Time-delay Fisher information 2 sum_k alpha'_k^T [V_k^(-)]^-1 alpha'_k,
+    derived in the module docstring.
 
-    ``probe`` is a ProbeField or a bare (modes x pulses) real array;
-    ``v_minus_family`` supplies one symmetric positive-definite p-covariance
-    per probe mode row.
+    ``alpha_prime`` is the (modes x pulses) real array of
+    ``ProbeField.alpha_prime``; ``v_minus_family`` supplies one symmetric
+    positive-definite p-covariance per row.
     """
-    alpha = np.asarray(getattr(probe, "alpha_prime", probe), dtype=float)
-    if alpha.ndim == 1:
-        alpha = alpha[None, :]
+    alpha = np.atleast_2d(np.asarray(alpha_prime, dtype=float))
     if len(v_minus_family) < alpha.shape[0]:
         raise ValidationError("need one V^(-) matrix per probe mode row")
     total = 0.0
@@ -102,7 +115,7 @@ def fisher_information(probe, v_minus_family: Sequence[np.ndarray]) -> float:
             raise ValidationError(f"V^(-) not positive definite: {exc}") from exc
         # alpha^T (L L^T)^-1 alpha = |L^-1 alpha|^2
         half = np.linalg.solve(lower, row)
-        total += 0.5 * float(half @ half)
+        total += 2.0 * float(half @ half)
     return total
 
 
@@ -115,7 +128,7 @@ def optimal_probe(basis: SupermodeBasis, omega0: float, r: float,
     variance eigenvector at the signed round-trip amplitude r (alternating
     in sign for r < 0, see ``cavity.resonant_r``); the pulse envelope solves
     (omega0 - i d/dt) psi0' = psi0 spectrally, and the overall amplitude
-    carries sqrt(N n_bar0 (omega0^2 + spread^2)).
+    carries sqrt(N n_bar0 omega_eff^2).
     """
     if n_bar0 <= 0:
         raise ValidationError("n_bar0 must be positive")
@@ -132,48 +145,17 @@ def optimal_probe(basis: SupermodeBasis, omega0: float, r: float,
 
     weight = basis.grid.weight
     density = np.abs(pulse_freq) ** 2 * weight
-    norm_sq = float(density.sum())
-    second_moment = float((shifted**2 * density).sum() / norm_sq)
-    spread_sq = second_moment - omega0**2
-    amplitude = math.sqrt(n_pulses * n_bar0 * second_moment)
+    omega_eff_sq = float((shifted**2 * density).sum() / density.sum())
+    amplitude = math.sqrt(n_pulses * n_bar0 * omega_eff_sq)
 
     alpha_prime = np.zeros((basis.n_kept, n_pulses))
     alpha_prime[0] = amplitude * sol.eigvec
 
     pulse_time = basis.time_samples(pulse_freq)
     envelope = amplitude * (sol.eigvec[:, None] * pulse_time[None, :]).ravel()
-    return ProbeField(alpha_prime=alpha_prime, n_bar0=float(n_bar0),
-                      spectral_spread_sq=spread_sq, amplitude=amplitude,
-                      envelope=envelope, pulse_freq=pulse_freq,
-                      n_pulses=n_pulses)
-
-
-@dataclass(frozen=True)
-class MetrologyResult:
-    """Time-delay bound for one (sigma^2, N) operating point."""
-
-    fisher: float
-    delta_tau: float
-    delta_tau_sql: float
-    improvement: float
-
-
-def cramer_rao(sigma2_min: float, n_pulses: int, n_bar0: float, omega0: float,
-               spectral_spread_sq: float) -> MetrologyResult:
-    """Quantum Cramer-Rao bound dtau^2 = sigma^2 / (2 N n_bar0 (omega0^2 + spread^2)).
-
-    The standard quantum limit is the same expression at the coherent value
-    sigma^2 = 1/2, so the improvement factor is 1 / (sqrt 2 sigma).
-    """
-    if min(sigma2_min, n_bar0, omega0) <= 0 or n_pulses < 1:
-        raise ValidationError("cramer_rao needs positive inputs")
-    scale = 2.0 * n_pulses * n_bar0 * (omega0**2 + spectral_spread_sq)
-    dtau2 = sigma2_min / scale
-    dtau2_sql = 0.5 / scale
-    return MetrologyResult(fisher=1.0 / dtau2,
-                           delta_tau=math.sqrt(dtau2),
-                           delta_tau_sql=math.sqrt(dtau2_sql),
-                           improvement=math.sqrt(dtau2_sql / dtau2))
+    return ProbeField(alpha_prime=alpha_prime, omega_eff_sq=omega_eff_sq,
+                      amplitude=amplitude, envelope=envelope,
+                      pulse_freq=pulse_freq, n_pulses=n_pulses)
 
 
 @dataclass(frozen=True)

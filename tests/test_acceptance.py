@@ -225,6 +225,8 @@ def test_criterion_10_metrology_curves():
 
 
 def test_criterion_11_gaussian_qfi_oracle():
+    # a p shift of sqrt 2 alpha' per unit delay is generated by
+    # G = sqrt 2 alpha' x; a pure state's QFI is 4 Var(G) = 8 alpha'^2 Var(x)
     rng = np.random.default_rng(11)
     worst = 0.0
     for _ in range(50):
@@ -233,7 +235,7 @@ def test_criterion_11_gaussian_qfi_oracle():
         alpha = rng.uniform(0.5, 3.0)
         implemented = fisher_information(np.array([[alpha]]),
                                          [np.array([[0.5 * np.exp(-2 * g)]])])
-        oracle = 2.0 * alpha**2 * fock_variance_of_x(g, beta)
+        oracle = 8.0 * alpha**2 * fock_variance_of_x(g, beta)
         worst = max(worst, abs(implemented / oracle - 1.0))
     report(11, worst <= 1e-8, f"max relative deviation {worst:.2e}")
 

@@ -191,6 +191,18 @@ class TestConfigValidation:
         assert err["message"].endswith(f"{section or 'the config root'}: {key}")
         assert not out.exists()
 
+    @pytest.mark.parametrize("section", ["grid", "pump", "crystal", "cavity"])
+    def test_section_not_an_object_is_config_error(self, tmp_path, capsys,
+                                                   section):
+        # the section is there, so "missing" would point at the wrong fault
+        path = write_config(tmp_path, scenario_dict(**{section: [171]}))
+        out = tmp_path / "out"
+        assert main(["pulses", "--config", str(path), "--out", str(out)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config-error"
+        assert err["message"] == f"section {section} must be an object"
+        assert not out.exists()
+
     def test_undecodable_config_as_process(self, tmp_path):
         path = tmp_path / "scenario.json"
         path.write_bytes(b"\xff\xfe{")
@@ -1150,6 +1162,50 @@ class TestRecordKey:
         run("squeezing", tmp_path / "cold", "2")
         assert (tmp_path / "mixed" / "squeezing.csv").read_bytes() \
             == (tmp_path / "cold" / "squeezing.csv").read_bytes()
+
+    def test_cold_runs_agree_across_thread_counts(self, tmp_path):
+        # cold runs under one and two OpenBLAS threads at 341 points: gains
+        # differ from index 63 of 66 kept, by at most 1.3e-17 of g0, and
+        # squeezing.csv by at most 2.0e-12 of a column's maximum
+        raw = json.loads(DEFAULT_CONFIG.read_text())
+        raw["grid"]["n_points"] = 341
+        path = write_config(tmp_path, raw)
+        env = src_env()
+        for name in BLAS_THREAD_VARIABLES:
+            env.pop(name, None)
+        for threads in ("1", "2"):
+            for command in ("supermodes", "squeezing", "metrology"):
+                proc = subprocess.run(
+                    [sys.executable, "-m", "spopo.cli", command, "--config",
+                     str(path), "--out", str(tmp_path / threads / command)],
+                    env=dict(env, OPENBLAS_NUM_THREADS=threads),
+                    capture_output=True, text=True, timeout=120)
+                assert (proc.returncode, proc.stderr) == (0, "")
+        one, two = tmp_path / "1", tmp_path / "2"
+
+        def close(name, atol):
+            a, b = load_table(one / name), load_table(two / name)
+            for column in a:
+                np.testing.assert_allclose(
+                    b[column], a[column], rtol=0,
+                    atol=atol * np.nanmax(np.abs(a[column])), err_msg=column)
+
+        n_kept = [next(line for line in (d / "supermodes" / "gains.csv")
+                       .read_text().splitlines() if "n_kept" in line)
+                  for d in (one, two)]
+        assert n_kept[0] == n_kept[1]
+        gains = [load_table(d / "supermodes" / "gains.csv")["gain"]
+                 for d in (one, two)]
+        np.testing.assert_allclose(gains[1], gains[0], rtol=0,
+                                   atol=1e-15 * gains[0][0])
+        close(Path("squeezing") / "squeezing.csv", 1e-10)
+        modes = sorted((one / "supermodes").glob("mode_*.csv"))
+        assert modes
+        for name in modes:
+            close(Path("supermodes") / name.name, 1e-10)
+        close(Path("metrology") / "probe.csv", 1e-10)
+        assert (one / "metrology" / "metrology.csv").read_bytes() \
+            == (two / "metrology" / "metrology.csv").read_bytes()
 
 
 class TestOperatingPoint:

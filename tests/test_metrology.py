@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from spopo import (CavityConfig, FrequencyGrid, ValidationError,
-                   build_kernel, covariance, cramer_rao, fisher_information,
-                   improvement_curve, min_variance_direct,
-                   min_variance_transcendental, optimal_probe,
-                   schmidt_decompose, sigma2_limit, threshold_gain)
+                   build_kernel, covariance, fisher_information,
+                   improvement_curve, min_variance_transcendental,
+                   optimal_probe, schmidt_decompose, sigma2_limit,
+                   threshold_gain)
 from spopo.metrology import ASYMPTOTE_FRACTION, _first_n_at_asymptote
 from spopo.pulses import min_variance_curve
 
@@ -40,10 +40,11 @@ def fock_variance_of_x(squeeze: float, displacement: complex,
 
 class TestFisherInformation:
     def test_coherent_input(self):
+        # F = 2 alpha'^T V^-1 alpha' at V = I/2 is 4 sum alpha'^2
         alpha = np.array([[1.5, -0.5, 2.0]])
         v = 0.5 * np.eye(3)
         assert fisher_information(alpha, [v]) \
-            == pytest.approx(np.sum(alpha**2), rel=1e-12)
+            == pytest.approx(4.0 * np.sum(alpha**2), rel=1e-12)
 
     def test_probe_aligned_with_minimum_eigenvector(self):
         g, r, n = 0.09, 0.85, 12
@@ -52,7 +53,8 @@ class TestFisherInformation:
         cov = covariance(g, r, n)
         value = fisher_information(amplitude * sol.eigvec[None, :],
                                    [cov.v_minus])
-        assert value == pytest.approx(0.5 * amplitude**2 / sol.sigma2, rel=1e-8)
+        # a unit eigenvector of V^- at sigma^2: F = 2 A^2 / sigma^2
+        assert value == pytest.approx(2.0 * amplitude**2 / sol.sigma2, rel=1e-8)
 
     def test_rejects_non_positive_definite(self):
         with pytest.raises(ValidationError):
@@ -60,16 +62,16 @@ class TestFisherInformation:
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
     def test_gaussian_qfi_oracle(self, seed):
-        # pure displaced squeezed state: QFI = 4 Var(generator); with the
-        # generator normalization of the implemented quadratic form,
-        # F = 2 alpha'^2 Var_fock(x)
+        # pure displaced squeezed state: a p shift of sqrt 2 alpha' per unit
+        # delay is generated by G = sqrt 2 alpha' x, and QFI = 4 Var(G)
+        # = 8 alpha'^2 Var_fock(x)
         rng = np.random.default_rng(seed)
         g = rng.uniform(0.05, 0.8)
         beta = rng.uniform(-1.5, 1.5) + 1j * rng.uniform(-1.5, 1.5)
         alpha = rng.uniform(0.5, 3.0)
         v_minus = np.array([[0.5 * np.exp(-2 * g)]])
         implemented = fisher_information(np.array([[alpha]]), [v_minus])
-        oracle = 2.0 * alpha**2 * fock_variance_of_x(g, beta)
+        oracle = 8.0 * alpha**2 * fock_variance_of_x(g, beta)
         assert implemented == pytest.approx(oracle, rel=1e-9)
 
 
@@ -124,39 +126,26 @@ class TestOptimalProbe:
 
     def test_spread_much_smaller_than_carrier(self, default_basis,
                                               default_cavity):
-        # second moment about the carrier: tiny against omega0^2, may be
-        # slightly negative (1/(omega0+w)^2 weighting pulls the mean down)
+        # omega_eff^2 lies within (0.1 omega0)^2 of omega0^2; the
+        # 1/(omega0+w)^2 weighting pulls it just below
         probe = optimal_probe(default_basis, OMEGA0, default_cavity.r,
                               n_pulses=2, n_bar0=1e6, gain0=0.05)
-        assert abs(probe.spectral_spread_sq) < (0.1 * OMEGA0) ** 2
-        assert OMEGA0**2 + probe.spectral_spread_sq > 0
+        assert probe.omega_eff_sq > 0
+        assert abs(probe.omega_eff_sq - OMEGA0**2) < (0.1 * OMEGA0) ** 2
 
-
-class TestCramerRao:
-    def test_coherent_limit(self):
-        result = cramer_rao(0.5, 10, 1e6, OMEGA0, 1e26)
-        assert result.improvement == pytest.approx(1.0, rel=1e-12)
-        assert result.delta_tau == pytest.approx(result.delta_tau_sql)
-
-    def test_quarter_variance(self):
-        result = cramer_rao(0.25, 10, 1e6, OMEGA0, 1e26)
-        assert result.improvement == pytest.approx(np.sqrt(2.0), rel=1e-12)
-
-    def test_fisher_is_inverse_variance(self):
-        result = cramer_rao(0.3, 4, 1e5, OMEGA0, 0.0)
-        assert result.fisher == pytest.approx(result.delta_tau**-2, rel=1e-12)
-
-    def test_chain_identity_transcendental_vs_dense(self):
-        g, r, n = 0.07, 0.82, 24
-        semi = min_variance_transcendental(g, r, n)
-        dense = min_variance_direct(covariance(g, r, n))
-        a = cramer_rao(semi.sigma2, n, 1e6, OMEGA0, 1e26)
-        b = cramer_rao(dense.sigma2, n, 1e6, OMEGA0, 1e26)
-        assert a.improvement == pytest.approx(b.improvement, abs=1e-8)
-
-    def test_input_validation(self):
-        with pytest.raises(ValidationError):
-            cramer_rao(-0.1, 10, 1e6, OMEGA0, 0.0)
+    def test_coherent_state_limit(self, default_basis, default_cavity):
+        # a coherent probe (every V^- = I/2) reaches F = 4 N n_bar0 omega_eff^2
+        # = 1/dtau_SQL^2, with omega_eff^2 the second moment of omega0 + w
+        # over the probe spectrum psi0(w)/(omega0 + w)
+        n_pulses, n_bar0 = 8, 1e6
+        probe = optimal_probe(default_basis, OMEGA0, default_cavity.r,
+                              n_pulses=n_pulses, n_bar0=n_bar0, gain0=0.06)
+        shifted = OMEGA0 + default_basis.grid.omegas
+        density = np.abs(default_basis.modes_freq[:, 0] / shifted) ** 2
+        omega_eff_sq = np.sum(shifted**2 * density) / np.sum(density)
+        vacuum = [0.5 * np.eye(n_pulses)] * default_basis.n_kept
+        assert fisher_information(probe.alpha_prime, vacuum) == pytest.approx(
+            4.0 * n_pulses * n_bar0 * omega_eff_sq, rel=1e-12)
 
 
 class TestImprovementCurve:
@@ -263,22 +252,22 @@ class TestImprovementInvariantSweep:
                     sigma2 = covariance(g, r, 1).v_minus[0, 0]
                 else:
                     sigma2 = min_variance_transcendental(g, r, n).sigma2
-                values.append(cramer_rao(sigma2, n, 1e6, OMEGA0, 0.0).improvement)
+                values.append(1.0 / math.sqrt(2.0 * sigma2))
             assert all(v >= 1.0 - 1e-9 for v in values)
             assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
 
 
 class TestFisherConsistencyWithProbe:
     def test_optimal_probe_fisher_identity(self, default_basis, default_cavity):
-        # F from the quadratic form equals (1/2) amplitude^2 / sigma2_min
+        # F from the quadratic form equals 2 amplitude^2 / sigma2_min
         n_pulses, n_bar0, g0 = 8, 1e6, 0.06
         probe = optimal_probe(default_basis, OMEGA0, default_cavity.r,
                               n_pulses=n_pulses, n_bar0=n_bar0, gain0=g0)
         families = [covariance(g0, default_cavity.r, n_pulses).v_minus]
         for _ in range(default_basis.n_kept - 1):
             families.append(0.5 * np.eye(n_pulses))
-        value = fisher_information(probe, families)
+        value = fisher_information(probe.alpha_prime, families)
         sigma2 = min_variance_transcendental(g0, default_cavity.r,
                                              n_pulses).sigma2
-        assert value == pytest.approx(0.5 * probe.amplitude**2 / sigma2,
+        assert value == pytest.approx(2.0 * probe.amplitude**2 / sigma2,
                                       rel=1e-8)
