@@ -2,7 +2,7 @@
 
 Each supermode/frequency-shift pair (n, theta) transforms independently as
 out = (A - r)(1 - r A)^{-1} in, A = e^{i theta} T_n, with T_n the single-pass
-squeezer of gain g rotated by the round-trip phase phi = delta_rt + ceo_half.
+squeezer of gain g rotated by the round-trip phase phi = delta_rt + delta0.
 theta = 0 gives single-comb squeezing; theta != 0 gives twin combs at +-theta
 in a two-mode squeezed state.  The map has a closed form (Patera, Treps,
 Fabre, de Valcarcel, Eur. Phys. J. D 56, 123 (2010)): with
@@ -31,7 +31,7 @@ the squeezed variance (|C| - |S|)^2 / 2 = 1 / 2(|C| + |S|)^2 and the
 minimized EPR variance 1 + 2|S|^2 - 2|C(theta) S(-theta)| = (|C| - |S|)^2
 are written without the difference, which cancels near threshold.
 
-The cavity owns the round-trip phase phi: ``threshold_gain`` reads the
+The cavity owns phi (``CavityConfig.phase``): ``threshold_gain`` reads the
 oscillating branch from it, and ``resonant_r`` turns a resonant phi (0 or pi)
 into the signed round-trip amplitude +-r that the pulse layer takes.
 """
@@ -101,14 +101,17 @@ def output_covariance(transform: ModePairTransform) -> tuple[float, float, float
 
 @dataclass(frozen=True)
 class CavityConfig:
-    """Output-coupler amplitude coefficients and round-trip detuning phase."""
+    """Output-coupler amplitude r and round-trip phase delta_rt + delta0."""
 
     r: float
-    delta_rt: float = 0.0
+    phase: float = 0.0
 
     def __post_init__(self):
         if not 0.0 <= self.r < 1.0:
             raise ValidationError(f"need 0 <= r < 1, got r={self.r}")
+        if not math.isfinite(self.phase):
+            raise ValidationError(
+                f"delta_rt + delta0 = {self.phase} is not a finite phase")
 
     @property
     def t(self) -> float:
@@ -121,10 +124,10 @@ class CavityConfig:
         return 2.0 * math.pi / self.t**2
 
     @classmethod
-    def from_finesse(cls, finesse: float, delta_rt: float = 0.0) -> "CavityConfig":
+    def from_finesse(cls, finesse: float, phase: float = 0.0) -> "CavityConfig":
         if finesse <= 2.0 * math.pi:
             raise ValidationError("finesse must exceed 2 pi for 0 < r < 1")
-        return cls(r=math.sqrt(1.0 - 2.0 * math.pi / finesse), delta_rt=delta_rt)
+        return cls(r=math.sqrt(1.0 - 2.0 * math.pi / finesse), phase=phase)
 
 
 class ThresholdResult(NamedTuple):
@@ -138,8 +141,8 @@ def _wrap_phase(phi: float) -> float:
     return -math.remainder(-phi, 2.0 * math.pi)
 
 
-def threshold_gain(cavity: CavityConfig, ceo_half: float) -> ThresholdResult:
-    """Oscillation threshold acosh[(1+r^2) / (2 r |cos(delta_rt + ceo_half)|)].
+def threshold_gain(cavity: CavityConfig) -> ThresholdResult:
+    """Oscillation threshold acosh[(1+r^2) / (2 r |cos phi|)].
 
     The theta = 0 branch applies when the total phase is within pi/2 of an
     even multiple of pi, the theta = pi branch when within pi/2 of an odd
@@ -147,36 +150,36 @@ def threshold_gain(cavity: CavityConfig, ceo_half: float) -> ThresholdResult:
     """
     if cavity.r == 0.0:
         raise NoFiniteThresholdError("r = 0: no cavity feedback, no threshold")
-    phase = _wrap_phase(cavity.delta_rt + ceo_half)
+    phase = _wrap_phase(cavity.phase)
     cos_phase = math.cos(phase)
     if abs(cos_phase) < 1e-15:
         raise NoFiniteThresholdError(
-            f"delta_rt + ceo_half = {phase:.6f} is an odd multiple of pi/2")
+            f"delta_rt + delta0 = {phase:.6f} is an odd multiple of pi/2")
     branch = 0.0 if cos_phase > 0 else math.pi
     gain = math.acosh((1.0 + cavity.r**2) / (2.0 * cavity.r * abs(cos_phase)))
     return ThresholdResult(gain=gain, branch_theta=branch)
 
 
-def resonant_r(cavity: CavityConfig, ceo_half: float) -> float:
+def resonant_r(cavity: CavityConfig) -> float:
     """Signed round-trip amplitude of a resonant round trip.
 
-    The round-trip amplitude is r e^{i phi}, phi = delta_rt + ceo_half; it is
-    real, +r, at phi = 0 and -r at phi = pi (mod 2 pi), each within 1e-12 rad.
+    The round-trip amplitude r e^{i phi} is real, +r, at phi = 0 and -r at
+    phi = pi (mod 2 pi), each within 1e-12 rad.
     The pulse closed forms (``spopo.pulses``) take this signed amplitude, and
     any other phase is a ``ValidationError``.
     """
-    phase = cavity.delta_rt + ceo_half
-    offset = abs(_wrap_phase(phase))
+    offset = abs(_wrap_phase(cavity.phase))
     if offset <= 1e-12:
         return cavity.r
     if math.pi - offset <= 1e-12:
         return -cavity.r
     raise ValidationError(
-        f"round-trip phase delta_rt + ceo_half = {phase:.6g} rad: the pulse "
-        "closed forms need a resonant round trip (total phase 0 or pi mod 2 pi)")
+        f"round-trip phase delta_rt + delta0 = {cavity.phase:.6g} rad: the "
+        "pulse closed forms need a resonant round trip (total phase 0 or pi "
+        "mod 2 pi)")
 
 
-def _blocks(gain, theta, cavity: CavityConfig, ceo_half: float):
+def _blocks(gain, theta, cavity: CavityConfig):
     """Closed-form (C, S), broadcast over gain and theta.
 
     Raises ``AtThresholdError`` at the first point whose resolvent 1 - r A has
@@ -192,9 +195,9 @@ def _blocks(gain, theta, cavity: CavityConfig, ceo_half: float):
     if not np.all(np.isfinite(ch)):
         raise ValidationError(
             f"gain {gain.max():g} overflows the round-trip block")
-    r = cavity.r
-    up = np.exp(1j * (theta + cavity.delta_rt + ceo_half))
-    dn = np.exp(1j * (theta - cavity.delta_rt - ceo_half))
+    r, phase = cavity.r, cavity.phase
+    up = np.exp(1j * (theta + phase))
+    dn = np.exp(1j * (theta - phase))
     h = 2.0 * np.sinh(0.5 * gain) ** 2
     det = (1.0 - r * up) * (1.0 - r * dn) - r * h * (up + dn)
     frob2 = (np.abs(1.0 - r * up * ch) ** 2 + np.abs(1.0 - r * dn * ch) ** 2
@@ -212,8 +215,8 @@ def _blocks(gain, theta, cavity: CavityConfig, ceo_half: float):
     return c, (1.0 - r**2) * up * sh / det
 
 
-def comb_io(gain: float, theta: float, cavity: CavityConfig,
-            ceo_half: float) -> ModePairTransform:
+def comb_io(gain: float, theta: float,
+            cavity: CavityConfig) -> ModePairTransform:
     """Cavity input-output block for one (supermode, frequency-shift) pair.
 
     Returns the coefficients of
@@ -223,7 +226,7 @@ def comb_io(gain: float, theta: float, cavity: CavityConfig,
     Raises ``AtThresholdError`` when the resolvent 1 - r e^{i theta} T_n is
     numerically singular (condition number above ``CONDITION_LIMIT``).
     """
-    c, s = _blocks(gain, theta, cavity, ceo_half)
+    c, s = _blocks(gain, theta, cavity)
     return ModePairTransform(c=complex(c), s=complex(s))
 
 
@@ -248,7 +251,6 @@ class SqueezingSpectrum:
 
 
 def squeezing_spectrum(gains: Sequence[float], cavity: CavityConfig,
-                       ceo_half: float,
                        theta_grid: Sequence[float]) -> SqueezingSpectrum:
     """Squeezing and pair-entanglement spectra for each supermode gain.
 
@@ -257,12 +259,12 @@ def squeezing_spectrum(gains: Sequence[float], cavity: CavityConfig,
     gains = np.asarray(gains, dtype=float)
     thetas = np.asarray(theta_grid, dtype=float)
     if gains.size:
-        threshold = threshold_gain(cavity, ceo_half)
+        threshold = threshold_gain(cavity)
         if gains.max() >= threshold.gain:
             raise AtThresholdError(
                 f"max gain {gains.max():.6g} is at/above threshold "
                 f"{threshold.gain:.6g}", theta=threshold.branch_theta)
-    c, s = _blocks(gains[:, None], thetas, cavity, ceo_half)
+    c, s = _blocks(gains[:, None], thetas, cavity)
     stretch = (np.abs(c) + np.abs(s)) ** 2
     var_p = 0.5 / stretch
     return SqueezingSpectrum(theta_grid=thetas, gains=gains,

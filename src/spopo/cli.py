@@ -98,12 +98,12 @@ def _metadata(cfg: ScenarioConfig, seed) -> dict:
 def _spectrum_key(cfg: ScenarioConfig) -> bytes:
     """Hex sha256 of what the unscaled Takagi values and modes depend on.
 
-    That is the parsed kernel inputs (the grid, the pump and the crystal; a
-    pump_ratio config's pump holds REFERENCE_ENERGY, whatever its ratio), the
-    spopo and numpy versions, the source of the modules that build and
-    solve the kernel, and the BLAS threading that OpenBLAS is told: the
-    _BLAS_THREAD_VARIABLES (None when unset) and the usable CPU count; each
-    part goes in behind its length.
+    That is the parsed kernel inputs (the grid, the pump and the crystal,
+    not the cavity's round-trip phase; a pump_ratio config's pump holds
+    REFERENCE_ENERGY, whatever its ratio), the spopo and numpy versions, the
+    source of the modules that build and solve the kernel, and the BLAS
+    threading that OpenBLAS is told: the _BLAS_THREAD_VARIABLES (None when
+    unset) and the usable CPU count; each part goes in behind its length.
     """
     here = Path(__file__).parent
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
@@ -193,7 +193,7 @@ class _Run:
 
     @cached_property
     def threshold(self) -> float:
-        return threshold_gain(self.cfg.cavity, self.cfg.pump.ceo_half).gain
+        return threshold_gain(self.cfg.cavity).gain
 
     def scaled(self, gains: np.ndarray):
         """``gains`` at the run's pump and that pump's pulse energy; refuses a
@@ -311,8 +311,7 @@ def run_squeezing(run: _Run, seed=None) -> list[Path]:
     gains, _ = run.scaled(run.values)
     theta_max = cfg.run["theta_max"]
     thetas = np.linspace(-theta_max, theta_max, cfg.run["theta_points"])
-    spectrum = squeezing_spectrum(gains[:run.n_kept], cfg.cavity,
-                                  cfg.pump.ceo_half, thetas)
+    spectrum = squeezing_spectrum(gains[:run.n_kept], cfg.cavity, thetas)
     blocks = [[thetas, mode, spectrum.var_x[mode], spectrum.var_p[mode],
                spectrum.epr[mode]] for mode in range(spectrum.gains.size)]
     meta = _metadata(cfg, seed)
@@ -326,7 +325,7 @@ def run_pulses(run: _Run, seed=None) -> list[Path]:
     from .pulses import covariance, duan_sum, min_variance_curve
 
     cfg, outdir, g0 = run.cfg, run.outdir, run.g0
-    r = resonant_r(cfg.cavity, cfg.pump.ceo_half)
+    r = resonant_r(cfg.cavity)
     n_max = cfg.run["N_max"]
     meta = _metadata(cfg, seed)
     meta.update(threshold_gain=_FLOAT_FMT % run.threshold)
@@ -360,15 +359,14 @@ def run_metrology(run: _Run, seed=None) -> list[Path]:
     cfg, outdir = run.cfg, run.outdir
     # the bound reads g0 and psi0 alone: column 0 of the run basis
     basis, g0 = run.basis, run.g0
-    r = resonant_r(cfg.cavity, cfg.pump.ceo_half)
+    r = resonant_r(cfg.cavity)
     if "ratios" in cfg.run:
         ratios = [float(x) for x in cfg.run["ratios"]]
     elif cfg.pump_ratio is not None:
         ratios = [cfg.pump_ratio]
     else:
         ratios = [g0 / run.threshold]
-    curve = improvement_curve(cfg.cavity, ratios, cfg.run["N_max"],
-                              cfg.pump.ceo_half)
+    curve = improvement_curve(cfg.cavity, ratios, cfg.run["N_max"])
     # every refusal comes before the first file is written
     probe = optimal_probe(basis, cfg.crystal.omega0, r,
                           cfg.run["probe_pulses"], cfg.run["n_bar0"],

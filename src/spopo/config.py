@@ -8,16 +8,17 @@ Schema (all values SI):
              intensity FWHM); T0 (s); delta0 (rad, half the pump CEO)
     crystal: l_c (m); d_eff (m/V); n0; A_eff (m^2); omega0 (rad/s);
              signal_dispersion, pump_dispersion (4 Taylor coefficients each)
-    cavity:  exactly one of r / finesse; delta_rt (rad)
+    cavity:  exactly one of r / finesse; delta_rt (rad), which with delta0
+             makes the cavity's one round-trip phase delta_rt + delta0
     run:     optional subcommand knobs: each of RUN_DEFAULTS (gain_cutoff
              in [0, 1], so mode 0 is kept whenever g0 > 0), and ratios
              ([pump_ratio], or [g0 / g_th] for an energy pump)
 
-Every number must be finite: Python's json reads NaN, Infinity and
--Infinity, and a config holding one anywhere above (a dispersion
-coefficient, a run knob or a ratio included) is a config error.  So is a
-key the schema does not name, at the top level or in any section: a
-misspelled knob would otherwise run with its default.
+Every number must be finite: Python's json reads NaN, Infinity and -Infinity,
+and a config holding one anywhere above (a dispersion coefficient, a run knob
+or a ratio included) is a config error, as is a sum delta_rt + delta0 that
+overflows.  So is a key the schema does not name, at the top level or in any
+section: a misspelled knob would otherwise run with its default.
 """
 
 from __future__ import annotations
@@ -208,7 +209,6 @@ def parse_scenario(raw: dict) -> ScenarioConfig:
             pulse_energy=energy,
             tau_p=_number(pump_sec, "pump", "tau_p"),
             rep_period=t0,
-            ceo_half=_number(pump_sec, "pump", "delta0", 0.0),
         )
         crystal = CrystalConfig(
             length=_number(crystal_sec, "crystal", "l_c"),
@@ -221,14 +221,14 @@ def parse_scenario(raw: dict) -> ScenarioConfig:
             pump_dispersion=_coefficients(crystal_sec, "crystal",
                                           "pump_dispersion"),
         )
+        phase = (_number(cavity_sec, "cavity", "delta_rt", 0.0)
+                 + _number(pump_sec, "pump", "delta0", 0.0))
         if has_r:
             cavity = CavityConfig(r=_number(cavity_sec, "cavity", "r"),
-                                  delta_rt=_number(cavity_sec, "cavity",
-                                                   "delta_rt", 0.0))
+                                  phase=phase)
         else:
             cavity = CavityConfig.from_finesse(
-                _number(cavity_sec, "cavity", "finesse"),
-                delta_rt=_number(cavity_sec, "cavity", "delta_rt", 0.0))
+                _number(cavity_sec, "cavity", "finesse"), phase=phase)
     except ConfigError:
         raise
     except SpopoError as exc:

@@ -72,16 +72,15 @@ class FrequencyGrid:
 class PumpConfig:
     """Synchronous pump pulse train.
 
-    ``tau_p`` is the intensity FWHM of the Gaussian envelope; ``ceo_half`` is
-    half the pump carrier-envelope-offset phase (the signal comb inherits
-    ceo_half +- theta).  The envelope is transform limited and normalized to
-    unit L2 norm.
+    ``tau_p`` is the intensity FWHM of the Gaussian envelope.  The envelope
+    is transform limited and normalized to unit L2 norm.  Half the pump CEO
+    phase, the config's delta0, does not shape the kernel: it is part of the
+    cavity's round-trip phase (``CavityConfig.phase``).
     """
 
     pulse_energy: float
     tau_p: float
     rep_period: float
-    ceo_half: float = 0.0
 
     def __post_init__(self):
         if self.pulse_energy < 0:

@@ -171,7 +171,7 @@ class ImprovementCurve:
 
 
 def improvement_curve(cavity: CavityConfig, ratios: Sequence[float],
-                      n_max: int, ceo_half: float = 0.0) -> ImprovementCurve:
+                      n_max: int) -> ImprovementCurve:
     """Improvement(N) for N = 1..n_max at each pump ratio g0/g_th < 1.
 
     Also reports the asymptote 1/(sqrt 2 sigma(inf)) and the minimum pulse
@@ -184,8 +184,8 @@ def improvement_curve(cavity: CavityConfig, ratios: Sequence[float],
     if n_max < 1:
         raise ValidationError("n_max must be >= 1")
     # sigma^2 is the same on both resonant branches; this refuses other phases
-    resonant_r(cavity, ceo_half)
-    gth = threshold_gain(cavity, ceo_half).gain
+    resonant_r(cavity)
+    gth = threshold_gain(cavity).gain
     ns = np.arange(1, n_max + 1)
     sig = np.empty((ratios.size, ns.size))
     asym = np.empty(ratios.size)

@@ -5,13 +5,14 @@ g_n >= 0 and orthonormal supermodes psi_n, read off its eigendecomposition
 (psi_n is an eigenvector, times i where its eigenvalue is negative); each
 supermode extends to a continuous pulse train (frequency comb)
 
-    f_n(theta, t) = (2 pi)^{-1/2} sum_k psi_n(t - k T0) e^{i k (theta + ceo_half)}
+    f_n(theta, t) = (2 pi)^{-1/2} sum_k psi_n(t - k T0) e^{i k (theta + phi)}
 
 whose spectrum is a comb shifted by theta / T0 from the down-conversion
-centers.  Time-domain samples are produced by discrete Fourier synthesis on a
-per-period grid; on a comb-aligned frequency grid (spacing exactly 2 pi / T0)
-that synthesis is exactly unitary, so the synthesized psi_n(t) stay
-orthonormal at machine precision.
+centers; phi, the cavity's round-trip phase delta_rt + delta0, does not
+shape psi_n.  Time-domain samples are produced by discrete Fourier synthesis
+on a per-period grid; on a comb-aligned frequency grid (spacing exactly
+2 pi / T0) that synthesis is exactly unitary, so the synthesized psi_n(t)
+stay orthonormal at machine precision.
 """
 
 from __future__ import annotations

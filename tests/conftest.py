@@ -27,7 +27,7 @@ def make_crystal(**overrides) -> CrystalConfig:
 
 
 def make_pump(**overrides) -> PumpConfig:
-    params = dict(pulse_energy=1e-9, tau_p=TAU_P, rep_period=T0, ceo_half=0.0)
+    params = dict(pulse_energy=1e-9, tau_p=TAU_P, rep_period=T0)
     params.update(overrides)
     return PumpConfig(**params)
 

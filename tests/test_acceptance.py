@@ -47,12 +47,12 @@ def report(num, ok, detail):
 def test_criterion_01_threshold_identity():
     worst = 0.0
     for r in R_SWEEP:
-        result = threshold_gain(CavityConfig(r=r), 0.0)
+        result = threshold_gain(CavityConfig(r=r))
         worst = max(worst, abs(result.gain - (-np.log(r))))
         assert result.branch_theta == 0.0
     start = time.perf_counter()
     for _ in range(1000):
-        threshold_gain(CavityConfig(r=0.9), 0.0)
+        threshold_gain(CavityConfig(r=0.9))
     per_call = (time.perf_counter() - start) / 1000
     report(1, worst <= 1e-12 and per_call < 1e-3,
            f"max |g_th + ln r| = {worst:.2e}, {per_call * 1e6:.1f} us/call")
@@ -114,10 +114,10 @@ def test_criterion_05_large_n_limit():
     # convergence is O(1/N^2) with a prefactor ~ (1 - r e^-g)^-4: the stated
     # (N = 2000, 1e-6) budget requires a moderate r e^-g operating point
     r = 0.4
-    gain = 0.6 * threshold_gain(CavityConfig(r=r), 0.0).gain
+    gain = 0.6 * threshold_gain(CavityConfig(r=r)).gain
     sigma_n = min_variance_transcendental(gain, r, 2000).sigma2
     limit = sigma2_limit(gain, r)
-    _, var_p, _ = output_covariance(comb_io(gain, 0.0, CavityConfig(r=r), 0.0))
+    _, var_p, _ = output_covariance(comb_io(gain, 0.0, CavityConfig(r=r)))
     gap_formula = abs(sigma_n - limit)
     gap_comb = abs(sigma_n - var_p)
     report(5, gap_formula <= 1e-6 and gap_comb <= 1e-6,
@@ -178,14 +178,14 @@ def test_criterion_08_symplecticity_sweep():
     for _ in range(1000):
         r = rng.uniform(0.2, 0.99)
         delta = rng.uniform(-np.pi, np.pi)
-        ceo = rng.uniform(-np.pi, np.pi)
+        cavity = CavityConfig(r=r, phase=delta + rng.uniform(-np.pi, np.pi))
         try:
-            gth = threshold_gain(CavityConfig(r=r, delta_rt=delta), ceo).gain
+            gth = threshold_gain(cavity).gain
         except Exception:
             continue
         gain = rng.uniform(0.0, 0.98) * min(gth, 2.0)
         theta = rng.uniform(-np.pi, np.pi)
-        block = comb_io(gain, theta, CavityConfig(r=r, delta_rt=delta), ceo)
+        block = comb_io(gain, theta, cavity)
         if not check_symplectic(block, 1e-10):
             failures += 1
     report(8, failures == 0, f"{failures}/1000 blocks failed at 1e-10")
@@ -213,7 +213,7 @@ def test_criterion_10_metrology_curves():
     ok = elapsed < 10.0
     ok &= bool(np.all(curve.improvement >= 1.0 - 1e-9))
     ok &= bool(np.all(np.diff(curve.improvement, axis=1) >= -1e-12))
-    gth = threshold_gain(cavity, 0.0).gain
+    gth = threshold_gain(cavity).gain
     for i, ratio in enumerate(ratios):
         n_star = int(curve.min_pulses_to_asymptote[i])
         at_star = 1.0 / np.sqrt(2.0 * min_variance_transcendental(

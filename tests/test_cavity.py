@@ -20,7 +20,7 @@ def raw_block(gain, theta, r, phase):
     return (a - r * np.eye(2)) @ np.linalg.inv(np.eye(2) - r * a)
 
 
-def pair_covariance(gain, theta, cavity, ceo_half):
+def pair_covariance(gain, theta, cavity):
     """4x4 vacuum-input covariance of the comb pair (+theta, -theta) in the
     basis (x+, p+, x-, p-), from the ``raw_block`` inverses at +-theta.
 
@@ -29,10 +29,9 @@ def pair_covariance(gain, theta, cavity, ceo_half):
     coefficient rows are the output quadratures' rows of M, and the
     covariance is M M^T / 2.
     """
-    phase = cavity.delta_rt + ceo_half
     rows = []
     for sign in (1.0, -1.0):
-        block = raw_block(gain, sign * theta, cavity.r, phase)
+        block = raw_block(gain, sign * theta, cavity.r, cavity.phase)
         c, s = block[0, 0], block[0, 1]
         own = [[c.real, -c.imag], [c.imag, c.real]]
         partner = [[s.real, s.imag], [s.imag, -s.real]]
@@ -41,13 +40,13 @@ def pair_covariance(gain, theta, cavity, ceo_half):
     return 0.5 * m @ m.T
 
 
-def assert_pair_matches_spectrum(gain, theta, cavity, ceo_half, rel):
+def assert_pair_matches_spectrum(gain, theta, cavity, rel):
     """The pair covariance against ``squeezing_spectrum`` at one point:
     thermal single-comb marginals of one temperature, the correlator
     K = <b(theta) b(-theta)> = C(theta) S(-theta) in the cross block, smallest
     eigenvalue var_p, and EPR variance 2 (v_thermal - |K|)."""
-    cov = pair_covariance(gain, theta, cavity, ceo_half)
-    spec = squeezing_spectrum([gain], cavity, ceo_half, [theta])
+    cov = pair_covariance(gain, theta, cavity)
+    spec = squeezing_spectrum([gain], cavity, [theta])
     v_th = cov[0, 0]
     assert v_th > 0.5
     for k in (0, 2):
@@ -55,9 +54,8 @@ def assert_pair_matches_spectrum(gain, theta, cavity, ceo_half, rel):
         assert abs(cov[k + 1, k + 1] - v_th) <= rel * v_th
         assert abs(cov[k, k + 1]) <= rel * v_th
     # the cross block is [[Re K, Im K], [Im K, -Re K]]
-    phase = cavity.delta_rt + ceo_half
-    k = raw_block(gain, theta, cavity.r, phase)[0, 0] \
-        * raw_block(gain, -theta, cavity.r, phase)[0, 1]
+    k = raw_block(gain, theta, cavity.r, cavity.phase)[0, 0] \
+        * raw_block(gain, -theta, cavity.r, cavity.phase)[0, 1]
     assert complex(cov[0, 2], cov[0, 3]) == pytest.approx(k, rel=rel)
     assert abs(cov[1, 2] - cov[0, 3]) <= rel * v_th
     assert abs(cov[1, 3] + cov[0, 2]) <= rel * v_th
@@ -68,14 +66,13 @@ def assert_pair_matches_spectrum(gain, theta, cavity, ceo_half, rel):
 
 
 def random_detuned_cavity(rng, branch):
-    """Cavity with random r and round-trip phase delta_rt + ceo_half within
-    1.2 rad of ``branch`` (0 or pi); returns (cavity, ceo_half)."""
-    delta_rt = branch + rng.uniform(-0.7, 0.7)
-    return (CavityConfig(r=rng.uniform(0.3, 0.97), delta_rt=delta_rt),
-            rng.uniform(-0.5, 0.5))
+    """Cavity with random r and a round-trip phase within 1.2 rad of
+    ``branch`` (0 or pi)."""
+    phase = branch + rng.uniform(-1.2, 1.2)
+    return CavityConfig(r=rng.uniform(0.3, 0.97), phase=phase)
 
 
-def extended_pair(gain, theta, cavity, ceo_half):
+def extended_pair(gain, theta, cavity):
     """|C(theta)|, |S(theta)|, |S(-theta)| of the closed form of ``_blocks``
     in np.clongdouble, broadcast over gain and theta.
 
@@ -88,8 +85,8 @@ def extended_pair(gain, theta, cavity, ceo_half):
     i = np.clongdouble(1j)
 
     def block(th):
-        up = np.exp(i * (th + cavity.delta_rt + ceo_half).astype(ld))
-        dn = np.exp(i * (th - cavity.delta_rt - ceo_half).astype(ld))
+        up = np.exp(i * (th + cavity.phase).astype(ld))
+        dn = np.exp(i * (th - cavity.phase).astype(ld))
         det = (1 - r * up) * (1 - r * dn) - r * h * (up + dn)
         c = ((up - r) * (1 - r * dn) + h * (up + r**2 * dn)) / det
         return np.abs(c), np.abs((1 - r**2) * up * sh / det)
@@ -126,56 +123,57 @@ class TestCavityConfig:
 
 
 class TestResonantR:
-    @pytest.mark.parametrize("delta_rt, ceo_half, sign", [
+    @pytest.mark.parametrize("delta_rt, delta0, sign", [
         (0.0, 0.0, 1.0), (np.pi, 0.0, -1.0), (0.0, np.pi, -1.0),
         (-np.pi, 0.0, -1.0), (2.0 * np.pi, 0.0, 1.0), (1.0, np.pi - 1.0, -1.0),
         (np.pi + 5e-13, 0.0, -1.0), (np.pi - 5e-13, 0.0, -1.0),
         (2.0 * np.pi - 5e-13, 0.0, 1.0), (0.0, -5e-13, 1.0),
         (3.0 * np.pi, 0.0, -1.0), (-4.0 * np.pi, 0.0, 1.0)])
-    def test_signed_amplitude(self, delta_rt, ceo_half, sign):
-        assert resonant_r(CavityConfig(r=0.8894, delta_rt=delta_rt),
-                          ceo_half) == sign * 0.8894
+    def test_signed_amplitude(self, delta_rt, delta0, sign):
+        # the config's two phases reach the cavity as their sum
+        assert resonant_r(CavityConfig(r=0.8894, phase=delta_rt + delta0)) \
+            == sign * 0.8894
 
     @pytest.mark.parametrize("phase", [1e-11, -1e-11, np.pi + 1e-11,
                                        np.pi / 2, 0.3])
     def test_off_resonant_phase_refused(self, phase):
         with pytest.raises(ValidationError, match="resonant"):
-            resonant_r(CavityConfig(r=0.8894, delta_rt=phase), 0.0)
+            resonant_r(CavityConfig(r=0.8894, phase=phase))
 
 
 class TestThresholdGain:
     def test_resonant_value(self):
-        result = threshold_gain(CavityConfig(r=0.9), 0.0)
+        result = threshold_gain(CavityConfig(r=0.9))
         assert result.gain == pytest.approx(-np.log(0.9), abs=1e-14)
         assert result.branch_theta == 0.0
 
     def test_perfect_cavity_limit(self):
-        assert threshold_gain(CavityConfig(r=1 - 1e-9), 0.0).gain < 1e-4
+        assert threshold_gain(CavityConfig(r=1 - 1e-9)).gain < 1e-4
 
     def test_pi_branch(self):
-        even = threshold_gain(CavityConfig(r=0.9), 0.0)
-        odd = threshold_gain(CavityConfig(r=0.9, delta_rt=np.pi), 0.0)
+        even = threshold_gain(CavityConfig(r=0.9))
+        odd = threshold_gain(CavityConfig(r=0.9, phase=np.pi))
         assert odd.branch_theta == pytest.approx(np.pi)
         assert odd.gain == pytest.approx(even.gain, rel=1e-12)
 
     def test_branch_from_total_phase(self):
-        result = threshold_gain(CavityConfig(r=0.8, delta_rt=2.0), 1.5)
+        result = threshold_gain(CavityConfig(r=0.8, phase=2.0 + 1.5))
         assert result.branch_theta == pytest.approx(np.pi)  # cos(3.5) < 0
 
     def test_no_finite_threshold(self):
         with pytest.raises(NoFiniteThresholdError):
-            threshold_gain(CavityConfig(r=0.8, delta_rt=np.pi / 2), 0.0)
+            threshold_gain(CavityConfig(r=0.8, phase=np.pi / 2))
 
 
 class TestCombIO:
     def test_empty_cavity_reflects_coherently(self):
-        block = comb_io(0.0, 0.0, CavityConfig(r=0.7), 0.0)
+        block = comb_io(0.0, 0.0, CavityConfig(r=0.7))
         assert block.c == pytest.approx(1.0, abs=1e-14)
         assert block.s == pytest.approx(0.0, abs=1e-14)
 
     def test_no_cavity_single_pass(self):
         g, theta, phase = 0.3, 0.5, 0.2
-        block = comb_io(g, theta, CavityConfig(r=0.0, delta_rt=phase), 0.0)
+        block = comb_io(g, theta, CavityConfig(r=0.0, phase=phase))
         assert block.c == pytest.approx(
             np.exp(1j * (theta + phase)) * np.cosh(g), rel=1e-12)
         assert block.s == pytest.approx(
@@ -183,7 +181,7 @@ class TestCombIO:
 
     def test_resonant_squeezing_variance(self):
         r, g = 0.9, 0.05
-        block = comb_io(g, 0.0, CavityConfig(r=r), 0.0)
+        block = comb_io(g, 0.0, CavityConfig(r=r))
         _, var_p, _ = output_covariance(block)
         expected = 0.5 * ((r - np.exp(-g)) / (1 - r * np.exp(-g))) ** 2
         assert var_p == pytest.approx(expected, rel=1e-10)
@@ -192,30 +190,30 @@ class TestCombIO:
         rng = np.random.default_rng(8)
         for gain, r in below_threshold_draws(rng, 200):
             theta = rng.uniform(-np.pi, np.pi)
-            ceo = rng.uniform(-0.5, 0.5)
-            block = comb_io(gain, theta, CavityConfig(r=r), ceo)
+            phase = rng.uniform(-0.5, 0.5)
+            block = comb_io(gain, theta, CavityConfig(r=r, phase=phase))
             assert check_symplectic(block, 1e-10)
 
     def test_at_threshold_raises(self):
         r = 0.9
-        gth = threshold_gain(CavityConfig(r=r), 0.0).gain
+        gth = threshold_gain(CavityConfig(r=r)).gain
         with pytest.raises(AtThresholdError):
-            comb_io(gth, 0.0, CavityConfig(r=r), 0.0)
+            comb_io(gth, 0.0, CavityConfig(r=r))
 
     def test_pi_branch_singular_at_theta_pi(self):
-        cavity = CavityConfig(r=0.9, delta_rt=np.pi)
-        result = threshold_gain(cavity, 0.0)
+        cavity = CavityConfig(r=0.9, phase=np.pi)
+        result = threshold_gain(cavity)
         assert result.branch_theta == pytest.approx(np.pi)
         with pytest.raises(AtThresholdError) as excinfo:
-            comb_io(result.gain, np.pi, cavity, 0.0)
+            comb_io(result.gain, np.pi, cavity)
         assert excinfo.value.theta == pytest.approx(np.pi)
         # the zero-shift block stays regular on this branch
-        block = comb_io(result.gain, 0.0, cavity, 0.0)
+        block = comb_io(result.gain, 0.0, cavity)
         assert check_symplectic(block, 1e-10)
 
     def test_overflowing_gain_rejected(self):
         with pytest.raises(ValidationError, match="overflow"):
-            comb_io(800.0, 0.0, CavityConfig(r=0.5), 0.0)
+            comb_io(800.0, 0.0, CavityConfig(r=0.5))
 
     def test_inverse_map_identity(self):
         # R(T) R(T^-1) = 1 on the 2x2 blocks
@@ -242,7 +240,7 @@ class TestCombIO:
         # pi-detuned cavity equals the resonant map with r -> -r
         g, r = 0.08, 0.85
         for theta in (0.0, 0.3, 1.2):
-            flipped = comb_io(g, theta, CavityConfig(r=r, delta_rt=np.pi), 0.0)
+            flipped = comb_io(g, theta, CavityConfig(r=r, phase=np.pi))
             oracle = raw_block(g, theta, -r, 0.0)
             assert abs(flipped.c) == pytest.approx(abs(oracle[0, 0]), rel=1e-12)
             assert abs(flipped.s) == pytest.approx(abs(oracle[0, 1]), rel=1e-12)
@@ -257,20 +255,19 @@ class TestPairEntanglement:
     """The (+theta, -theta) pair physics of ``squeezing_spectrum``."""
 
     def test_vacuum_epr_is_one(self):
-        spec = squeezing_spectrum([0.0], CavityConfig(r=0.8), 0.0, [0.4])
+        spec = squeezing_spectrum([0.0], CavityConfig(r=0.8), [0.4])
         assert spec.epr[0, 0] == pytest.approx(1.0, abs=1e-12)
 
     def test_entangled_near_resonance(self):
         cavity = CavityConfig(r=0.889)
-        gth = threshold_gain(cavity, 0.0).gain
-        spec = squeezing_spectrum([0.8 * gth], cavity, 0.0,
-                                  [cavity.t**2 / 10])
+        gth = threshold_gain(cavity).gain
+        spec = squeezing_spectrum([0.8 * gth], cavity, [cavity.t**2 / 10])
         assert spec.epr[0, 0] < 1.0
 
     def test_approaches_one_toward_pi(self):
         cavity = CavityConfig(r=0.889)
-        gth = threshold_gain(cavity, 0.0).gain
-        values = list(squeezing_spectrum([0.5 * gth], cavity, 0.0,
+        gth = threshold_gain(cavity).gain
+        values = list(squeezing_spectrum([0.5 * gth], cavity,
                                          [0.5, 1.5, 2.5, 3.0]).epr[0])
         assert all(v < 1.0 for v in values)
         assert values == sorted(values)
@@ -278,8 +275,8 @@ class TestPairEntanglement:
 
     def test_pair_covariance_reduced_state_thermal(self):
         cavity = CavityConfig(r=0.889)
-        g = 0.8 * threshold_gain(cavity, 0.0).gain
-        cov = pair_covariance(g, 0.05, cavity, 0.0)
+        g = 0.8 * threshold_gain(cavity).gain
+        cov = pair_covariance(g, 0.05, cavity)
         # single-comb marginals: isotropic, hotter than vacuum, at
         # (1 + 2|S|^2) / 2
         s_abs = abs(raw_block(g, 0.05, cavity.r, 0.0)[0, 1])
@@ -292,37 +289,36 @@ class TestPairEntanglement:
         # smallest eigenvalue of the 4x4 pair covariance is the squeezed
         # joint-quadrature variance var_p = (|C| - |S|)^2 / 2
         cavity = CavityConfig(r=0.88)
-        gth = threshold_gain(cavity, 0.0).gain
+        gth = threshold_gain(cavity).gain
         for theta in (0.02, 0.3, 1.0):
-            assert_pair_matches_spectrum(0.7 * gth, theta, cavity, 0.0,
-                                         rel=1e-10)
+            assert_pair_matches_spectrum(0.7 * gth, theta, cavity, rel=1e-10)
 
     @pytest.mark.parametrize("branch", [0.0, np.pi])
     def test_pair_covariance_detuned(self, branch):
         # a round-trip phase away from 0 and pi, on both branches
         rng = np.random.default_rng(31 if branch else 30)
         for _ in range(20):
-            cavity, ceo = random_detuned_cavity(rng, branch)
-            g = rng.uniform(0.1, 0.95) * threshold_gain(cavity, ceo).gain
+            cavity = random_detuned_cavity(rng, branch)
+            g = rng.uniform(0.1, 0.95) * threshold_gain(cavity).gain
             theta = branch + rng.uniform(-1.0, 1.0)
-            assert_pair_matches_spectrum(g, theta, cavity, ceo, rel=1e-9)
+            assert_pair_matches_spectrum(g, theta, cavity, rel=1e-9)
 
     def test_epr_matches_pair_covariance(self):
-        assert_pair_matches_spectrum(0.05, 0.3, CavityConfig(r=0.85), 0.0,
+        assert_pair_matches_spectrum(0.05, 0.3, CavityConfig(r=0.85),
                                      rel=1e-12)
 
 
 class TestSqueezingSpectrum:
     def test_vacuum_gains_flat(self, default_cavity):
         thetas = np.linspace(-np.pi, np.pi, 41)
-        spec = squeezing_spectrum([0.0, 0.0], default_cavity, 0.0, thetas)
+        spec = squeezing_spectrum([0.0, 0.0], default_cavity, thetas)
         np.testing.assert_allclose(spec.var_x, 0.5, atol=1e-12)
         np.testing.assert_allclose(spec.var_p, 0.5, atol=1e-12)
 
     def test_squeezing_deepest_on_resonance(self, default_cavity):
-        gth = threshold_gain(default_cavity, 0.0).gain
+        gth = threshold_gain(default_cavity).gain
         thetas = np.linspace(-np.pi, np.pi, 201)
-        spec = squeezing_spectrum([0.9 * gth], default_cavity, 0.0, thetas)
+        spec = squeezing_spectrum([0.9 * gth], default_cavity, thetas)
         center = np.argmin(np.abs(thetas))
         assert thetas[center] == pytest.approx(0.0, abs=1e-12)
         assert np.argmin(spec.var_p[0]) == center
@@ -331,32 +327,32 @@ class TestSqueezingSpectrum:
 
     def test_bandwidth_of_squeezing_dip(self, default_cavity):
         # depth halves at |theta| of order t^2 / 2
-        gth = threshold_gain(default_cavity, 0.0).gain
+        gth = threshold_gain(default_cavity).gain
         thetas = np.linspace(-0.8, 0.8, 1601)
-        spec = squeezing_spectrum([0.9 * gth], default_cavity, 0.0, thetas)
+        spec = squeezing_spectrum([0.9 * gth], default_cavity, thetas)
         depth = 0.5 - spec.var_p[0]
         half = np.abs(thetas)[depth >= 0.5 * depth.max()].max()
         scale = default_cavity.t**2 / 2
         assert scale / 4 < half < 4 * scale
 
     def test_variance_blows_up_at_threshold(self, default_cavity):
-        gth = threshold_gain(default_cavity, 0.0).gain
-        block = comb_io(gth * (1 - 1e-8), 0.0, default_cavity, 0.0)
+        gth = threshold_gain(default_cavity).gain
+        block = comb_io(gth * (1 - 1e-8), 0.0, default_cavity)
         var_x, _, _ = output_covariance(block)
         assert var_x > 1e6
 
     def test_above_threshold_rejected(self, default_cavity):
-        gth = threshold_gain(default_cavity, 0.0).gain
+        gth = threshold_gain(default_cavity).gain
         with pytest.raises(AtThresholdError):
-            squeezing_spectrum([1.01 * gth], default_cavity, 0.0, [0.0])
+            squeezing_spectrum([1.01 * gth], default_cavity, [0.0])
 
     def test_matches_explicit_solve_off_resonance(self):
         # every grid point against the 2x2 inverse, away from resonance
-        cavity, ceo = CavityConfig(r=0.8894, delta_rt=0.3), -0.2
-        gth = threshold_gain(cavity, ceo).gain
+        cavity = CavityConfig(r=0.8894, phase=0.1)
+        gth = threshold_gain(cavity).gain
         gains = gth * np.array([0.0, 0.3, 0.6, 0.9])
         thetas = np.linspace(-np.pi, np.pi, 41)
-        spec = squeezing_spectrum(gains, cavity, ceo, thetas)
+        spec = squeezing_spectrum(gains, cavity, thetas)
         for i, g in enumerate(gains):
             for j, th in enumerate(thetas):
                 plus = raw_block(g, th, cavity.r, 0.1)
@@ -384,9 +380,9 @@ class TestNearThreshold:
     def draws(self, branch):
         rng = np.random.default_rng(41 if branch else 40)
         for _ in range(12):
-            cavity, ceo = random_detuned_cavity(rng, branch)
-            gains = self.RATIOS * threshold_gain(cavity, ceo).gain
-            yield cavity, ceo, gains, branch + self.OFFSETS
+            cavity = random_detuned_cavity(rng, branch)
+            gains = self.RATIOS * threshold_gain(cavity).gain
+            yield cavity, gains, branch + self.OFFSETS
 
     def bound(self):
         # rounding of the O(1) terms of D, amplified by 1/|D| ~ 1/(1 - g/g_th)
@@ -395,9 +391,9 @@ class TestNearThreshold:
     @needs_longdouble
     @pytest.mark.parametrize("branch", [0.0, np.pi])
     def test_squeezing_spectrum_matches_extended(self, branch):
-        for cavity, ceo, gains, thetas in self.draws(branch):
-            spec = squeezing_spectrum(gains, cavity, ceo, thetas)
-            ac, as_, as_minus = extended_pair(gains[:, None], thetas, cavity, ceo)
+        for cavity, gains, thetas in self.draws(branch):
+            spec = squeezing_spectrum(gains, cavity, thetas)
+            ac, as_, as_minus = extended_pair(gains[:, None], thetas, cavity)
             var_x = (ac + as_) ** 2 / 2
             var_p = 1 / (2 * (ac + as_) ** 2)
             # |C|^2 - |S|^2 = 1 turns the EPR sum 1 + 2|S|^2 - 2|C S(-theta)|
@@ -418,7 +414,7 @@ class TestNearThreshold:
             return blocks(*args, **kwargs)
 
         monkeypatch.setattr(cavity_module, "_blocks", counted)
-        gth = threshold_gain(default_cavity, 0.0).gain
-        squeezing_spectrum([0.5 * gth, 0.9 * gth], default_cavity, 0.0,
+        gth = threshold_gain(default_cavity).gain
+        squeezing_spectrum([0.5 * gth, 0.9 * gth], default_cavity,
                            np.linspace(-1.0, 1.0, 11))
         assert len(calls) == 1

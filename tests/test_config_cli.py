@@ -119,6 +119,20 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="invalid configuration"):
             parse_scenario(scenario_dict(**{"pump.tau_p": T0}))
 
+    @pytest.mark.parametrize("command", ["supermodes", "squeezing", "pulses",
+                                         "metrology"])
+    def test_overflowing_round_trip_phase(self, tmp_path, capsys, command):
+        # each phase is finite, their sum is not: refused before --out exists
+        raw = scenario_dict(**{"cavity.delta_rt": 1e308, "pump.delta0": 1e308})
+        out = tmp_path / "o"
+        code = main([command, "--config", str(write_config(tmp_path, raw)),
+                     "--out", str(out)])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config-error"
+        assert "delta_rt + delta0" in err["message"]
+        assert not out.exists()
+
     def test_run_section_types(self):
         with pytest.raises(ConfigError, match="run.ratios"):
             parse_scenario(scenario_dict(**{"run.ratios": [0.5, "x"]}))
@@ -345,7 +359,7 @@ class TestCliRuns:
         basis = schmidt_decompose(build_kernel(cfg.grid, cfg.pump, cfg.crystal),
                                   rep_period=T0)
         gains = load_table(out / "gains.csv")["gain"]
-        scale = 0.8 * threshold_gain(cfg.cavity, 0.0).gain / basis.gains[0]
+        scale = 0.8 * threshold_gain(cfg.cavity).gain / basis.gains[0]
         assert np.abs(gains - scale * basis.gains).max() \
             <= 2e-12 * gains[0]
         for n in range(3):
@@ -564,8 +578,8 @@ class TestCliRuns:
         path = write_config(tmp_path, scenario_dict(**{"cavity.delta_rt": np.pi}))
         out = tmp_path / "out"
         assert main(["pulses", "--config", str(path), "--out", str(out)]) == 0
-        cavity = CavityConfig(r=0.8894, delta_rt=np.pi)
-        cov = covariance(0.8 * threshold_gain(cavity, 0.0).gain, -cavity.r, 12)
+        cavity = CavityConfig(r=0.8894, phase=np.pi)
+        cov = covariance(0.8 * threshold_gain(cavity).gain, -cavity.r, 12)
         duan = load_table(out / "duan.csv")
         np.testing.assert_allclose(
             duan["duan_sum"], [duan_sum(cov, 0, d) for d in range(1, 12)],
@@ -607,12 +621,13 @@ class TestCliRuns:
 
     @pytest.mark.parametrize("command", ["pulses", "metrology"])
     def test_pump_ceo_pi_matches_cavity_pi(self, tmp_path, command):
-        # the cavity reads the total round-trip phase delta_rt + ceo_half
+        # the cavity reads the total round-trip phase delta_rt + delta0
         outs = [self._run_branch(tmp_path, "cavity", command,
                                  **{"cavity.delta_rt": np.pi}),
                 self._run_branch(tmp_path, "pump", command,
                                  **{"pump.delta0": np.pi})]
-        # the outputs; the run-directory records are keyed by the config
+        # the outputs; the run-directory records are keyed on the kernel's
+        # inputs, which hold no phase (TestRecordKey)
         names = sorted(p.name for p in outs[0].iterdir() if p.name[0] != ".")
         assert names == sorted(p.name for p in outs[1].iterdir()
                                if p.name[0] != ".")
@@ -1114,7 +1129,8 @@ BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
 
 
 class TestRecordKey:
-    """The record key holds the BLAS threading that OpenBLAS is told."""
+    """The record key holds the BLAS threading that OpenBLAS is told, and no
+    round-trip phase."""
 
     def test_blas_thread_settings_change_the_key(self, monkeypatch):
         cfg = load_scenario(DEFAULT_CONFIG)
@@ -1137,6 +1153,27 @@ class TestRecordKey:
             monkeypatch.setattr(os, "cpu_count", lambda: count + 1)
         keys.append(spopo.cli._spectrum_key(cfg))
         assert len(set(keys)) == len(keys)
+
+    def test_round_trip_phase_is_not_in_the_key(self, tmp_path, monkeypatch):
+        # delta_rt and delta0 reach the cavity alone: configs that differ
+        # only in their phases build one kernel and share its records
+        twins = [json.loads(DEFAULT_CONFIG.read_text()) for _ in range(3)]
+        twins[1]["cavity"]["delta_rt"] = np.pi
+        twins[2]["pump"]["delta0"] = np.pi
+        assert len({spopo.cli._spectrum_key(parse_scenario(raw))
+                    for raw in twins}) == 1
+        out = tmp_path / "out"
+        assert main(["supermodes", "--config",
+                     str(write_config(tmp_path, twins[0])),
+                     "--out", str(out)]) == 0
+
+        def solve(matrix):
+            raise AssertionError("the stored spectrum was solved again")
+
+        monkeypatch.setattr(spopo.supermodes, "takagi_values", solve)
+        assert main(["squeezing", "--config",
+                     str(write_config(tmp_path, twins[2])),
+                     "--out", str(out)]) == 0
 
     def test_other_thread_count_writes_its_own_bytes(self, tmp_path):
         # at 341 points the squeezing.csv of one and two OpenBLAS threads
@@ -1232,7 +1269,7 @@ class TestOperatingPoint:
             assert main([command, "--config", str(path), "--out",
                          str(tmp_path / command)]) == 0
         cfg = load_scenario(path)
-        g0 = 0.44 * threshold_gain(cfg.cavity, cfg.pump.ceo_half).gain
+        g0 = 0.44 * threshold_gain(cfg.cavity).gain
         assert seen["metrology"].hex() == seen["pulses"].hex() == g0.hex()
 
     @pytest.mark.parametrize("command, code", [
@@ -1252,7 +1289,7 @@ class TestOperatingPoint:
         else:
             table = load_table(out / "sigma2.csv")
             cfg = parse_scenario(raw)
-            g_th = threshold_gain(cfg.cavity, cfg.pump.ceo_half).gain
+            g_th = threshold_gain(cfg.cavity).gain
             assert np.all(table["g"] == float("%.12g" % (0.8 * g_th)))
 
     def test_energy_pump_ratio_defaults_to_g0_over_threshold(self, tmp_path):
@@ -1268,7 +1305,7 @@ class TestOperatingPoint:
         basis = schmidt_decompose(
             build_kernel(cfg.grid, cfg.pump, cfg.crystal), rep_period=T0,
             n_modes=cfg.run["n_modes_dump"])
-        g_th = threshold_gain(cfg.cavity, cfg.pump.ceo_half).gain
+        g_th = threshold_gain(cfg.cavity).gain
         summary = json.loads((out / "summary.json").read_text())
         assert summary["ratios"] == [float(basis.gains[0]) / g_th]
         assert summary["threshold_gain"] == g_th
@@ -1298,7 +1335,7 @@ class TestOperatingPoint:
         for command in ("supermodes", "squeezing", "pulses", "metrology"):
             assert main([command, "--config", str(path), "--out",
                          str(out)]) == 0
-        g_th = threshold_gain(CavityConfig.from_finesse(30.0), 0.0).gain
+        g_th = threshold_gain(CavityConfig.from_finesse(30.0)).gain
         summary = json.loads((out / "summary.json").read_text())
         assert summary["threshold_gain"] == g_th
         for name in ("gains.csv", "squeezing.csv", "sigma2.csv",

@@ -382,9 +382,9 @@ class TestCombIntegralOracle:
         s_arr = np.empty(m, complex)
         s_neg = np.empty(m, complex)
         for i, th in enumerate(thetas):
-            block = comb_io(g, th, cavity, 0.0)
+            block = comb_io(g, th, cavity)
             c_arr[i], s_arr[i] = block.c, block.s
-            s_neg[i] = comb_io(g, -th, cavity, 0.0).s
+            s_neg[i] = comb_io(g, -th, cavity).s
         base = np.abs(c_arr) ** 2 + np.abs(s_arr) ** 2
         cross = 2 * np.real(c_arr * s_neg)
         cov = covariance(g, r, n)

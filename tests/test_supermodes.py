@@ -379,15 +379,6 @@ class TestSchmidtDecompose:
         predicted = g0 * mu ** np.arange(10)
         np.testing.assert_allclose(basis.gains[:10], predicted, rtol=1e-8)
 
-    def test_gains_independent_of_ceo_and_detuning(self, default_grid,
-                                                   default_crystal):
-        # ceo_half and delta_rt act only in the cavity map: identical kernels
-        k1 = build_kernel(default_grid, make_pump(ceo_half=0.0), default_crystal)
-        k2 = build_kernel(default_grid, make_pump(ceo_half=1.1), default_crystal)
-        b1 = schmidt_decompose(k1, rep_period=T0)
-        b2 = schmidt_decompose(k2, rep_period=T0)
-        np.testing.assert_allclose(b1.gains, b2.gains, rtol=0, atol=1e-15)
-
     def test_time_modes_synthesized_on_first_access(self, default_kernel):
         basis = schmidt_decompose(default_kernel, rep_period=T0)
         assert "modes_time" not in basis.__dict__
@@ -478,7 +469,7 @@ class TestCompleteness:
         theta grid reconstruct a random band-limited train to 1e-6."""
         basis = default_basis
         periods = 8
-        ceo_half = 0.35
+        phase = 0.35
         rng = np.random.default_rng(11)
         w = basis.grid.omegas
         envelope = np.exp(-w**2 / (2 * (basis.grid.omega_max / 7.0) ** 2))
@@ -491,12 +482,12 @@ class TestCompleteness:
         proj = basis.modes_time.conj().T @ signal.T * basis.dt
 
         thetas = 2 * np.pi * np.arange(periods) / periods - np.pi
-        phases = np.exp(-1j * np.outer(thetas + ceo_half, np.arange(periods)))
+        phases = np.exp(-1j * np.outer(thetas + phase, np.arange(periods)))
         comb_amp = (proj @ phases.T) / np.sqrt(2 * np.pi)
 
         rebuilt = np.empty_like(signal)
         for k in range(periods):
-            back = np.exp(1j * k * (thetas + ceo_half))
+            back = np.exp(1j * k * (thetas + phase))
             coeff = (comb_amp * back[None, :]).sum(axis=1) \
                 / np.sqrt(2 * np.pi) * (2 * np.pi / periods)
             rebuilt[k] = basis.modes_time @ coeff

@@ -69,13 +69,12 @@ class TestOutputCovariance:
         # all homodyne angles: the smaller eigenvalue of the 2x2 covariance
         rng = np.random.default_rng(5)
         for _ in range(20):
-            cavity = CavityConfig(r=rng.uniform(0.3, 0.97),
-                                  delta_rt=rng.uniform(-0.7, 0.7))
-            ceo = rng.uniform(-0.5, 0.5)
-            g = rng.uniform(0.1, 0.9) * threshold_gain(cavity, ceo).gain
-            var_x, var_p, cov = output_covariance(comb_io(g, 0.0, cavity, ceo))
+            r, delta_rt = rng.uniform(0.3, 0.97), rng.uniform(-0.7, 0.7)
+            cavity = CavityConfig(r=r, phase=delta_rt + rng.uniform(-0.5, 0.5))
+            g = rng.uniform(0.1, 0.9) * threshold_gain(cavity).gain
+            var_x, var_p, cov = output_covariance(comb_io(g, 0.0, cavity))
             smallest = np.linalg.eigvalsh([[var_x, cov], [cov, var_p]])[0]
-            expected = squeezing_spectrum([g], cavity, ceo, [0.0]).var_p[0, 0]
+            expected = squeezing_spectrum([g], cavity, [0.0]).var_p[0, 0]
             assert smallest == pytest.approx(expected, rel=1e-9)
             # never above the lab-frame p variance
             assert expected <= var_p * (1 + 1e-12)
