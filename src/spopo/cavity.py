@@ -101,7 +101,11 @@ def output_covariance(transform: ModePairTransform) -> tuple[float, float, float
 
 @dataclass(frozen=True)
 class CavityConfig:
-    """Output-coupler amplitude r and round-trip phase delta_rt + delta0."""
+    """Output-coupler amplitude r and round-trip phase delta_rt + delta0.
+
+    ``phase`` is stored reduced mod 2 pi to [-pi, pi]; the reduction is exact,
+    so a phase already in that range keeps its bits.
+    """
 
     r: float
     phase: float = 0.0
@@ -112,6 +116,8 @@ class CavityConfig:
         if not math.isfinite(self.phase):
             raise ValidationError(
                 f"delta_rt + delta0 = {self.phase} is not a finite phase")
+        object.__setattr__(self, "phase",
+                           -math.remainder(-self.phase, 2.0 * math.pi))
 
     @property
     def t(self) -> float:
@@ -136,11 +142,6 @@ class ThresholdResult(NamedTuple):
     branch_theta: float
 
 
-def _wrap_phase(phi: float) -> float:
-    """Reduce to (-pi, pi]."""
-    return -math.remainder(-phi, 2.0 * math.pi)
-
-
 def threshold_gain(cavity: CavityConfig) -> ThresholdResult:
     """Oscillation threshold acosh[(1+r^2) / (2 r |cos phi|)].
 
@@ -150,11 +151,11 @@ def threshold_gain(cavity: CavityConfig) -> ThresholdResult:
     """
     if cavity.r == 0.0:
         raise NoFiniteThresholdError("r = 0: no cavity feedback, no threshold")
-    phase = _wrap_phase(cavity.phase)
-    cos_phase = math.cos(phase)
+    cos_phase = math.cos(cavity.phase)
     if abs(cos_phase) < 1e-15:
         raise NoFiniteThresholdError(
-            f"delta_rt + delta0 = {phase:.6f} is an odd multiple of pi/2")
+            f"delta_rt + delta0 = {cavity.phase:.6f} is an odd multiple of "
+            "pi/2")
     branch = 0.0 if cos_phase > 0 else math.pi
     gain = math.acosh((1.0 + cavity.r**2) / (2.0 * cavity.r * abs(cos_phase)))
     return ThresholdResult(gain=gain, branch_theta=branch)
@@ -168,7 +169,7 @@ def resonant_r(cavity: CavityConfig) -> float:
     The pulse closed forms (``spopo.pulses``) take this signed amplitude, and
     any other phase is a ``ValidationError``.
     """
-    offset = abs(_wrap_phase(cavity.phase))
+    offset = abs(cavity.phase)
     if offset <= 1e-12:
         return cavity.r
     if math.pi - offset <= 1e-12:

@@ -252,8 +252,7 @@ class _Run:
 
         def compute():
             basis = schmidt_decompose(self.kernel, cfg.run["gain_cutoff"],
-                                      n_modes=k,
-                                      rep_period=cfg.pump.rep_period)
+                                      n_modes=k)
             return (basis.gains.astype("<f8").tobytes()
                     + basis.modes_freq.astype("<c16").tobytes())
 
@@ -261,7 +260,7 @@ class _Run:
         return SupermodeBasis.from_modes(
             np.frombuffer(body, "<f8", k),
             np.frombuffer(body, "<c16", offset=8 * k).reshape(n, k),
-            cfg.grid, cfg.pump.rep_period, cfg.run["gain_cutoff"])
+            cfg.grid, cfg.run["gain_cutoff"])
 
 
 def run_supermodes(run: _Run, seed=None) -> list[Path]:
@@ -277,9 +276,8 @@ def run_supermodes(run: _Run, seed=None) -> list[Path]:
             # full decomposition, and the record keeps the Lanczos basis
             from .supermodes import schmidt_decompose
 
-            modes = schmidt_decompose(run.kernel, cfg.run["gain_cutoff"],
-                                      rep_period=cfg.pump.rep_period
-                                      ).modes_freq
+            modes = schmidt_decompose(run.kernel,
+                                      cfg.run["gain_cutoff"]).modes_freq
     meta = _metadata(cfg, seed)
     meta.update(threshold_gain=_FLOAT_FMT % run.threshold,
                 effective_pulse_energy=_FLOAT_FMT % energy,

@@ -2,8 +2,7 @@
 
 Schema (all values SI):
 
-    grid:    n_points (odd int); omega_max (rad/s, optional -- omitted means
-             comb-aligned: spacing exactly 2 pi / T0)
+    grid:    n_points (odd int); the spacing is the comb's, 2 pi / T0
     pump:    exactly one of energy (J) / pump_ratio (g0/g_th); tau_p (s,
              intensity FWHM); T0 (s); delta0 (rad, half the pump CEO)
     crystal: l_c (m); d_eff (m/V); n0; A_eff (m^2); omega0 (rad/s);
@@ -45,7 +44,7 @@ RUN_DEFAULTS = {"theta_points": 121, "theta_max": math.pi, "N_max": 100,
 
 #: the keys each section of the schema names; the top level holds the sections
 _SECTION_KEYS = {
-    "grid": {"n_points", "omega_max"},
+    "grid": {"n_points"},
     "pump": {"energy", "pump_ratio", "tau_p", "T0", "delta0"},
     "crystal": {"l_c", "d_eff", "n0", "A_eff", "omega0", "signal_dispersion",
                 "pump_dispersion"},
@@ -200,11 +199,7 @@ def parse_scenario(raw: dict) -> ScenarioConfig:
         raise ConfigError("cavity needs exactly one of r / finesse")
 
     try:
-        if "omega_max" in grid_sec:
-            grid = FrequencyGrid(n_points=n_points,
-                                 omega_max=_number(grid_sec, "grid", "omega_max"))
-        else:
-            grid = FrequencyGrid.comb_aligned(n_points, t0)
+        grid = FrequencyGrid.comb_aligned(n_points, t0)
         pump = PumpConfig(
             pulse_energy=energy,
             tau_p=_number(pump_sec, "pump", "tau_p"),

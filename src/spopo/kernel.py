@@ -225,7 +225,10 @@ def build_kernel(grid: FrequencyGrid, pump: PumpConfig,
     Refuses (``SpectralLeakageError``) when the pump spectrum has more than
     ``SPECTRAL_TAIL`` relative amplitude at the edge of the reachable sum
     window [-2 omega_max, 2 omega_max]: gains computed on such a window would
-    be truncation artifacts.
+    be truncation artifacts.  Then refuses (``ValidationError``) a grid whose
+    spacing is not the comb spacing 2 pi / T0 of ``pump.rep_period`` to
+    within 1e-12 of it: the per-period time synthesis of the supermodes is
+    the exact inverse DFT of that grid and of no other.
 
     The matrix is exactly symmetric, and it lies within 1e-14 max|K| of the
     same formula evaluated in extended precision on the uniform grid (tested
@@ -239,6 +242,11 @@ def build_kernel(grid: FrequencyGrid, pump: PumpConfig,
             "pump spectrum leaks outside the frequency window: relative "
             f"amplitude {edge / peak:.3e} at omega = 2*omega_max "
             f"(limit {SPECTRAL_TAIL:g}); enlarge omega_max or shorten tau_p")
+    if abs(pump.rep_period * grid.delta_omega - 2.0 * np.pi) \
+            > 1e-12 * 2.0 * np.pi:
+        raise ValidationError(
+            f"grid spacing {grid.delta_omega:.6g} rad/s is not the comb "
+            f"spacing 2 pi / T0 = {2.0 * np.pi / pump.rep_period:.6g} rad/s")
     # the pump amplitude and the pump-side phase are evaluated on the 2n - 1
     # sums sigma_{i+j} and read through Hankel views, view[i, j] = v[i + j];
     # the signal-side phase on the n grid points.  The Taylor constants are

@@ -70,13 +70,9 @@ class ProbeField:
     periods of the basis time grid; ``pulse_freq`` samples the probe pulse
     spectrum psi0(w)/(omega0 + w) before amplitude scaling.
     ``omega_eff_sq`` is the second moment <(omega0 + w)^2> of the probe
-    spectrum, which makes the amplitude normalization exact on a
-    comb-aligned grid: sum |envelope|^2 dt = N n_bar0 to rounding (7e-15
-    relative on configs/default.json).  On a finer grid the sum over the
-    time grid only approximates the spectral norm: 2.2e-7 off at 0.97 of the
-    comb spacing, 7.5e-6 at 0.999 and 1.1e-4 at 0.5 on the same config.  A
-    coarser grid, whose spacing exceeds 2 pi / rep_period by more than
-    1e-12 of it, is refused by ``SupermodeBasis.time_samples``.
+    spectrum, which makes the amplitude normalization exact: on the comb
+    grid sum |envelope|^2 dt = N n_bar0 to rounding (7e-15 relative on
+    configs/default.json).
     """
 
     alpha_prime: np.ndarray
@@ -120,13 +116,13 @@ def fisher_information(alpha_prime: np.ndarray,
 
 
 def optimal_probe(basis: SupermodeBasis, omega0: float, r: float,
-                  n_pulses: int, n_bar0: float,
-                  gain0: float | None = None) -> ProbeField:
+                  n_pulses: int, n_bar0: float, gain0: float) -> ProbeField:
     """Optimal mean probe for the time-delay bound.
 
     All amplitude goes to supermode 0 with pulse weights from the minimum-
-    variance eigenvector at the signed round-trip amplitude r (alternating
-    in sign for r < 0, see ``cavity.resonant_r``); the pulse envelope solves
+    variance eigenvector at the run's top gain ``gain0`` and the signed
+    round-trip amplitude r (alternating in sign for r < 0, see
+    ``cavity.resonant_r``); the pulse envelope solves
     (omega0 - i d/dt) psi0' = psi0 spectrally, and the overall amplitude
     carries sqrt(N n_bar0 omega_eff^2).
     """
@@ -134,8 +130,7 @@ def optimal_probe(basis: SupermodeBasis, omega0: float, r: float,
         raise ValidationError("n_bar0 must be positive")
     if basis.n_kept < 1:
         raise ValidationError("basis has no kept modes")
-    g0 = basis.gains[0] if gain0 is None else float(gain0)
-    sol = min_variance_transcendental(g0, r, n_pulses)
+    sol = min_variance_transcendental(gain0, r, n_pulses)
 
     omegas = basis.grid.omegas
     shifted = omega0 + omegas

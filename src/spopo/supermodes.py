@@ -9,10 +9,10 @@ supermode extends to a continuous pulse train (frequency comb)
 
 whose spectrum is a comb shifted by theta / T0 from the down-conversion
 centers; phi, the cavity's round-trip phase delta_rt + delta0, does not
-shape psi_n.  Time-domain samples are produced by discrete Fourier synthesis
-on a per-period grid; on a comb-aligned frequency grid (spacing exactly
-2 pi / T0) that synthesis is exactly unitary, so the synthesized psi_n(t)
-stay orthonormal at machine precision.
+shape psi_n.  The frequency grid is the comb's, spacing 2 pi / T0
+(``build_kernel`` refuses any other), so the per-period time samples are an
+exactly unitary inverse DFT of the frequency samples, and the synthesized
+psi_n(t) stay orthonormal at machine precision.
 """
 
 from __future__ import annotations
@@ -184,7 +184,8 @@ class SupermodeBasis:
     ``modes_freq[:, n]`` samples psi_n(omega) with unit L2 norm under the
     d_omega/2pi quadrature weight; ``modes_time[:, n]`` samples psi_n(t) on
     ``time_grid`` (one period, pulses centered at t = 0) with unit L2 norm
-    under dt, synthesized on first access.  ``n_kept`` counts modes with
+    under dt, synthesized on first access; the period is the comb's,
+    ``rep_period`` = 2 pi / delta_omega.  ``n_kept`` counts modes with
     g_n >= cutoff * g_0.  A basis truncated to the top k modes
     (``schmidt_decompose(..., n_modes=k)``) holds k gains and k modes, and
     counts ``n_kept`` among those k.  ``kernel`` is the decomposed kernel,
@@ -195,23 +196,28 @@ class SupermodeBasis:
     gains: np.ndarray
     modes_freq: np.ndarray
     grid: FrequencyGrid
-    rep_period: float
-    time_grid: np.ndarray
     n_kept: int
     kernel: JointKernel | None = field(default=None, repr=False)
 
     @classmethod
     def from_modes(cls, gains: np.ndarray, modes_freq: np.ndarray,
-                   grid: FrequencyGrid, rep_period: float,
+                   grid: FrequencyGrid,
                    gain_cutoff: float = DEFAULT_GAIN_CUTOFF,
                    kernel: JointKernel | None = None) -> SupermodeBasis:
         """The basis of descending ``gains`` and mode samples ``modes_freq``
-        on ``grid``, with the per-period time grid of ``rep_period``."""
-        n = grid.n_points
-        tau = (np.arange(n) + 0.5) * rep_period / n - rep_period / 2.0
+        on the comb grid ``grid``."""
         return cls(gains=gains, modes_freq=modes_freq, grid=grid,
-                   rep_period=float(rep_period), time_grid=tau,
                    n_kept=kept_count(gains, gain_cutoff), kernel=kernel)
+
+    @property
+    def rep_period(self) -> float:
+        """The comb period 2 pi / delta_omega of the grid."""
+        return 2.0 * np.pi / self.grid.delta_omega
+
+    @cached_property
+    def time_grid(self) -> np.ndarray:
+        n, period = self.grid.n_points, self.rep_period
+        return (np.arange(n) + 0.5) * period / n - period / 2.0
 
     @property
     def dt(self) -> float:
@@ -221,29 +227,13 @@ class SupermodeBasis:
         """Discrete Fourier synthesis sum_i e^{i w_i t} f(w_i) d_omega/2pi of
         samples on the frequency grid (first axis) onto ``time_grid``.
 
-        On a comb-aligned grid (rep_period * delta_omega = 2 pi) the phase
-        t_j w_i of the time grid that ``schmidt_decompose`` builds is
-        2 pi (j - h)(i - h) / m with h = (m - 1) / 2, so the sum is
+        The time grid spans one comb period 2 pi / delta_omega, so the phase
+        t_j w_i is 2 pi (j - h)(i - h) / m with h = (m - 1) / 2: the sum is
         an inverse DFT between two twiddles, evaluated by FFT with each
-        twiddle phase reduced to an exact integer multiple of 2 pi / m.  Finer
-        grids take the direct O(m^2) sum.  A coarser grid (rep_period *
-        delta_omega > 2 pi (1 + 1e-12)) is a ``ValidationError``: its
-        samples synthesize a pulse that repeats every 2 pi / delta_omega, less
-        than rep_period, so the period's time grid would hold part of the
-        next copy.
+        twiddle phase reduced to an exact integer multiple of 2 pi / m.
         """
         grid = self.grid
         m = grid.n_points
-        excess = self.rep_period * grid.delta_omega - 2.0 * np.pi
-        if excess > 1e-12 * 2.0 * np.pi:
-            raise ValidationError(
-                f"grid spacing {grid.delta_omega:.6g} rad/s is coarser than "
-                "the comb's 2 pi / rep_period: the synthesized pulse would "
-                "repeat within one period")
-        if abs(excess) > 1e-12 * 2.0 * np.pi:
-            synth = np.exp(1j * np.outer(self.time_grid, grid.omegas)) \
-                * grid.weight
-            return synth @ freq_samples
         h = (m - 1) // 2
         index = np.arange(m)
         # (j - h)(i - h) = j i - h i - h j + h^2; the j i term is the DFT's
@@ -283,22 +273,17 @@ class SupermodeBasis:
 
 def schmidt_decompose(kernel: JointKernel,
                       gain_cutoff: float = DEFAULT_GAIN_CUTOFF,
-                      rep_period: float | None = None,
                       n_modes: int | None = None) -> SupermodeBasis:
     """Decompose a joint kernel into supermodes with gains.
 
-    ``rep_period`` fixes the per-period time grid for the synthesized
-    psi_n(t); when omitted it is inferred from the grid spacing as
-    2 pi / delta_omega, which is exact for comb-aligned grids.  ``n_modes``
-    truncates the basis to the top k modes (see ``takagi``).
+    The time grid of the synthesized psi_n(t) spans one comb period
+    2 pi / delta_omega of the kernel's grid.  ``n_modes`` truncates the
+    basis to the top k modes (see ``takagi``).
     """
     if gain_cutoff < 0:
         raise ValidationError("gain_cutoff must be >= 0")
     grid = kernel.grid
-    if rep_period is None:
-        rep_period = 2.0 * np.pi / grid.delta_omega
     gains, modes_freq = takagi(kernel, n_modes)
     modes_freq *= 1.0 / np.sqrt(grid.weight)
-    return SupermodeBasis.from_modes(gains, modes_freq, grid, rep_period,
-                                     gain_cutoff, kernel)
-
+    return SupermodeBasis.from_modes(gains, modes_freq, grid, gain_cutoff,
+                                     kernel)

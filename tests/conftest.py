@@ -54,7 +54,7 @@ def default_kernel(default_grid, default_pump, default_crystal):
 
 @pytest.fixture(scope="session")
 def default_basis(default_kernel):
-    return schmidt_decompose(default_kernel, gain_cutoff=1e-6, rep_period=T0)
+    return schmidt_decompose(default_kernel, gain_cutoff=1e-6)
 
 
 @pytest.fixture(scope="session")

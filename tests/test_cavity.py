@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -334,6 +336,21 @@ class TestSqueezingSpectrum:
         half = np.abs(thetas)[depth >= 0.5 * depth.max()].max()
         scale = default_cavity.t**2 / 2
         assert scale / 4 < half < 4 * scale
+
+    def test_large_phase_reduced_once(self):
+        # phi = 2 pi 1e17 swamps theta +- phi unless it is reduced mod 2 pi
+        phase = 2.0 * np.pi * 1e17
+        reduced = -math.remainder(-phase, 2.0 * math.pi)
+        big = CavityConfig(r=0.8894, phase=phase)
+        small = CavityConfig(r=0.8894, phase=reduced)
+        assert big.phase == reduced
+        thetas = np.linspace(-0.6, 0.6, 121)
+        gains = [0.8 * threshold_gain(small).gain]
+        spectra = [squeezing_spectrum(gains, cavity, thetas)
+                   for cavity in (big, small)]
+        for name in ("var_x", "var_p", "epr"):
+            assert getattr(spectra[0], name).tobytes() \
+                == getattr(spectra[1], name).tobytes(), name
 
     def test_variance_blows_up_at_threshold(self, default_cavity):
         gth = threshold_gain(default_cavity).gain

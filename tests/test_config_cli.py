@@ -356,8 +356,7 @@ class TestCliRuns:
         out = tmp_path / "out"
         assert main(["supermodes", "--config", str(path), "--out", str(out)]) == 0
         cfg = load_scenario(path)
-        basis = schmidt_decompose(build_kernel(cfg.grid, cfg.pump, cfg.crystal),
-                                  rep_period=T0)
+        basis = schmidt_decompose(build_kernel(cfg.grid, cfg.pump, cfg.crystal))
         gains = load_table(out / "gains.csv")["gain"]
         scale = 0.8 * threshold_gain(cfg.cavity).gain / basis.gains[0]
         assert np.abs(gains - scale * basis.gains).max() \
@@ -914,7 +913,7 @@ class TestRunSpectrum:
     @pytest.mark.parametrize("command", ["supermodes", "squeezing"])
     @pytest.mark.parametrize("overrides, error", [
         ({"pump": {"energy": 1e-6, "tau_p": TAU_P, "T0": T0}}, "at-threshold"),
-        ({"grid": {"n_points": 41, "omega_max": 2e13}}, "spectral-leakage")],
+        ({"grid": {"n_points": 41}}, "spectral-leakage")],
         ids=["at-threshold", "spectral-leakage"])
     def test_refused_run_leaves_directory_empty(self, tmp_path, capsys,
                                                 command, overrides, error):
@@ -1022,7 +1021,7 @@ class TestRunBasis:
         key, _, body = bases.pop().partition(b"\n")
         cfg = load_scenario(path)
         basis = schmidt_decompose(
-            build_kernel(cfg.grid, cfg.pump, cfg.crystal), rep_period=T0,
+            build_kernel(cfg.grid, cfg.pump, cfg.crystal),
             n_modes=cfg.run["n_modes_dump"])
         assert key == spopo.cli._spectrum_key(cfg)
         assert body == (basis.gains.astype("<f8").tobytes()
@@ -1303,7 +1302,7 @@ class TestOperatingPoint:
                      str(out)]) == 0
         cfg = load_scenario(path)
         basis = schmidt_decompose(
-            build_kernel(cfg.grid, cfg.pump, cfg.crystal), rep_period=T0,
+            build_kernel(cfg.grid, cfg.pump, cfg.crystal),
             n_modes=cfg.run["n_modes_dump"])
         g_th = threshold_gain(cfg.cavity).gain
         summary = json.loads((out / "summary.json").read_text())
@@ -1359,19 +1358,21 @@ class TestOperatingPoint:
         assert "finesse" in err["message"]
         assert not out.exists()
 
-    def test_coarse_grid_metrology_is_refused(self, tmp_path, capsys):
-        # a spacing above 2 pi / T0 would synthesize a pulse that repeats
-        # within one period; 1.1x put 1.0056 N n_bar0 photons in probe.csv
+    @pytest.mark.parametrize("command", ["supermodes", "squeezing", "pulses",
+                                         "metrology"])
+    def test_omega_max_is_config_error(self, tmp_path, capsys, command):
+        # the grid spacing is the comb's: no config key sets it, not even to
+        # the value it has
         raw = json.loads(DEFAULT_CONFIG.read_text())
-        raw["grid"]["omega_max"] = 1.1 * parse_scenario(raw).grid.omega_max
+        raw["grid"]["omega_max"] = parse_scenario(raw).grid.omega_max
         out = tmp_path / "out"
         path = write_config(tmp_path, raw)
-        assert main(["metrology", "--config", str(path), "--out",
-                     str(out)]) == 3
+        assert main([command, "--config", str(path), "--out",
+                     str(out)]) == 2
         err = json.loads(capsys.readouterr().err)
-        assert err["error"] == "validation-error"
-        assert "coarser" in err["message"]
-        assert list(out.iterdir()) == []
+        assert err["error"] == "config-error"
+        assert "omega_max" in err["message"]
+        assert not out.exists()
 
 
 def loaded_modules(code):

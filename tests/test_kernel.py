@@ -195,6 +195,15 @@ class TestBuildKernel:
         with pytest.raises(SpectralLeakageError, match="leaks"):
             build_kernel(small, make_pump(), default_crystal)
 
+    @pytest.mark.parametrize("factor", [0.97, 1.1])
+    def test_off_comb_grid_refused(self, factor, default_grid, default_pump,
+                                   default_crystal):
+        # the supermodes' time synthesis is the inverse DFT of the comb grid
+        grid = FrequencyGrid(n_points=default_grid.n_points,
+                             omega_max=factor * default_grid.omega_max)
+        with pytest.raises(ValidationError, match="not the comb spacing"):
+            build_kernel(grid, default_pump, default_crystal)
+
     def test_gaussian_ridge_structure(self, default_grid):
         # flat phase matching: kernel depends on omega + omega' only
         crystal = make_crystal(signal_dispersion=(0.0, 0.0, 0.0, 0.0),
@@ -208,10 +217,12 @@ class TestBuildKernel:
 
     def test_grid_refinement_converges(self, default_grid, default_pump,
                                        default_crystal):
+        # half the spacing on the same window: the comb of a pump at 2 T0
         coarse = build_kernel(default_grid, default_pump, default_crystal)
         fine_grid = FrequencyGrid(n_points=2 * default_grid.n_points - 1,
                                   omega_max=default_grid.omega_max)
-        fine = build_kernel(fine_grid, default_pump, default_crystal)
+        fine = build_kernel(fine_grid, make_pump(rep_period=2 * T0),
+                            default_crystal)
         g0_coarse = takagi(coarse.matrix)[0][0]
         g0_fine = takagi(fine.matrix)[0][0]
         assert abs(g0_coarse - g0_fine) / g0_fine < 1e-3

@@ -3,15 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from spopo import (CavityConfig, FrequencyGrid, ValidationError,
-                   build_kernel, covariance, fisher_information,
-                   improvement_curve, min_variance_transcendental,
-                   optimal_probe, schmidt_decompose, sigma2_limit,
+from spopo import (CavityConfig, ValidationError, covariance,
+                   fisher_information, improvement_curve,
+                   min_variance_transcendental, optimal_probe, sigma2_limit,
                    threshold_gain)
 from spopo.metrology import ASYMPTOTE_FRACTION, _first_n_at_asymptote
 from spopo.pulses import min_variance_curve
 
-from conftest import OMEGA0, T0
+from conftest import OMEGA0
 
 
 def fock_variance_of_x(squeeze: float, displacement: complex,
@@ -97,32 +96,6 @@ class TestOptimalProbe:
                               n_pulses=n_pulses, n_bar0=n_bar0, gain0=0.08)
         total = probe.total_photons(default_basis.dt)
         assert total == pytest.approx(n_pulses * n_bar0, rel=1e-8)
-
-    @staticmethod
-    def _off_comb_probe(factor, grid, pump, crystal, cavity):
-        """The basis on ``grid`` with its spacing scaled by ``factor``, and
-        its 8-pulse probe at 0.8 g_th."""
-        grid = FrequencyGrid(n_points=grid.n_points,
-                             omega_max=factor * grid.omega_max)
-        basis = schmidt_decompose(build_kernel(grid, pump, crystal),
-                                  rep_period=T0, n_modes=4)
-        gain0 = 0.8 * threshold_gain(cavity).gain
-        return basis, optimal_probe(basis, OMEGA0, cavity.r, 8, 1e6,
-                                    gain0=gain0)
-
-    def test_photon_number_on_a_finer_grid(self, default_grid, default_pump,
-                                           default_crystal, default_cavity):
-        # the sum over the time grid is 1 - 2.2e-7 of N n_bar0 at 0.97
-        basis, probe = self._off_comb_probe(0.97, default_grid, default_pump,
-                                            default_crystal, default_cavity)
-        assert probe.total_photons(basis.dt) == pytest.approx(8e6, rel=1e-6)
-
-    def test_coarser_grid_is_refused(self, default_grid, default_pump,
-                                     default_crystal, default_cavity):
-        # its pulse would repeat within T0: 1.0056 N n_bar0 photons at 1.1
-        with pytest.raises(ValidationError, match="coarser"):
-            self._off_comb_probe(1.1, default_grid, default_pump,
-                                 default_crystal, default_cavity)
 
     def test_spread_much_smaller_than_carrier(self, default_basis,
                                               default_cavity):

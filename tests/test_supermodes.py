@@ -329,8 +329,7 @@ class TestTopModes:
                 takagi(np.eye(12), k)
 
     def test_truncated_basis(self, default_kernel, default_basis):
-        basis = schmidt_decompose(default_kernel, 0.9, rep_period=T0,
-                                  n_modes=4)
+        basis = schmidt_decompose(default_kernel, 0.9, n_modes=4)
         assert basis.gains.shape == (4,)
         assert basis.modes_freq.shape == (default_kernel.grid.n_points, 4)
         # n_kept counts g_n >= 0.9 g_0 among the four
@@ -346,7 +345,7 @@ class TestSchmidtDecompose:
         # gains and modes alone rebuild the basis, without its kernel
         basis = SupermodeBasis.from_modes(
             default_basis.gains, default_basis.modes_freq, default_kernel.grid,
-            T0, gain_cutoff=1e-6)
+            gain_cutoff=1e-6)
         assert basis.kernel is None
         assert basis.n_kept == default_basis.n_kept
         assert basis.rep_period == default_basis.rep_period
@@ -366,7 +365,7 @@ class TestSchmidtDecompose:
     def test_zero_kernel_keeps_nothing(self, default_grid, default_crystal):
         kernel = build_kernel(default_grid, make_pump(pulse_energy=0.0),
                               default_crystal)
-        basis = schmidt_decompose(kernel, rep_period=T0)
+        basis = schmidt_decompose(kernel)
         assert basis.n_kept == 0
         assert not np.any(basis.gains)
         # the empty Gram matrix is the empty identity
@@ -380,7 +379,7 @@ class TestSchmidtDecompose:
         np.testing.assert_allclose(basis.gains[:10], predicted, rtol=1e-8)
 
     def test_time_modes_synthesized_on_first_access(self, default_kernel):
-        basis = schmidt_decompose(default_kernel, rep_period=T0)
+        basis = schmidt_decompose(default_kernel)
         assert "modes_time" not in basis.__dict__
         m = basis.grid.n_points
         tau = (np.arange(m) + 0.5) * T0 / m - T0 / 2.0
@@ -398,22 +397,13 @@ class TestSchmidtDecompose:
                                                       default_crystal):
         grid = FrequencyGrid.comb_aligned(n_points, T0)
         basis = schmidt_decompose(
-            build_kernel(grid, default_pump, default_crystal), rep_period=T0)
+            build_kernel(grid, default_pump, default_crystal))
         probe = basis.modes_freq[:, 0] / (2.356e15 + grid.omegas)
         for samples in (basis.modes_freq, probe):
             reference = extended_precision_synthesis(basis, samples)
             error = np.abs(basis.time_samples(samples) - reference)
             assert np.all(error.max(axis=0)
                           <= 2e-15 * np.abs(reference).max(axis=0))
-
-    def test_direct_synthesis_off_comb_grid(self, default_pump,
-                                            default_crystal):
-        # spacing not 2 pi / T0: no DFT structure, the direct sum is used
-        grid = FrequencyGrid(n_points=171, omega_max=1.1e14)
-        basis = schmidt_decompose(
-            build_kernel(grid, default_pump, default_crystal), rep_period=T0)
-        synth = np.exp(1j * np.outer(basis.time_grid, grid.omegas)) * grid.weight
-        assert np.array_equal(basis.modes_time, synth @ basis.modes_freq)
 
     @pytest.mark.parametrize("n_points", [171, 1361])
     def test_takagi_values_match_takagi(self, n_points, default_pump,
@@ -424,7 +414,7 @@ class TestSchmidtDecompose:
         assert np.abs(values - takagi(kernel.matrix)[0]).max() \
             <= 1e-14 * values[0]
         assert kept_count(values) \
-            == schmidt_decompose(kernel, rep_period=T0).n_kept
+            == schmidt_decompose(kernel).n_kept
 
     def test_one_pass_modes_match_complex_chain(self, default_pump,
                                                 default_crystal):
