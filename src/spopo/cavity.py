@@ -55,48 +55,47 @@ DEFAULT_SYMPLECTIC_TOL = 1e-10
 VACUUM_VARIANCE = 0.5
 
 
-@dataclass(frozen=True)
-class ModePairTransform:
-    """One comb-pair Bogoliubov block ``[[c, s], [s*, c*]]``."""
+class ModePairTransform(NamedTuple):
+    """Comb-pair Bogoliubov blocks ``[[c, s], [s*, c*]]``: one block, or a
+    same-shape array of blocks."""
 
-    c: complex
-    s: complex
+    c: complex | np.ndarray
+    s: complex | np.ndarray
 
-    def symplectic_defect(self) -> float:
-        """|c|^2 - |s|^2 - 1; zero for an exact Bogoliubov block."""
-        return abs(self.c) ** 2 - abs(self.s) ** 2 - 1.0
+    def symplectic_defect(self):
+        """|c|^2 - |s|^2 - 1 per block; zero for an exact Bogoliubov block."""
+        return np.abs(self.c) ** 2 - np.abs(self.s) ** 2 - 1.0
 
 
 def check_symplectic(transform: ModePairTransform,
                      tol: float = DEFAULT_SYMPLECTIC_TOL) -> bool:
-    """Check the Bogoliubov condition |c|^2 - |s|^2 = 1.
+    """Check the Bogoliubov condition |c|^2 - |s|^2 = 1 on every block.
 
-    Near threshold |c| grows large, so the defect is compared against a
+    Near threshold |c| grows large, so each defect is compared against a
     tolerance scaled by |c|^2 (plain float64 cancellation floor).
     """
-    if tol <= 0:
-        raise ValidationError("tolerance must be positive")
-    scale = max(1.0, abs(transform.c) ** 2)
-    return abs(transform.symplectic_defect()) <= tol * scale
+    if not tol > 0:
+        raise ValidationError(f"tolerance must be positive, got {tol}")
+    scale = np.maximum(1.0, np.abs(transform.c) ** 2)
+    return bool(np.all(np.abs(transform.symplectic_defect()) <= tol * scale))
 
 
-def output_covariance(transform: ModePairTransform) -> tuple[float, float, float]:
+def output_covariance(transform: ModePairTransform):
     """Quadrature covariance (var_x, var_p, cov) of the output mode for a
-    vacuum input, in the degenerate (self-paired) case.
+    vacuum input, in the degenerate (self-paired) case, per block.
 
     The block acts on (x, p) as the real 2x2 matrix
-    [[Re(c + s), -Im(c - s)], [Im(c + s), Re(c - s)]], whose determinant is
-    |c|^2 - |s|^2, i.e. 1 for a symplectic block.  The identity gives
-    (1/2, 1/2, 0); a real squeezing block c = cosh g, s = sinh g gives
-    var_p = e^{-2g}/2.
+    m = [[Re(c + s), -Im(c - s)], [Im(c + s), Re(c - s)]], whose determinant
+    is |c|^2 - |s|^2, i.e. 1 for a symplectic block; the covariance is
+    (1/2) m m^T.  The identity gives (1/2, 1/2, 0); a real squeezing block
+    c = cosh g, s = sinh g gives var_p = e^{-2g}/2.
     """
-    c, s = transform.c, transform.s
-    m = np.array([
-        [np.real(c + s), -np.imag(c - s)],
-        [np.imag(c + s), np.real(c - s)],
-    ])
-    v = VACUUM_VARIANCE * (m @ m.T)
-    return float(v[0, 0]), float(v[1, 1]), float(v[0, 1])
+    c, s = transform
+    plus, minus = c + s, c - s
+    return (VACUUM_VARIANCE * (np.real(plus) ** 2 + np.imag(minus) ** 2),
+            VACUUM_VARIANCE * (np.imag(plus) ** 2 + np.real(minus) ** 2),
+            VACUUM_VARIANCE * (np.real(plus) * np.imag(plus)
+                               - np.imag(minus) * np.real(minus)))
 
 
 @dataclass(frozen=True)
@@ -180,13 +179,18 @@ def resonant_r(cavity: CavityConfig) -> float:
         "mod 2 pi)")
 
 
-def _blocks(gain, theta, cavity: CavityConfig):
-    """Closed-form (C, S), broadcast over gain and theta.
+def comb_io(gain, theta, cavity: CavityConfig) -> ModePairTransform:
+    """Cavity input-output blocks, broadcast over gain and theta.
 
-    Raises ``AtThresholdError`` at the first point whose resolvent 1 - r A has
-    a 2-norm condition number sigma_max^2 / |D| of at least ``CONDITION_LIMIT``,
-    where sigma_max^2 = (F^2 + sqrt(F^4 - 4|D|^2)) / 2 and F^2 is its squared
-    Frobenius norm.
+    Returns the coefficients of a_out(theta) = C a_in(theta) +
+    S a_in^dag(-theta) for each (supermode gain, frequency shift) pair: numbers
+    for scalar arguments, arrays of the broadcast shape otherwise.  Each block
+    satisfies |C|^2 - |S|^2 = 1 for every theta below threshold.
+
+    Raises ``AtThresholdError`` at the first point whose resolvent
+    1 - r e^{i theta} T_n has a 2-norm condition number sigma_max^2 / |D| of
+    at least ``CONDITION_LIMIT``, where sigma_max^2 = (F^2 +
+    sqrt(F^4 - 4|D|^2)) / 2 and F^2 is its squared Frobenius norm.
     """
     gain = np.asarray(gain, dtype=float)
     if np.any(gain < 0):
@@ -213,22 +217,7 @@ def _blocks(gain, theta, cavity: CavityConfig):
         raise AtThresholdError(f"input-output map singular at theta={th:.6g} "
                                f"(g={g:.6g}, r={r:.6g})", theta=float(th))
     c = ((up - r) * (1.0 - r * dn) + h * (up + r**2 * dn)) / det
-    return c, (1.0 - r**2) * up * sh / det
-
-
-def comb_io(gain: float, theta: float,
-            cavity: CavityConfig) -> ModePairTransform:
-    """Cavity input-output block for one (supermode, frequency-shift) pair.
-
-    Returns the coefficients of
-    a_out(theta) = C a_in(theta) + S a_in^dag(-theta); the block satisfies
-    |C|^2 - |S|^2 = 1 for every theta below threshold.
-
-    Raises ``AtThresholdError`` when the resolvent 1 - r e^{i theta} T_n is
-    numerically singular (condition number above ``CONDITION_LIMIT``).
-    """
-    c, s = _blocks(gain, theta, cavity)
-    return ModePairTransform(c=complex(c), s=complex(s))
+    return ModePairTransform(c, (1.0 - r**2) * up * sh / det)
 
 
 @dataclass(frozen=True)
@@ -244,8 +233,6 @@ class SqueezingSpectrum:
     degenerates.
     """
 
-    theta_grid: np.ndarray
-    gains: np.ndarray
     var_x: np.ndarray
     var_p: np.ndarray
     epr: np.ndarray
@@ -265,9 +252,8 @@ def squeezing_spectrum(gains: Sequence[float], cavity: CavityConfig,
             raise AtThresholdError(
                 f"max gain {gains.max():.6g} is at/above threshold "
                 f"{threshold.gain:.6g}", theta=threshold.branch_theta)
-    c, s = _blocks(gains[:, None], thetas, cavity)
+    c, s = comb_io(gains[:, None], thetas, cavity)
     stretch = (np.abs(c) + np.abs(s)) ** 2
     var_p = 0.5 / stretch
-    return SqueezingSpectrum(theta_grid=thetas, gains=gains,
-                             var_x=0.5 * stretch, var_p=var_p,
+    return SqueezingSpectrum(var_x=0.5 * stretch, var_p=var_p,
                              epr=np.where(thetas != 0.0, 2.0 * var_p, np.nan))

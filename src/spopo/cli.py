@@ -311,7 +311,7 @@ def run_squeezing(run: _Run, seed=None) -> list[Path]:
     thetas = np.linspace(-theta_max, theta_max, cfg.run["theta_points"])
     spectrum = squeezing_spectrum(gains[:run.n_kept], cfg.cavity, thetas)
     blocks = [[thetas, mode, spectrum.var_x[mode], spectrum.var_p[mode],
-               spectrum.epr[mode]] for mode in range(spectrum.gains.size)]
+               spectrum.epr[mode]] for mode in range(len(spectrum.var_x))]
     meta = _metadata(cfg, seed)
     meta.update(threshold_gain=_FLOAT_FMT % run.threshold)
     return [_write_csv(run.outdir / "squeezing.csv",

@@ -240,8 +240,9 @@ def build_kernel(grid: FrequencyGrid, pump: PumpConfig,
     if edge > SPECTRAL_TAIL * peak:
         raise SpectralLeakageError(
             "pump spectrum leaks outside the frequency window: relative "
-            f"amplitude {edge / peak:.3e} at omega = 2*omega_max "
-            f"(limit {SPECTRAL_TAIL:g}); enlarge omega_max or shorten tau_p")
+            f"amplitude {edge / peak:.3e} at its edge omega = "
+            f"{2.0 * grid.omega_max:.6g} rad/s (limit {SPECTRAL_TAIL:g}); "
+            "raise grid.n_points to widen it, or shorten tau_p")
     if abs(pump.rep_period * grid.delta_omega - 2.0 * np.pi) \
             > 1e-12 * 2.0 * np.pi:
         raise ValidationError(

@@ -75,10 +75,10 @@ def random_detuned_cavity(rng, branch):
 
 
 def extended_pair(gain, theta, cavity):
-    """|C(theta)|, |S(theta)|, |S(-theta)| of the closed form of ``_blocks``
+    """|C(theta)|, |S(theta)|, |S(-theta)| of the closed form of ``comb_io``
     in np.clongdouble, broadcast over gain and theta.
 
-    The float64 phase arguments theta +- phi are formed exactly as ``_blocks``
+    The float64 phase arguments theta +- phi are formed exactly as ``comb_io``
     forms them: their rounding is an input error, not the solve's.
     """
     ld = np.longdouble
@@ -195,6 +195,27 @@ class TestCombIO:
             phase = rng.uniform(-0.5, 0.5)
             block = comb_io(gain, theta, CavityConfig(r=r, phase=phase))
             assert check_symplectic(block, 1e-10)
+
+    @pytest.mark.parametrize("branch", [0.0, np.pi])
+    def test_grid_matches_scalar_calls(self, branch):
+        # one call on a gains x theta grid gives each point's scalar block;
+        # numpy's array and scalar loops round apart, so not bit for bit
+        rng = np.random.default_rng(12 if branch else 11)
+        for _ in range(10):
+            cavity = random_detuned_cavity(rng, branch)
+            gains = rng.uniform(0.0, 0.999, 6) * threshold_gain(cavity).gain
+            thetas = rng.uniform(-np.pi, np.pi, 15)
+            grid = comb_io(gains[:, None], thetas, cavity)
+            assert grid.c.shape == grid.s.shape == (6, 15)
+            assert check_symplectic(grid, 1e-10)
+            spec = squeezing_spectrum(gains, cavity, thetas)
+            assert np.array_equal(
+                spec.var_p, 0.5 / (np.abs(grid.c) + np.abs(grid.s)) ** 2)
+            for i, g in enumerate(gains):
+                for j, th in enumerate(thetas):
+                    c, s = comb_io(float(g), float(th), cavity)
+                    assert abs(grid.c[i, j] / c - 1) <= 4e-15
+                    assert abs(grid.s[i, j] / s - 1) <= 4e-15
 
     def test_at_threshold_raises(self):
         r = 0.9
@@ -424,13 +445,13 @@ class TestNearThreshold:
                                   self.bound())
 
     def test_one_block_evaluation(self, monkeypatch, default_cavity):
-        calls, blocks = [], cavity_module._blocks
+        calls, blocks = [], cavity_module.comb_io
 
         def counted(*args, **kwargs):
             calls.append(args)
             return blocks(*args, **kwargs)
 
-        monkeypatch.setattr(cavity_module, "_blocks", counted)
+        monkeypatch.setattr(cavity_module, "comb_io", counted)
         gth = threshold_gain(default_cavity).gain
         squeezing_spectrum([0.5 * gth, 0.9 * gth], default_cavity,
                            np.linspace(-1.0, 1.0, 11))

@@ -924,6 +924,17 @@ class TestRunSpectrum:
         assert json.loads(capsys.readouterr().err)["error"] == error
         assert list(out.iterdir()) == []
 
+    def test_leakage_hint_names_config_key(self, tmp_path, capsys):
+        # the window is n_points comb spacings wide, so the hint names the
+        # key that widens it
+        path = write_config(tmp_path,
+                            scenario_dict(**{"grid": {"n_points": 41}}))
+        assert main(["supermodes", "--config", str(path),
+                     "--out", str(tmp_path / "out")]) == 3
+        message = json.loads(capsys.readouterr().err)["message"]
+        assert "grid.n_points" in message
+        assert "omega_max" not in message
+
 
 class TestRunBasis:
     """supermodes, metrology and energy-pumped pulses share one Lanczos

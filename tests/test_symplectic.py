@@ -25,8 +25,9 @@ class TestCheckSymplectic:
         assert not check_symplectic(ModePairTransform(1.0, 1.0), 1e-12)
 
     def test_tolerance_must_be_positive(self):
-        with pytest.raises(ValidationError):
-            check_symplectic(ModePairTransform(1.0, 0.0), 0.0)
+        for tol in (0.0, float("nan")):
+            with pytest.raises(ValidationError):
+                check_symplectic(ModePairTransform(1.0, 0.0), tol)
 
 
 class TestOutputCovariance:
@@ -62,6 +63,15 @@ class TestOutputCovariance:
             assert np.linalg.det(m) == pytest.approx(1.0, rel=1e-10)
             var_x, var_p, cov = output_covariance(t)
             np.testing.assert_allclose([[var_x, cov], [cov, var_p]],
+                                       0.5 * m @ m.T, rtol=1e-12, atol=1e-15)
+        # an array of blocks gives each block's covariance
+        blocks = [random_block(rng) for _ in range(2)]
+        var_x, var_p, cov = output_covariance(ModePairTransform(
+            np.array([b.c for b in blocks]), np.array([b.s for b in blocks])))
+        for k, (c, s) in enumerate(blocks):
+            m = np.array([[np.real(c + s), -np.imag(c - s)],
+                          [np.imag(c + s), np.real(c - s)]])
+            np.testing.assert_allclose([[var_x[k], cov[k]], [cov[k], var_p[k]]],
                                        0.5 * m @ m.T, rtol=1e-12, atol=1e-15)
 
     def test_minimum_variance_over_angles(self):
