@@ -90,9 +90,9 @@ def _write_csv(path: Path, header: list[str], blocks, metadata: dict) -> Path:
     return path
 
 
-def _metadata(cfg: ScenarioConfig, seed) -> dict:
+def _metadata(cfg: ScenarioConfig, seed, **extra) -> dict:
     return {"spopo_version": __version__, "config_hash": cfg.config_hash,
-            "seed": "none" if seed is None else seed}
+            "seed": "none" if seed is None else seed, **extra}
 
 
 def _spectrum_key(cfg: ScenarioConfig) -> bytes:
@@ -278,10 +278,8 @@ def run_supermodes(run: _Run, seed=None) -> list[Path]:
 
             modes = schmidt_decompose(run.kernel,
                                       cfg.run["gain_cutoff"]).modes_freq
-    meta = _metadata(cfg, seed)
-    meta.update(threshold_gain=_FLOAT_FMT % run.threshold,
-                effective_pulse_energy=_FLOAT_FMT % energy,
-                n_kept=n_kept)
+    meta = _metadata(cfg, seed, threshold_gain=_FLOAT_FMT % run.threshold,
+                     effective_pulse_energy=_FLOAT_FMT % energy, n_kept=n_kept)
     written = [_write_csv(outdir / "gains.csv", ["index", "gain"],
                           [[np.arange(gains.size), gains]], meta)]
     omegas = cfg.grid.omegas
@@ -312,8 +310,7 @@ def run_squeezing(run: _Run, seed=None) -> list[Path]:
     spectrum = squeezing_spectrum(gains[:run.n_kept], cfg.cavity, thetas)
     blocks = [[thetas, mode, spectrum.var_x[mode], spectrum.var_p[mode],
                spectrum.epr[mode]] for mode in range(len(spectrum.var_x))]
-    meta = _metadata(cfg, seed)
-    meta.update(threshold_gain=_FLOAT_FMT % run.threshold)
+    meta = _metadata(cfg, seed, threshold_gain=_FLOAT_FMT % run.threshold)
     return [_write_csv(run.outdir / "squeezing.csv",
                        ["theta", "mode", "var_x", "var_p", "epr_variance"],
                        blocks, meta)]
@@ -325,8 +322,7 @@ def run_pulses(run: _Run, seed=None) -> list[Path]:
     cfg, outdir, g0 = run.cfg, run.outdir, run.g0
     r = resonant_r(cfg.cavity)
     n_max = cfg.run["N_max"]
-    meta = _metadata(cfg, seed)
-    meta.update(threshold_gain=_FLOAT_FMT % run.threshold)
+    meta = _metadata(cfg, seed, threshold_gain=_FLOAT_FMT % run.threshold)
     ns = np.arange(1, n_max + 1)
     sigma2, theta = min_variance_curve(g0, r, ns)
     written = [_write_csv(outdir / "sigma2.csv",
@@ -334,14 +330,11 @@ def run_pulses(run: _Run, seed=None) -> list[Path]:
                            "theta_sol"],
                           [[ns, g0, cfg.cavity.r, sigma2, sigma2 / 0.5, theta]],
                           meta)]
-    n_duan = min(n_max, 12)
-    if n_duan >= 2:
-        cov = covariance(g0, r, n_duan)
-        seps = np.arange(1, n_duan)
-        sums = np.array([duan_sum(cov, 0, d) for d in seps])
+    seps = np.arange(1, min(n_max, 12))
+    if seps.size:
         written.append(_write_csv(outdir / "duan.csv",
-                                  ["separation", "duan_sum"], [[seps, sums]],
-                                  meta))
+                                  ["separation", "duan_sum"],
+                                  [[seps, duan_sum(g0, r, seps)]], meta))
     if cfg.run["dump_matrices"]:
         cov = covariance(g0, r, min(n_max, 64))
         for name, mat in (("v_plus", cov.v_plus), ("v_minus", cov.v_minus)):
@@ -369,8 +362,7 @@ def run_metrology(run: _Run, seed=None) -> list[Path]:
     probe = optimal_probe(basis, cfg.crystal.omega0, r,
                           cfg.run["probe_pulses"], cfg.run["n_bar0"],
                           gain0=g0)
-    meta = _metadata(cfg, seed)
-    meta.update(threshold_gain=_FLOAT_FMT % run.threshold)
+    meta = _metadata(cfg, seed, threshold_gain=_FLOAT_FMT % run.threshold)
     blocks = [[ratio, curve.n_values, sigma2, improvement, asymptote]
               for ratio, sigma2, improvement, asymptote in zip(
                   curve.ratios, curve.sigma2, curve.improvement,
@@ -392,9 +384,8 @@ def run_metrology(run: _Run, seed=None) -> list[Path]:
 
     times = (np.arange(probe.n_pulses)[:, None] * basis.rep_period
              + basis.time_grid[None, :]).ravel()
-    pmeta = _metadata(cfg, seed)
-    pmeta.update(amplitude=_FLOAT_FMT % probe.amplitude,
-                 omega_eff_sq=_FLOAT_FMT % probe.omega_eff_sq)
+    pmeta = _metadata(cfg, seed, amplitude=_FLOAT_FMT % probe.amplitude,
+                      omega_eff_sq=_FLOAT_FMT % probe.omega_eff_sq)
     written.append(_write_csv(
         outdir / "probe.csv", ["t", "re", "im"],
         [[times, probe.envelope.real, probe.envelope.imag]], pmeta))

@@ -1,11 +1,11 @@
 """Closed-form pulse-train covariance matrices and their minimum-variance mode.
 
 For N successive pulses of one supermode (coherent/vacuum input, resonant
-round-trip phase), the quadrature covariances are Toeplitz:
+round-trip phase), the quadrature covariances are Toeplitz: V_(j,k)^(+-) is
+V^(+-)(s) at the pulse separation s = |j - k|, with t^2 = 1 - r^2,
 
-    V_(j,k)^(+-) = delta_jk/2 (r^2 + t^4 e^(+-2g) / (1 - r^2 e^(+-2g)))
-                 - (1-delta_jk)/2 t^2 (1 - e^(+-2g)) / (1 - r^2 e^(+-2g))
-                   (r e^(+-g))^|j-k|
+    V^(+-)(0) = (r^2 + t^4 e^(+-2g) / (1 - r^2 e^(+-2g))) / 2,
+    V^(+-)(s) = -t^2 (1 - e^(+-2g)) (r e^(+-g))^s / 2(1 - r^2 e^(+-2g)), s > 0
 
 (+ is the amplified x quadrature, - the squeezed p quadrature), valid only on
 a resonant round trip, where the round-trip amplitude r e^{i phi} is real:
@@ -116,31 +116,42 @@ def io_series_coefficients(gain: float, r: float, s_max: int | None = None
     return out[0], out[1]
 
 
-def covariance(gain: float, r: float, n_pulses: int) -> PulseCovariance:
-    """Exact closed-form pulse covariance matrices V^(+-)(N) for the signed
-    round-trip amplitude r.
+def _check_counts(values, name: str) -> None:
+    """Refuse pulse counts or separations that are not whole numbers >= 1."""
+    v = np.asarray(values)
+    if v.dtype.kind not in "iuf" or not np.all(
+            (v >= 1) & (v < np.inf) & (v == np.floor(v))):
+        raise ValidationError(f"{name} must be whole numbers >= 1")
 
-    Valid up to and including g = -ln |r|, where the amplified branch V^(+)
-    diverges and is reported as +inf.
-    """
-    _check_below_threshold(gain, r, strict=False)
-    if n_pulses < 1:
-        raise ValidationError("n_pulses must be >= 1")
+
+def _toeplitz_entries(gain: float, r: float, sep: np.ndarray):
+    """V^(+)(s) and V^(-)(s) of the module docstring on an array of pulse
+    separations s = |j - k| (the diagonal value at s = 0), +inf on a
+    diverging branch."""
     t2 = 1.0 - r**2
-    idx = np.arange(n_pulses)
-    sep = np.abs(idx[:, None] - idx[None, :])
-    mats = []
+    out = []
     for sign in (+1.0, -1.0):
         e2 = math.exp(2.0 * sign * gain)
         denom = 1.0 - r**2 * e2
         if denom <= 0.0:
-            mats.append(np.full((n_pulses, n_pulses), np.inf))
+            out.append(np.full(sep.shape, np.inf))
             continue
         diag = 0.5 * (r**2 + t2**2 * e2 / denom)
         off = -0.5 * t2 * (1.0 - e2) / denom \
             * (r * math.exp(sign * gain)) ** sep
-        mats.append(np.where(sep == 0, diag, off))
-    return PulseCovariance(n_pulses=n_pulses, v_plus=mats[0], v_minus=mats[1])
+        out.append(np.where(sep == 0, diag, off))
+    return out[0], out[1]
+
+
+def covariance(gain: float, r: float, n_pulses: int) -> PulseCovariance:
+    """Exact pulse covariance matrices V^(+-)(N) for the signed round-trip
+    amplitude r: ``_toeplitz_entries`` on the |j - k| grid, valid up to and
+    including g = -ln |r|, where V^(+) diverges and is reported as +inf."""
+    _check_below_threshold(gain, r, strict=False)
+    _check_counts(n_pulses, "n_pulses")
+    idx = np.arange(n_pulses)
+    return PulseCovariance(n_pulses, *_toeplitz_entries(
+        gain, r, np.abs(idx[:, None] - idx[None, :])))
 
 
 @dataclass(frozen=True)
@@ -204,8 +215,7 @@ def min_variance_curve(gain: float, r: float,
     # numpy's complex abs rounds a 0-d input apart from a 1-d array (last
     # bit), so every call, scalar or not, runs on one 1-d array
     n = np.ravel(n_pulses)
-    if np.any(n < 1):
-        raise ValidationError("n_pulses must be >= 1")
+    _check_counts(n, "n_pulses")
     q = r * math.exp(-gain)
     kappa = (1.0 - q) / (1.0 + q)
     seed = 0.5 * math.pi / (n + 1.0 / kappa)
@@ -253,25 +263,23 @@ def min_variance_transcendental(gain: float, r: float,
     if r < 0:
         vec = vec * (-1.0) ** k
     vec = vec / np.linalg.norm(vec)
-    center = vec[(n_pulses - 1) // 2]
-    if center < 0:
+    if vec[(n_pulses - 1) // 2] < 0:
         vec = -vec
     return MinVarianceSolution(sigma2=float(sigma2), eigvec=vec,
                                theta_sol=float(theta))
 
 
-def duan_sum(cov: PulseCovariance, j: int, k: int) -> float:
-    """Duan separability witness Var(x_j - x_k) + Var(p_j + p_k).
+def duan_sum(gain: float, r: float, separations):
+    """Duan separability witness Var(x_j - x_k) + Var(p_j + p_k) of two pulses
+    s = |j - k| apart at the signed round-trip amplitude r, broadcast over s.
 
     Separable states satisfy >= 2 in this convention (vacuum gives exactly 2);
     smaller values certify entanglement of the pulse pair.
     """
-    n = cov.n_pulses
-    if j == k:
-        raise ValidationError("duan_sum needs two distinct pulses")
-    if not (0 <= j < n and 0 <= k < n):
-        raise ValidationError(f"pulse indices ({j}, {k}) out of range 0..{n - 1}")
-    vp, vm = cov.v_plus, cov.v_minus
-    var_x = vp[j, j] + vp[k, k] - 2.0 * vp[j, k]
-    var_p = vm[j, j] + vm[k, k] + 2.0 * vm[j, k]
-    return float(var_x + var_p)
+    _check_below_threshold(gain, r, strict=False)
+    _check_counts(separations, "separations")
+    v_plus, v_minus = _toeplitz_entries(gain, r, np.append(0, separations))
+    sums = (v_plus[0] + v_plus[0] - 2.0 * v_plus[1:]) \
+        + (v_minus[0] + v_minus[0] + 2.0 * v_minus[1:])
+    shape = np.shape(separations)
+    return sums.reshape(shape) if shape else float(sums[0])

@@ -146,7 +146,7 @@ def test_criterion_06_no_pairwise_entanglement():
             is_entangled = ppt_min_symplectic_eigenvalue(closed) < 0.5
             verdict_mismatches += is_entangled != (
                 ppt_min_symplectic_eigenvalue(oracle) < 0.5)
-            certified = duan_sum(cov, 0, sep) < 2.0
+            certified = duan_sum(gain, r, sep) < 2.0
             false_positives += certified and not is_entangled
             duan_certified += certified
             entangled += is_entangled

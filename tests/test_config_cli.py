@@ -15,8 +15,8 @@ import spopo.cli
 import spopo.metrology
 import spopo.pulses
 import spopo.supermodes
-from spopo import (CavityConfig, ConfigError, build_kernel, covariance,
-                   duan_sum, optimal_probe, schmidt_decompose, threshold_gain)
+from spopo import (CavityConfig, ConfigError, build_kernel, duan_sum,
+                   optimal_probe, schmidt_decompose, threshold_gain)
 from spopo.supermodes import takagi_values
 from spopo.cli import BASIS_FILE, SPECTRUM_FILE, _write_csv, main
 from spopo.config import load_scenario, parse_scenario
@@ -578,10 +578,10 @@ class TestCliRuns:
         out = tmp_path / "out"
         assert main(["pulses", "--config", str(path), "--out", str(out)]) == 0
         cavity = CavityConfig(r=0.8894, phase=np.pi)
-        cov = covariance(0.8 * threshold_gain(cavity).gain, -cavity.r, 12)
+        gain = 0.8 * threshold_gain(cavity).gain
         duan = load_table(out / "duan.csv")
         np.testing.assert_allclose(
-            duan["duan_sum"], [duan_sum(cov, 0, d) for d in range(1, 12)],
+            duan["duan_sum"], duan_sum(gain, -cavity.r, np.arange(1, 12)),
             rtol=1e-11)
         # the r column is the configured amplitude, not the signed one
         np.testing.assert_array_equal(load_table(out / "sigma2.csv")["r"], 0.8894)
@@ -1325,7 +1325,7 @@ class TestOperatingPoint:
     def test_squeezing_just_below_threshold_is_refused(self, tmp_path,
                                                        capsys):
         # 1 - 1e-12 of threshold passes the ratio check; the resolvent's
-        # condition limit in cavity._blocks refuses it on the theta = 0 branch
+        # condition limit in cavity.comb_io refuses it on the theta = 0 branch
         raw = json.loads(DEFAULT_CONFIG.read_text())
         raw["pump"]["pump_ratio"] = 0.999999999999
         out = tmp_path / "out"

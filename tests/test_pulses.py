@@ -144,6 +144,43 @@ class TestCovariance:
             cov = covariance(gain, r, 1)
             assert cov.v_plus[0, 0] * cov.v_minus[0, 0] > 0.25
 
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["even", "odd"])
+    def test_toeplitz_expansion_of_separation_entries(self, sign):
+        # V_(j,k) is the separation entry V(|j - k|) to the last bit, on
+        # draws below threshold and at g = -ln |r|, where V+ diverges
+        rng = np.random.default_rng(31)
+        draws = below_threshold_draws(rng, 300, r_range=(0.01, 0.99),
+                                      ratio_range=(0.0, 0.999))
+        draws += [(-np.log(r), r) for r in (0.3, 0.8894, 0.99)]
+        for gain, r in draws:
+            r *= sign
+            n = int(rng.integers(2, 65))
+            cov = covariance(gain, r, n)
+            idx = np.arange(n)
+            sep = np.abs(idx[:, None] - idx[None, :])
+            entries = spopo.pulses._toeplitz_entries(gain, r, idx)
+            for mat, entry in zip((cov.v_plus, cov.v_minus), entries):
+                assert mat.tobytes() == entry[sep].tobytes()
+
+    @pytest.mark.parametrize("n", [2.5, 0, -3, np.nan, np.inf],
+                             ids=["fraction", "zero", "negative", "nan", "inf"])
+    def test_pulse_count_must_be_whole(self, n):
+        with pytest.raises(ValidationError, match="whole numbers >= 1"):
+            covariance(0.1, 0.5, n)
+        with pytest.raises(ValidationError, match="whole numbers >= 1"):
+            min_variance_curve(0.1, 0.5, n)
+        with pytest.raises(ValidationError, match="whole numbers >= 1"):
+            min_variance_transcendental(0.1, 0.5, n)
+        with pytest.raises(ValidationError, match="whole numbers >= 1"):
+            min_variance_curve(0.1, 0.5, np.array([1, 2, n]))
+
+    def test_whole_float_pulse_count_accepted(self):
+        assert np.array_equal(covariance(0.1, 0.5, 3.0).v_minus,
+                              covariance(0.1, 0.5, 3).v_minus)
+        for whole, integer in zip(min_variance_curve(0.1, 0.5, 3.0),
+                                  min_variance_curve(0.1, 0.5, 3)):
+            assert whole.tobytes() == integer.tobytes()
+
     def test_odd_branch_is_sign_flip_similarity(self):
         g, r, n = 0.09, 0.8, 6
         even = covariance(g, r, n)
@@ -303,9 +340,8 @@ class TestQuantizedAngle:
 
 class TestDuanSum:
     def test_vacuum_is_exactly_two(self):
-        cov = covariance(0.0, 0.7, 6)
         for sep in range(1, 6):
-            assert duan_sum(cov, 0, sep) == pytest.approx(2.0, abs=1e-14)
+            assert duan_sum(0.0, 0.7, sep) == pytest.approx(2.0, abs=1e-14)
 
     def test_matches_explicit_marginals(self):
         g, r = 0.11, 0.82
@@ -313,13 +349,13 @@ class TestDuanSum:
         j, k = 1, 4
         var_x = cov.v_plus[j, j] + cov.v_plus[k, k] - 2 * cov.v_plus[j, k]
         var_p = cov.v_minus[j, j] + cov.v_minus[k, k] + 2 * cov.v_minus[j, k]
-        assert duan_sum(cov, j, k) == pytest.approx(var_x + var_p, rel=1e-14)
+        assert duan_sum(g, r, k - j) == pytest.approx(var_x + var_p, rel=1e-14)
 
     def test_monotone_toward_uncorrelated_value(self):
         g, r = 0.15, 0.4
         cov = covariance(g, r, 12)
-        values = [duan_sum(cov, 0, d) for d in range(1, 12)]
-        assert all(b >= a for a, b in zip(values, values[1:]))
+        values = duan_sum(g, r, np.arange(1, 12))
+        assert np.all(np.diff(values) >= 0)
         limit = 2 * (cov.v_plus[0, 0] + cov.v_minus[0, 0])
         assert values[-1] < limit
         # correlations decay like (r e^g)^d: essentially gone by d = 11
@@ -331,17 +367,50 @@ class TestDuanSum:
         # the sum can exceed 2 while the pair stays entangled (acceptance
         # suite notes, criterion 06)
         g, r = 0.005, 0.8
-        cov = covariance(g, r, 2)
-        value = duan_sum(cov, 0, 1)
+        value = duan_sum(g, r, 1)
         assert value < 2.0
         assert value == pytest.approx(2 - 4 * r * g, abs=20 * g**2)
 
-    def test_index_validation(self):
-        cov = covariance(0.1, 0.8, 3)
-        with pytest.raises(ValidationError):
-            duan_sum(cov, 1, 1)
-        with pytest.raises(ValidationError):
-            duan_sum(cov, 0, 3)
+    @pytest.mark.parametrize("separations", [
+        0, -1, 1.5, np.nan, np.inf, [1, 0], np.array([2.0, 2.5]), "1",
+    ], ids=["zero", "negative", "fraction", "nan", "inf", "list-with-zero",
+            "array-with-fraction", "string"])
+    def test_separation_validation(self, separations):
+        with pytest.raises(ValidationError, match="whole numbers >= 1"):
+            duan_sum(0.1, 0.8, separations)
+
+    def test_threshold_refused_before_separation(self):
+        with pytest.raises(AboveThresholdError):
+            duan_sum(0.3, 0.9, 0)
+
+    def test_number_in_number_out_array_in_array_out(self):
+        g, r = 0.1, -0.8
+        assert type(duan_sum(g, r, 3)) is float
+        assert duan_sum(g, r, 3.0) == duan_sum(g, r, np.int64(3))
+        grid = np.array([[1, 2, 3], [4, 5, 6]])
+        values = duan_sum(g, r, grid)
+        assert values.shape == grid.shape
+        assert values[1, 2] == duan_sum(g, r, 6)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["even", "odd"])
+    def test_matches_matrix_form_bit_for_bit(self, sign):
+        """Every pulse pair j < k of covariance(g, r, n): the matrix form
+        (V+_jj + V+_kk - 2 V+_jk) + (V-_jj + V-_kk + 2 V-_jk) is
+        duan_sum(g, r, k - j) to the last bit, scalar or broadcast."""
+        rng = np.random.default_rng(30)
+        for gain, r in below_threshold_draws(rng, 300, r_range=(0.01, 0.99),
+                                             ratio_range=(0.0, 0.999)):
+            r *= sign
+            n = int(rng.integers(2, 65))
+            cov = covariance(gain, r, n)
+            vp, vm = cov.v_plus, cov.v_minus
+            j, k = np.triu_indices(n, 1)
+            matrix = (vp[j, j] + vp[k, k] - 2.0 * vp[j, k]) \
+                + (vm[j, j] + vm[k, k] + 2.0 * vm[j, k])
+            assert duan_sum(gain, r, k - j).tobytes() == matrix.tobytes()
+            s = int(rng.integers(1, n))
+            assert np.float64(duan_sum(gain, r, s)).tobytes() \
+                == matrix[np.argmax(k - j == s)].tobytes()
 
 
 class TestPartialTransposeOracle:
