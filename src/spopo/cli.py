@@ -224,7 +224,7 @@ class _Run:
     @cached_property
     def kernel(self):
         cfg = self.cfg
-        return build_kernel(cfg.grid, cfg.pump, cfg.crystal)
+        return build_kernel(cfg.grid.n_points, cfg.pump, cfg.crystal)
 
     @cached_property
     def values(self) -> np.ndarray:
@@ -382,7 +382,7 @@ def run_metrology(run: _Run, seed=None) -> list[Path]:
     summary_path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     written.append(summary_path)
 
-    times = (np.arange(probe.n_pulses)[:, None] * basis.rep_period
+    times = (np.arange(probe.n_pulses)[:, None] * basis.grid.rep_period
              + basis.time_grid[None, :]).ravel()
     pmeta = _metadata(cfg, seed, amplitude=_FLOAT_FMT % probe.amplitude,
                       omega_eff_sq=_FLOAT_FMT % probe.omega_eff_sq)

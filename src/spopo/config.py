@@ -2,11 +2,13 @@
 
 Schema (all values SI):
 
-    grid:    n_points (odd int); the spacing is the comb's, 2 pi / T0
+    grid:    n_points (odd int): the comb grid FrequencyGrid(n_points, T0),
+             spacing 2 pi / T0, half-width omega_max = (n_points - 1) pi / T0
     pump:    exactly one of energy (J) / pump_ratio (g0/g_th); tau_p (s,
              intensity FWHM); T0 (s); delta0 (rad, half the pump CEO)
-    crystal: l_c (m); d_eff (m/V); n0; A_eff (m^2); omega0 (rad/s);
-             signal_dispersion, pump_dispersion (4 Taylor coefficients each)
+    crystal: l_c (m); d_eff (m/V); n0; A_eff (m^2); omega0 (rad/s, above
+             the grid's omega_max); signal_dispersion, pump_dispersion (4
+             Taylor coefficients each)
     cavity:  exactly one of r / finesse; delta_rt (rad), which with delta0
              makes the cavity's one round-trip phase delta_rt + delta0
     run:     optional subcommand knobs: each of RUN_DEFAULTS (gain_cutoff
@@ -199,7 +201,7 @@ def parse_scenario(raw: dict) -> ScenarioConfig:
         raise ConfigError("cavity needs exactly one of r / finesse")
 
     try:
-        grid = FrequencyGrid.comb_aligned(n_points, t0)
+        grid = FrequencyGrid(n_points, t0)
         pump = PumpConfig(
             pulse_energy=energy,
             tau_p=_number(pump_sec, "pump", "tau_p"),
@@ -216,6 +218,11 @@ def parse_scenario(raw: dict) -> ScenarioConfig:
             pump_dispersion=_coefficients(crystal_sec, "crystal",
                                           "pump_dispersion"),
         )
+        if crystal.omega0 <= grid.omega_max:
+            raise ConfigError(
+                f"crystal.omega0 = {crystal.omega0:.6g} rad/s must exceed the "
+                f"grid's omega_max = {grid.omega_max:.6g} rad/s, so that "
+                "omega0 + omega stays positive on the grid")
         phase = (_number(cavity_sec, "cavity", "delta_rt", 0.0)
                  + _number(pump_sec, "pump", "delta0", 0.0))
         if has_r:

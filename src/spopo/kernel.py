@@ -31,16 +31,22 @@ SPECTRAL_TAIL = 1e-8
 
 @dataclass(frozen=True)
 class FrequencyGrid:
-    """Uniform symmetric grid of signal detunings including omega = 0."""
+    """The comb's signal detunings: ``n_points`` (odd) samples spaced by
+    2 pi / ``rep_period`` (T0) about omega = 0, on which the per-period
+    time/frequency transforms are exactly unitary."""
 
     n_points: int
-    omega_max: float
+    rep_period: float
 
     def __post_init__(self):
         if self.n_points < 3 or self.n_points % 2 == 0:
             raise ValidationError("n_points must be odd and >= 3")
-        if self.omega_max <= 0:
-            raise ValidationError("omega_max must be positive")
+        if not 0.0 < self.rep_period < math.inf:
+            raise ValidationError("rep_period must be positive and finite")
+
+    @property
+    def omega_max(self) -> float:
+        return (self.n_points - 1) // 2 * (2.0 * np.pi / self.rep_period)
 
     @property
     def delta_omega(self) -> float:
@@ -54,18 +60,6 @@ class FrequencyGrid:
     def weight(self) -> float:
         """Quadrature weight d_omega / (2 pi) of the frequency measure."""
         return self.delta_omega / (2.0 * np.pi)
-
-    @classmethod
-    def comb_aligned(cls, n_points: int, rep_period: float) -> "FrequencyGrid":
-        """Grid whose spacing is exactly the comb spacing 2 pi / T0.
-
-        On such a grid the per-period time/frequency transforms are exactly
-        unitary, which the comb synthesis and pulse projections rely on.
-        """
-        if rep_period <= 0:
-            raise ValidationError("rep_period must be positive")
-        spacing = 2.0 * np.pi / rep_period
-        return cls(n_points=n_points, omega_max=(n_points - 1) // 2 * spacing)
 
 
 @dataclass(frozen=True)
@@ -218,23 +212,22 @@ class JointKernel:
 # an overflowing phase mismatch leaves inf or NaN in the matrix, which
 # JointKernel refuses; numpy need not warn on the way
 @np.errstate(over="ignore", invalid="ignore")
-def build_kernel(grid: FrequencyGrid, pump: PumpConfig,
+def build_kernel(n_points: int, pump: PumpConfig,
                  crystal: CrystalConfig) -> JointKernel:
-    """Assemble the joint kernel matrix from physical parameters.
+    """Assemble the joint kernel matrix from physical parameters on the
+    comb grid ``FrequencyGrid(n_points, pump.rep_period)``.
 
     Refuses (``SpectralLeakageError``) when the pump spectrum has more than
     ``SPECTRAL_TAIL`` relative amplitude at the edge of the reachable sum
     window [-2 omega_max, 2 omega_max]: gains computed on such a window would
-    be truncation artifacts.  Then refuses (``ValidationError``) a grid whose
-    spacing is not the comb spacing 2 pi / T0 of ``pump.rep_period`` to
-    within 1e-12 of it: the per-period time synthesis of the supermodes is
-    the exact inverse DFT of that grid and of no other.
+    be truncation artifacts.
 
     The matrix is exactly symmetric, and it lies within 1e-14 max|K| of the
     same formula evaluated in extended precision on the uniform grid (tested
     at 171 and 1361 points); evaluating the formula at all n^2 points in
     float64 instead loses up to 5e-13 max|K| where the k_0 terms cancel.
     """
+    grid = FrequencyGrid(n_points, pump.rep_period)
     edge = pump.envelope_spectrum(2.0 * grid.omega_max)
     peak = pump.envelope_spectrum(0.0)
     if edge > SPECTRAL_TAIL * peak:
@@ -243,11 +236,6 @@ def build_kernel(grid: FrequencyGrid, pump: PumpConfig,
             f"amplitude {edge / peak:.3e} at its edge omega = "
             f"{2.0 * grid.omega_max:.6g} rad/s (limit {SPECTRAL_TAIL:g}); "
             "raise grid.n_points to widen it, or shorten tau_p")
-    if abs(pump.rep_period * grid.delta_omega - 2.0 * np.pi) \
-            > 1e-12 * 2.0 * np.pi:
-        raise ValidationError(
-            f"grid spacing {grid.delta_omega:.6g} rad/s is not the comb "
-            f"spacing 2 pi / T0 = {2.0 * np.pi / pump.rep_period:.6g} rad/s")
     # the pump amplitude and the pump-side phase are evaluated on the 2n - 1
     # sums sigma_{i+j} and read through Hankel views, view[i, j] = v[i + j];
     # the signal-side phase on the n grid points.  The Taylor constants are

@@ -9,10 +9,10 @@ supermode extends to a continuous pulse train (frequency comb)
 
 whose spectrum is a comb shifted by theta / T0 from the down-conversion
 centers; phi, the cavity's round-trip phase delta_rt + delta0, does not
-shape psi_n.  The frequency grid is the comb's, spacing 2 pi / T0
-(``build_kernel`` refuses any other), so the per-period time samples are an
-exactly unitary inverse DFT of the frequency samples, and the synthesized
-psi_n(t) stay orthonormal at machine precision.
+shape psi_n.  The frequency grid is the comb's: a ``FrequencyGrid`` holds
+T0 and spaces its points by 2 pi / T0, so the per-period time samples are
+an exactly unitary inverse DFT of the frequency samples, and the
+synthesized psi_n(t) stay orthonormal at machine precision.
 """
 
 from __future__ import annotations
@@ -82,6 +82,9 @@ _RESIDUAL_TOL = 1e-12
 _DEGENERACY_TOL = 1e-10
 
 
+# a kernel near the float range overflows the squared norms; such a run
+# returns None, and numpy need not warn on the way
+@np.errstate(over="ignore", invalid="ignore")
 def _top_eigenpairs(m: np.ndarray, k: int):
     """The k eigenpairs of largest |lam| of a real symmetric ``m``, ordered by
     |lam|, from Lanczos with full reorthogonalization (Golub & Van Loan,
@@ -90,11 +93,13 @@ def _top_eigenpairs(m: np.ndarray, k: int):
     Runs 32 + 2 max(k, 4) steps from the fixed ``_start_vector`` (reruns are
     bitwise identical; a parity-even start such as all ones would reach the
     odd modes of a parity-symmetric kernel through rounding noise alone),
-    stopping early on an invariant Krylov space.  Returns None when that step count exceeds n / 2, when
-    fewer than k + 1 Ritz values exist, when two of the k + 1 leading Ritz
-    values theta lie within 1e-10 |theta_0| in magnitude (a degenerate gain,
-    whose modes ``eigh`` picks), or when a residual |M x - theta x| exceeds
-    1e-12 |theta_0|.
+    stopping early on an invariant Krylov space.  Returns None when that
+    step count exceeds n / 2, when fewer than k + 1 Ritz values exist, when
+    two of the k + 1 leading Ritz values theta lie within 1e-10 |theta_0| in
+    magnitude (a degenerate gain, whose modes ``eigh`` picks), when a
+    residual |M x - theta x| exceeds 1e-12 |theta_0|, or when a norm or a
+    residual is not finite (a matrix near the float range, which ``eigh``
+    scales).
     """
     n = m.shape[0]
     steps = 32 + 2 * max(k, 4)
@@ -115,6 +120,8 @@ def _top_eigenpairs(m: np.ndarray, k: int):
         if j + 1 == steps:
             break
         beta = np.linalg.norm(w)
+        if not np.isfinite(beta):
+            return None
         if beta <= _RESIDUAL_TOL * np.abs(t[:j + 1, :j + 1]).max():
             # invariant to the residual tolerance: every Ritz pair is final
             size = j + 1
@@ -131,7 +138,7 @@ def _top_eigenpairs(m: np.ndarray, k: int):
         return None
     x = basis[:size].T @ s[:, :k]
     residual = np.linalg.norm(m @ x - x * ritz[:k], axis=0)
-    if np.any(residual > _RESIDUAL_TOL * scale):
+    if not np.all(residual <= _RESIDUAL_TOL * scale):
         return None
     return ritz[:k], x
 
@@ -184,13 +191,12 @@ class SupermodeBasis:
     ``modes_freq[:, n]`` samples psi_n(omega) with unit L2 norm under the
     d_omega/2pi quadrature weight; ``modes_time[:, n]`` samples psi_n(t) on
     ``time_grid`` (one period, pulses centered at t = 0) with unit L2 norm
-    under dt, synthesized on first access; the period is the comb's,
-    ``rep_period`` = 2 pi / delta_omega.  ``n_kept`` counts modes with
-    g_n >= cutoff * g_0.  A basis truncated to the top k modes
-    (``schmidt_decompose(..., n_modes=k)``) holds k gains and k modes, and
-    counts ``n_kept`` among those k.  ``kernel`` is the decomposed kernel,
-    or None for a basis rebuilt from stored gains and modes by
-    ``from_modes``.
+    under dt, synthesized on first access; the period is the comb's, the
+    grid's ``rep_period``.  ``n_kept`` counts modes with g_n >= cutoff * g_0.
+    A basis truncated to the top k modes (``schmidt_decompose(...,
+    n_modes=k)``) holds k gains and k modes, and counts ``n_kept`` among
+    those k.  ``kernel`` is the decomposed kernel, or None for a basis
+    rebuilt from stored gains and modes by ``from_modes``.
     """
 
     gains: np.ndarray
@@ -209,14 +215,9 @@ class SupermodeBasis:
         return cls(gains=gains, modes_freq=modes_freq, grid=grid,
                    n_kept=kept_count(gains, gain_cutoff), kernel=kernel)
 
-    @property
-    def rep_period(self) -> float:
-        """The comb period 2 pi / delta_omega of the grid."""
-        return 2.0 * np.pi / self.grid.delta_omega
-
     @cached_property
     def time_grid(self) -> np.ndarray:
-        n, period = self.grid.n_points, self.rep_period
+        n, period = self.grid.n_points, self.grid.rep_period
         return (np.arange(n) + 0.5) * period / n - period / 2.0
 
     @property
@@ -276,8 +277,8 @@ def schmidt_decompose(kernel: JointKernel,
                       n_modes: int | None = None) -> SupermodeBasis:
     """Decompose a joint kernel into supermodes with gains.
 
-    The time grid of the synthesized psi_n(t) spans one comb period
-    2 pi / delta_omega of the kernel's grid.  ``n_modes`` truncates the
+    The time grid of the synthesized psi_n(t) spans one comb period, the
+    ``rep_period`` of the kernel's grid.  ``n_modes`` truncates the
     basis to the top k modes (see ``takagi``).
     """
     if gain_cutoff < 0:

@@ -34,7 +34,7 @@ def make_pump(**overrides) -> PumpConfig:
 
 @pytest.fixture(scope="session")
 def default_grid() -> FrequencyGrid:
-    return FrequencyGrid.comb_aligned(N_POINTS, T0)
+    return FrequencyGrid(N_POINTS, T0)
 
 
 @pytest.fixture(scope="session")
@@ -48,8 +48,8 @@ def default_crystal() -> CrystalConfig:
 
 
 @pytest.fixture(scope="session")
-def default_kernel(default_grid, default_pump, default_crystal):
-    return build_kernel(default_grid, default_pump, default_crystal)
+def default_kernel(default_pump, default_crystal):
+    return build_kernel(N_POINTS, default_pump, default_crystal)
 
 
 @pytest.fixture(scope="session")

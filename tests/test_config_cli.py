@@ -94,6 +94,17 @@ class TestConfigValidation:
         assert cfg.cavity.r == 0.8894
         assert cfg.pump_ratio == 0.8
         assert cfg.grid.delta_omega == pytest.approx(2 * np.pi / T0, rel=1e-12)
+        # the grid and the pump hold the one parsed T0
+        assert cfg.grid.rep_period == cfg.pump.rep_period == T0
+
+    def test_carrier_must_exceed_grid_half_width(self):
+        # the boundary of optimal_probe's omega0 + omega > 0 on the grid
+        omega_max = parse_scenario(scenario_dict()).grid.omega_max
+        with pytest.raises(ConfigError, match="crystal.omega0"):
+            parse_scenario(scenario_dict(**{"crystal.omega0": omega_max}))
+        above = float(np.nextafter(omega_max, np.inf))
+        cfg = parse_scenario(scenario_dict(**{"crystal.omega0": above}))
+        assert np.all(cfg.crystal.omega0 + cfg.grid.omegas > 0.0)
 
     def test_missing_t0_names_field(self):
         raw = scenario_dict()
@@ -270,7 +281,7 @@ class TestCliRuns:
         # the kernel is real: the im column is all "0", as the dump of a
         # complex copy with zero imaginary part printed it
         cfg = load_scenario(path)
-        matrix = build_kernel(cfg.grid, cfg.pump, cfg.crystal).matrix
+        matrix = build_kernel(cfg.grid.n_points, cfg.pump, cfg.crystal).matrix
         body = [ln for ln in (out / "kernel.csv").read_text().splitlines()
                 if not ln.startswith("#")]
         assert body[0] == "re,im"
@@ -332,7 +343,7 @@ class TestCliRuns:
         raw["pump"]["energy"] = 2e-10
         path = write_config(tmp_path, raw)
         cfg = load_scenario(path)
-        full_g0 = takagi_values(build_kernel(cfg.grid, cfg.pump,
+        full_g0 = takagi_values(build_kernel(cfg.grid.n_points, cfg.pump,
                                              cfg.crystal).matrix)[0]
         forbid_full_eigensolves(monkeypatch, 341)
         seen = []
@@ -356,7 +367,8 @@ class TestCliRuns:
         out = tmp_path / "out"
         assert main(["supermodes", "--config", str(path), "--out", str(out)]) == 0
         cfg = load_scenario(path)
-        basis = schmidt_decompose(build_kernel(cfg.grid, cfg.pump, cfg.crystal))
+        basis = schmidt_decompose(build_kernel(cfg.grid.n_points, cfg.pump,
+                                               cfg.crystal))
         gains = load_table(out / "gains.csv")["gain"]
         scale = 0.8 * threshold_gain(cfg.cavity).gain / basis.gains[0]
         assert np.abs(gains - scale * basis.gains).max() \
@@ -520,16 +532,18 @@ class TestCliRuns:
     @pytest.mark.skipif(not REFUSES_HUGE_ALLOCATIONS,
                         reason="the kernel may grant any allocation, whose "
                                "pages would then be written")
-    @pytest.mark.parametrize("command, field, value", [
-        ("pulses", "run.N_max", 10**12),
-        ("squeezing", "run.theta_points", 10**12),
-        ("squeezing", "grid.n_points", 1_000_001),
+    @pytest.mark.parametrize("command, overrides", [
+        ("pulses", {"run.N_max": 10**12}),
+        ("squeezing", {"run.theta_points": 10**12}),
+        # a 2 ns comb keeps the million-point grid's omega_max (1.57e15
+        # rad/s) below the carrier, which a config must
+        ("squeezing", {"grid.n_points": 1_000_001, "pump.T0": 2e-9}),
     ], ids=["N_max", "theta_points", "n_points"])
     def test_unallocatable_size_is_config_error(self, tmp_path, capsys,
-                                                command, field, value):
+                                                command, overrides):
         # each asks numpy for one 7.28 TiB array, which a kernel that does
         # not overcommit refuses at once, before any page is touched
-        path = write_config(tmp_path, scenario_dict(**{field: value}))
+        path = write_config(tmp_path, scenario_dict(**overrides))
         code = main([command, "--config", str(path), "--out",
                      str(tmp_path / "o")])
         assert code == 2
@@ -678,6 +692,24 @@ class TestCliRuns:
         assert err["error"] == "validation-error"
         assert "non-finite" in err["message"]
         assert not list(out.glob("*.csv"))
+
+    @pytest.mark.parametrize("command", ["pulses", "metrology"])
+    def test_kernel_near_float_range_is_at_threshold(self, tmp_path, capsys,
+                                                     command):
+        # g0 = 8.7e239: the Lanczos norms overflow and eigh decides the
+        # gains; the refusal is one error object, with no numpy warning
+        raw = json.loads(DEFAULT_CONFIG.read_text())
+        del raw["pump"]["pump_ratio"]
+        raw["pump"]["energy"] = 2e-10
+        raw["crystal"]["d_eff"] = 1.9e229
+        out = tmp_path / "o"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main([command, "--config",
+                         str(write_config(tmp_path, raw)), "--out", str(out)])
+        assert code == 3
+        assert json.loads(capsys.readouterr().err)["error"] == "at-threshold"
+        assert list(out.iterdir()) == []
 
     def test_non_finite_kernel_stderr_is_one_json_object(self, tmp_path):
         raw = json.loads(DEFAULT_CONFIG.read_text())
@@ -846,7 +878,8 @@ class TestRunSpectrum:
         assert len(key) == 64
         cfg = load_scenario(path)
         assert body == takagi_values(build_kernel(
-            cfg.grid, cfg.pump, cfg.crystal).matrix).astype("<f8").tobytes()
+            cfg.grid.n_points, cfg.pump,
+            cfg.crystal).matrix).astype("<f8").tobytes()
 
     def test_read_spectrum_is_not_solved_again(self, tmp_path, monkeypatch,
                                                capsys):
@@ -1032,7 +1065,7 @@ class TestRunBasis:
         key, _, body = bases.pop().partition(b"\n")
         cfg = load_scenario(path)
         basis = schmidt_decompose(
-            build_kernel(cfg.grid, cfg.pump, cfg.crystal),
+            build_kernel(cfg.grid.n_points, cfg.pump, cfg.crystal),
             n_modes=cfg.run["n_modes_dump"])
         assert key == spopo.cli._spectrum_key(cfg)
         assert body == (basis.gains.astype("<f8").tobytes()
@@ -1313,7 +1346,7 @@ class TestOperatingPoint:
                      str(out)]) == 0
         cfg = load_scenario(path)
         basis = schmidt_decompose(
-            build_kernel(cfg.grid, cfg.pump, cfg.crystal),
+            build_kernel(cfg.grid.n_points, cfg.pump, cfg.crystal),
             n_modes=cfg.run["n_modes_dump"])
         g_th = threshold_gain(cfg.cavity).gain
         summary = json.loads((out / "summary.json").read_text())
@@ -1383,6 +1416,23 @@ class TestOperatingPoint:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "config-error"
         assert "omega_max" in err["message"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["supermodes", "squeezing", "pulses",
+                                         "metrology"])
+    def test_carrier_inside_grid_is_config_error(self, tmp_path, capsys,
+                                                 command):
+        # omega0 + omega must stay positive on the grid: a config error in
+        # every subcommand, before --out is made
+        raw = json.loads(DEFAULT_CONFIG.read_text())
+        raw["crystal"]["omega0"] = 0.85
+        out = tmp_path / "out"
+        path = write_config(tmp_path, raw)
+        assert main([command, "--config", str(path), "--out",
+                     str(out)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config-error"
+        assert "crystal.omega0" in err["message"]
         assert not out.exists()
 
 

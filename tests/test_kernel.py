@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ from spopo import (FrequencyGrid, SpectralLeakageError, ValidationError,
                    build_kernel, chi0, phase_matching)
 from spopo.supermodes import takagi
 
-from conftest import T0, make_crystal, make_pump
+from conftest import N_POINTS, T0, make_crystal, make_pump
 
 needs_long_double = pytest.mark.skipif(
     np.finfo(np.longdouble).eps >= np.finfo(float).eps,
@@ -118,22 +119,38 @@ class TestPumpEnvelope:
 
 class TestGrid:
     def test_spacing_identity(self):
-        grid = FrequencyGrid(n_points=101, omega_max=1e14)
-        assert grid.delta_omega == pytest.approx(2e14 / 100)
+        grid = FrequencyGrid(n_points=101, rep_period=T0)
+        assert grid.delta_omega == pytest.approx(2 * np.pi / T0, rel=1e-12)
         assert grid.omegas[50] == 0.0
 
     def test_odd_required(self):
         with pytest.raises(ValidationError):
-            FrequencyGrid(n_points=100, omega_max=1e14)
+            FrequencyGrid(n_points=100, rep_period=T0)
 
-    def test_comb_aligned_spacing(self):
-        grid = FrequencyGrid.comb_aligned(171, T0)
-        assert grid.delta_omega == pytest.approx(2 * np.pi / T0, rel=1e-12)
+    @pytest.mark.parametrize("rep_period", [0.0, -T0, math.inf])
+    def test_rep_period_positive_and_finite(self, rep_period):
+        with pytest.raises(ValidationError, match="rep_period"):
+            FrequencyGrid(n_points=171, rep_period=rep_period)
+
+    @pytest.mark.parametrize("rep_period", [4e-12, 3.3e-12])
+    @pytest.mark.parametrize("n_points", [5, 41, 171, 1361])
+    def test_derived_from_comb_period(self, n_points, rep_period):
+        # the grid stores (n_points, T0) and derives the rest with the
+        # expressions of the grid that stored omega_max: the same bits
+        grid = FrequencyGrid(n_points, rep_period)
+        assert dataclasses.astuple(grid) == (n_points, rep_period)
+        omega_max = (n_points - 1) // 2 * (2.0 * np.pi / rep_period)
+        delta_omega = 2.0 * omega_max / (n_points - 1)
+        assert grid.omega_max == omega_max
+        assert grid.delta_omega == delta_omega
+        assert grid.weight == delta_omega / (2.0 * np.pi)
+        omegas = np.linspace(-omega_max, omega_max, n_points)
+        assert grid.omegas.tobytes() == omegas.tobytes()
 
 
 class TestBuildKernel:
-    def test_zero_energy_gives_zero_matrix(self, default_grid, default_crystal):
-        kernel = build_kernel(default_grid, make_pump(pulse_energy=0.0),
+    def test_zero_energy_gives_zero_matrix(self, default_crystal):
+        kernel = build_kernel(N_POINTS, make_pump(pulse_energy=0.0),
                               default_crystal)
         assert not np.any(kernel.matrix)
 
@@ -154,8 +171,8 @@ class TestBuildKernel:
         # the factorised build against the n^2-point formula, whose own
         # rounding error is 5e-13 max|K| (the ~3.5e3 rad k_0 terms cancel in
         # its phase); the build is exactly symmetric
-        grid = FrequencyGrid.comb_aligned(n_points, T0)
-        kernel = build_kernel(grid, default_pump, default_crystal)
+        kernel = build_kernel(n_points, default_pump, default_crystal)
+        grid = kernel.grid
         reference = meshgrid_kernel(grid, default_pump, default_crystal)
         assert kernel.matrix.dtype == np.float64
         assert np.abs(kernel.matrix - reference).max() \
@@ -167,8 +184,8 @@ class TestBuildKernel:
     def test_matches_extended_precision_reference(self, n_points,
                                                   default_pump,
                                                   default_crystal):
-        grid = FrequencyGrid.comb_aligned(n_points, T0)
-        kernel = build_kernel(grid, default_pump, default_crystal)
+        kernel = build_kernel(n_points, default_pump, default_crystal)
+        grid = kernel.grid
         reference = long_double_kernel(grid, default_pump, default_crystal)
         scale = np.abs(reference).max()
         assert np.abs(kernel.matrix - reference).max() <= 1e-14 * scale
@@ -179,8 +196,8 @@ class TestBuildKernel:
                                                 default_crystal):
         # psi_0 of the build against psi_0 of the correctly rounded
         # reference kernel, next to psi_0 of the n^2-point formula
-        grid = FrequencyGrid.comb_aligned(n_points, T0)
-        kernel = build_kernel(grid, default_pump, default_crystal)
+        kernel = build_kernel(n_points, default_pump, default_crystal)
+        grid = kernel.grid
         meshgrid = meshgrid_kernel(grid, default_pump, default_crystal)
         rounded = long_double_kernel(grid, default_pump,
                                      default_crystal).astype(float)
@@ -191,38 +208,26 @@ class TestBuildKernel:
             <= np.abs(psi_meshgrid - psi_ref).max()
 
     def test_window_too_small_refused(self, default_crystal):
-        small = FrequencyGrid(n_points=41, omega_max=2e13)
         with pytest.raises(SpectralLeakageError, match="leaks"):
-            build_kernel(small, make_pump(), default_crystal)
+            build_kernel(41, make_pump(), default_crystal)
 
-    @pytest.mark.parametrize("factor", [0.97, 1.1])
-    def test_off_comb_grid_refused(self, factor, default_grid, default_pump,
-                                   default_crystal):
-        # the supermodes' time synthesis is the inverse DFT of the comb grid
-        grid = FrequencyGrid(n_points=default_grid.n_points,
-                             omega_max=factor * default_grid.omega_max)
-        with pytest.raises(ValidationError, match="not the comb spacing"):
-            build_kernel(grid, default_pump, default_crystal)
-
-    def test_gaussian_ridge_structure(self, default_grid):
+    def test_gaussian_ridge_structure(self):
         # flat phase matching: kernel depends on omega + omega' only
         crystal = make_crystal(signal_dispersion=(0.0, 0.0, 0.0, 0.0),
                                pump_dispersion=(0.0, 0.0, 0.0, 0.0))
-        kernel = build_kernel(default_grid, make_pump(), crystal)
+        kernel = build_kernel(N_POINTS, make_pump(), crystal)
         m = kernel.matrix.real
-        n = default_grid.n_points
+        n = N_POINTS
         i, j = n // 2, n // 2 - 8
         assert m[i, j] == m[i - 3, j + 3]
         assert m[i, j] == m[j, i]
 
-    def test_grid_refinement_converges(self, default_grid, default_pump,
-                                       default_crystal):
+    def test_grid_refinement_converges(self, default_pump, default_crystal):
         # half the spacing on the same window: the comb of a pump at 2 T0
-        coarse = build_kernel(default_grid, default_pump, default_crystal)
-        fine_grid = FrequencyGrid(n_points=2 * default_grid.n_points - 1,
-                                  omega_max=default_grid.omega_max)
-        fine = build_kernel(fine_grid, make_pump(rep_period=2 * T0),
+        coarse = build_kernel(N_POINTS, default_pump, default_crystal)
+        fine = build_kernel(2 * N_POINTS - 1, make_pump(rep_period=2 * T0),
                             default_crystal)
+        assert fine.grid.omega_max == coarse.grid.omega_max
         g0_coarse = takagi(coarse.matrix)[0][0]
         g0_fine = takagi(fine.matrix)[0][0]
         assert abs(g0_coarse - g0_fine) / g0_fine < 1e-3

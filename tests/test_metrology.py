@@ -90,6 +90,13 @@ class TestOptimalProbe:
         err = np.linalg.norm(recovered - target) / np.linalg.norm(target)
         assert err < 1e-12
 
+    def test_carrier_inside_grid_refused(self, default_basis, default_cavity):
+        # omega0 + omega reaches 0 at the grid's lower edge
+        with pytest.raises(ValidationError, match="must stay positive"):
+            optimal_probe(default_basis, default_basis.grid.omega_max,
+                          default_cavity.r, n_pulses=2, n_bar0=1e6,
+                          gain0=0.05)
+
     def test_photon_number_normalization(self, default_basis, default_cavity):
         n_pulses, n_bar0 = 6, 2.5e5
         probe = optimal_probe(default_basis, OMEGA0, default_cavity.r,

@@ -7,7 +7,7 @@ from spopo import (FrequencyGrid, JointKernel, ValidationError,
 
 from spopo.supermodes import SupermodeBasis, kept_count, takagi_values
 
-from conftest import T0, make_pump
+from conftest import N_POINTS, T0, make_pump
 
 
 def double_gaussian_kernel(a, b, omega_max=14.0, n_points=301, amplitude=1.0):
@@ -17,8 +17,10 @@ def double_gaussian_kernel(a, b, omega_max=14.0, n_points=301, amplitude=1.0):
     mu = |sqrt(a) - sqrt(b)| / (sqrt(a) + sqrt(b)), and
     g_0 = A sqrt(pi (1 - mu^2)) / (2 pi s), s = 2 (a b)^(1/4)
     (Mehler expansion of the bivariate Gaussian, derived independently).
+    The grid is the comb of period pi (n_points - 1) / omega_max, which
+    reaches +-omega_max.
     """
-    grid = FrequencyGrid(n_points=n_points, omega_max=omega_max)
+    grid = FrequencyGrid(n_points, np.pi * (n_points - 1) / omega_max)
     w = grid.omegas
     w1, w2 = np.meshgrid(w, w, indexing="ij")
     matrix = amplitude * np.exp(-a * (w1 + w2) ** 2 - b * (w1 - w2) ** 2) * grid.weight
@@ -96,7 +98,7 @@ def double_gaussian_law(a, b, amplitude=1.0):
 
 class TestTakagi:
     def test_rank_one_gaussian(self):
-        grid = FrequencyGrid(n_points=201, omega_max=10.0)
+        grid = FrequencyGrid(n_points=201, rep_period=20.0 * np.pi)
         psi = np.exp(-grid.omegas**2 / 2.0)
         psi = psi / np.linalg.norm(psi)
         gain = 0.37
@@ -223,8 +225,7 @@ def full_factorisations(default_pump, default_crystal):
     factorisations."""
     out = {}
     for n_points in (171, 1361):
-        matrix = build_kernel(FrequencyGrid.comb_aligned(n_points, T0),
-                              default_pump, default_crystal).matrix
+        matrix = build_kernel(n_points, default_pump, default_crystal).matrix
         out[n_points] = (matrix, *takagi(matrix))
     return out
 
@@ -287,6 +288,18 @@ class TestTopModes:
         takagi(matrix, 2)
         assert full_eigh_calls == [200]
 
+    def test_overflowing_norms_leave_it_to_eigh(self, default_kernel,
+                                                full_eigh_calls):
+        # near the float range the Lanczos norms overflow: eigh, which
+        # scales the matrix, decides, and numpy does not warn
+        matrix = default_kernel.matrix
+        big = matrix * (1e300 / np.abs(matrix).max())
+        gains, u = takagi(big, 4)
+        full_gains, full_u = takagi(big)
+        assert full_eigh_calls == [171, 171]
+        assert np.array_equal(gains, full_gains[:4])
+        assert np.array_equal(u, full_u[:, :4])
+
     def test_start_vector_reaches_both_parities(self, full_eigh_calls):
         # an exactly parity-symmetric kernel whose modes alternate in parity
         # and in the sign of their eigenvalue (phase 1, then i); its slow
@@ -348,7 +361,7 @@ class TestSchmidtDecompose:
             gain_cutoff=1e-6)
         assert basis.kernel is None
         assert basis.n_kept == default_basis.n_kept
-        assert basis.rep_period == default_basis.rep_period
+        assert basis.grid == default_basis.grid
         assert basis.time_grid.tobytes() == default_basis.time_grid.tobytes()
         assert basis.modes_time.tobytes() == default_basis.modes_time.tobytes()
         assert basis.gram_defect() == default_basis.gram_defect()
@@ -362,8 +375,8 @@ class TestSchmidtDecompose:
         assert default_basis.reconstruction_residual() < 1e-8
         assert 5 < default_basis.n_kept < default_basis.gains.size
 
-    def test_zero_kernel_keeps_nothing(self, default_grid, default_crystal):
-        kernel = build_kernel(default_grid, make_pump(pulse_energy=0.0),
+    def test_zero_kernel_keeps_nothing(self, default_crystal):
+        kernel = build_kernel(N_POINTS, make_pump(pulse_energy=0.0),
                               default_crystal)
         basis = schmidt_decompose(kernel)
         assert basis.n_kept == 0
@@ -395,9 +408,9 @@ class TestSchmidtDecompose:
     def test_fft_synthesis_matches_extended_precision(self, n_points,
                                                       default_pump,
                                                       default_crystal):
-        grid = FrequencyGrid.comb_aligned(n_points, T0)
         basis = schmidt_decompose(
-            build_kernel(grid, default_pump, default_crystal))
+            build_kernel(n_points, default_pump, default_crystal))
+        grid = basis.grid
         probe = basis.modes_freq[:, 0] / (2.356e15 + grid.omegas)
         for samples in (basis.modes_freq, probe):
             reference = extended_precision_synthesis(basis, samples)
@@ -408,8 +421,7 @@ class TestSchmidtDecompose:
     @pytest.mark.parametrize("n_points", [171, 1361])
     def test_takagi_values_match_takagi(self, n_points, default_pump,
                                         default_crystal):
-        kernel = build_kernel(FrequencyGrid.comb_aligned(n_points, T0),
-                              default_pump, default_crystal)
+        kernel = build_kernel(n_points, default_pump, default_crystal)
         values = takagi_values(kernel.matrix)
         assert np.abs(values - takagi(kernel.matrix)[0]).max() \
             <= 1e-14 * values[0]
@@ -420,13 +432,12 @@ class TestSchmidtDecompose:
                                                 default_crystal):
         # equal values, nonzero parts equal bit for bit, zeros in the same
         # places; the sign of a zero is not pinned
-        kernels = [build_kernel(FrequencyGrid.comb_aligned(n, T0),
-                                default_pump, default_crystal)
+        kernels = [build_kernel(n, default_pump, default_crystal)
                    for n in (171, 1361)]
         kernels.append(double_gaussian_kernel(1.0, 0.25))
         # degenerate 2x2 blocks give eigenvectors whose largest |x| is a
         # +/- tie; the zero row gives exact zeros of both signs
-        small = FrequencyGrid(n_points=5, omega_max=1.0)
+        small = FrequencyGrid(n_points=5, rep_period=4.0 * np.pi)
         ties = np.zeros((5, 5))
         ties[:2, :2] = [[1.0, 2.0], [2.0, 1.0]]
         ties[2:4, 2:4] = [[0.0, 1.0], [1.0, 0.0]]
