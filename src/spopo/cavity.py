@@ -193,7 +193,7 @@ def comb_io(gain, theta, cavity: CavityConfig) -> ModePairTransform:
     sqrt(F^4 - 4|D|^2)) / 2 and F^2 is its squared Frobenius norm.
     """
     gain = np.asarray(gain, dtype=float)
-    if np.any(gain < 0):
+    if not np.all(gain >= 0):
         raise ValidationError("gain must be >= 0")
     with np.errstate(over="ignore"):
         ch, sh = np.cosh(gain), np.sinh(gain)

@@ -147,8 +147,7 @@ class _Run:
     - ``kernel``: the joint kernel.
     - ``values``: every unscaled Takagi value, in SPECTRUM_FILE.
     - ``basis``: the run basis, the top k = max(1, n_modes_dump) supermodes
-      (at most n_points) with unscaled gains, in BASIS_FILE.  A basis read
-      from the file carries no kernel.
+      (at most n_points) with unscaled gains, in BASIS_FILE.
 
     A record is read when its first line is ``_spectrum_key`` and a body of
     the right length follows; otherwise it is computed, and ``store`` writes
@@ -232,7 +231,7 @@ class _Run:
 
         body = self._record(
             SPECTRUM_FILE, 8 * self.cfg.grid.n_points,
-            lambda: takagi_values(self.kernel.matrix).astype("<f8").tobytes())
+            lambda: takagi_values(self.kernel).astype("<f8").tobytes())
         return np.frombuffer(body, "<f8")
 
     @property

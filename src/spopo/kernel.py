@@ -77,10 +77,12 @@ class PumpConfig:
     rep_period: float
 
     def __post_init__(self):
-        if self.pulse_energy < 0:
-            raise ValidationError("pulse_energy must be >= 0")
-        if self.tau_p <= 0 or self.rep_period <= 0:
-            raise ValidationError("tau_p and rep_period must be positive")
+        if not 0.0 <= self.pulse_energy < math.inf:
+            raise ValidationError("pulse_energy must be >= 0 and finite")
+        if not (0.0 < self.tau_p < math.inf
+                and 0.0 < self.rep_period < math.inf):
+            raise ValidationError(
+                "tau_p and rep_period must be positive and finite")
         if self.tau_p >= self.rep_period / 20.0:
             raise ValidationError(
                 "tau_p must be << rep_period (enforced: tau_p < T0/20); "
@@ -122,18 +124,22 @@ class CrystalConfig:
     pump_dispersion: tuple = field(default=(0.0, 0.0, 0.0, 0.0))
 
     def __post_init__(self):
-        if self.length <= 0:
-            raise ValidationError("crystal length must be positive")
-        if self.a_eff <= 0:
-            raise ValidationError("a_eff must be positive")
-        if self.n0 < 1:
-            raise ValidationError("n0 must be >= 1")
-        if self.omega0 <= 0:
-            raise ValidationError("omega0 must be positive")
+        if not 0.0 < self.length < math.inf:
+            raise ValidationError("crystal length must be positive and finite")
+        if not math.isfinite(self.d_eff):
+            raise ValidationError("d_eff must be finite")
+        if not 0.0 < self.a_eff < math.inf:
+            raise ValidationError("a_eff must be positive and finite")
+        if not 1.0 <= self.n0 < math.inf:
+            raise ValidationError("n0 must be >= 1 and finite")
+        if not 0.0 < self.omega0 < math.inf:
+            raise ValidationError("omega0 must be positive and finite")
         for name in ("signal_dispersion", "pump_dispersion"):
             coeffs = tuple(float(x) for x in getattr(self, name))
             if len(coeffs) != 4:
                 raise ValidationError(f"{name} needs exactly 4 coefficients")
+            if not all(map(math.isfinite, coeffs)):
+                raise ValidationError(f"{name} coefficients must be finite")
             object.__setattr__(self, name, coeffs)
 
     def k_signal(self, omega) -> np.ndarray:
@@ -204,9 +210,6 @@ class JointKernel:
         m = m.view()
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
-
-    def frobenius_norm(self) -> float:
-        return float(np.linalg.norm(self.matrix))
 
 
 # an overflowing phase mismatch leaves inf or NaN in the matrix, which

@@ -126,8 +126,8 @@ def optimal_probe(basis: SupermodeBasis, omega0: float, r: float,
     (omega0 - i d/dt) psi0' = psi0 spectrally, and the overall amplitude
     carries sqrt(N n_bar0 omega_eff^2).
     """
-    if n_bar0 <= 0:
-        raise ValidationError("n_bar0 must be positive")
+    if not 0 < n_bar0 < math.inf:
+        raise ValidationError("n_bar0 must be positive and finite")
     if basis.n_kept < 1:
         raise ValidationError("basis has no kept modes")
     sol = min_variance_transcendental(gain0, r, n_pulses)
@@ -174,7 +174,7 @@ def improvement_curve(cavity: CavityConfig, ratios: Sequence[float],
     n_max when necessary).
     """
     ratios = np.asarray(ratios, dtype=float)
-    if np.any(ratios < 0.0) or np.any(ratios >= 1.0):
+    if not np.all((0.0 <= ratios) & (ratios < 1.0)):
         raise ValidationError("pump ratios must lie in [0, 1)")
     if n_max < 1:
         raise ValidationError("n_max must be >= 1")

@@ -66,7 +66,7 @@ _EPS = np.finfo(float).eps
 def _check_below_threshold(gain: float, r: float, strict: bool = True) -> None:
     """Strict mode rejects |r| e^g >= 1 (series divergence); the closed forms
     accept g = -ln |r| itself, where only the + branch diverges."""
-    if gain < 0:
+    if not gain >= 0:
         raise ValidationError("gain must be >= 0")
     if not abs(r) < 1.0:
         raise ValidationError(f"need |r| < 1, got {r}")

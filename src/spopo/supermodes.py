@@ -17,16 +17,13 @@ synthesized psi_n(t) stay orthonormal at machine precision.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .config import RUN_DEFAULTS
 from .errors import ValidationError
 from .kernel import FrequencyGrid, JointKernel, check_symmetric
-
-DEFAULT_GAIN_CUTOFF = RUN_DEFAULTS["gain_cutoff"]
 
 
 def takagi(matrix: np.ndarray | JointKernel, n_modes: int | None = None
@@ -163,22 +160,22 @@ def _sign_flips(x: np.ndarray) -> np.ndarray:
     return x[np.argmax(np.abs(x), axis=0), np.arange(x.shape[1])] < 0
 
 
-def takagi_values(matrix: np.ndarray) -> np.ndarray:
-    """Takagi values of a real symmetric matrix in descending order, without
-    modes: the values ``takagi`` returns, to rounding, at the cost of an
-    eigenvalue-only LAPACK call.  A complex matrix is refused
-    (``ValidationError``): ``eigvalsh`` would read it as Hermitian.  The
-    symmetry check is the caller's: a ``JointKernel`` matrix has passed it
-    on construction.
+def takagi_values(kernel: JointKernel) -> np.ndarray:
+    """Takagi values of a joint kernel in descending order, without modes:
+    the values ``takagi`` returns, to rounding, at the cost of an
+    eigenvalue-only LAPACK call.  ``JointKernel`` holds its matrix real and
+    symmetric, so ``eigvalsh`` reads it as it is.
     """
-    if np.iscomplexobj(matrix):
-        raise ValidationError("takagi_values needs a real matrix")
-    return np.sort(np.abs(np.linalg.eigvalsh(matrix)))[::-1]
+    return np.sort(np.abs(np.linalg.eigvalsh(kernel.matrix)))[::-1]
 
 
-def kept_count(gains: np.ndarray, gain_cutoff: float = DEFAULT_GAIN_CUTOFF) -> int:
+def kept_count(gains: np.ndarray, gain_cutoff: float) -> int:
     """Number of descending ``gains`` with g_n >= gain_cutoff * g_0 (0 when
-    g_0 is 0)."""
+    g_0 is 0).  A cutoff outside [0, 1], NaN included, is refused
+    (``ValidationError``): past 1 not even mode 0 would be kept."""
+    if not 0.0 <= gain_cutoff <= 1.0:
+        raise ValidationError(
+            f"gain_cutoff must lie in [0, 1], got {gain_cutoff}")
     if gains[0] > 0.0:
         return int(np.count_nonzero(gains >= gain_cutoff * gains[0]))
     return 0
@@ -195,25 +192,22 @@ class SupermodeBasis:
     grid's ``rep_period``.  ``n_kept`` counts modes with g_n >= cutoff * g_0.
     A basis truncated to the top k modes (``schmidt_decompose(...,
     n_modes=k)``) holds k gains and k modes, and counts ``n_kept`` among
-    those k.  ``kernel`` is the decomposed kernel, or None for a basis
-    rebuilt from stored gains and modes by ``from_modes``.
+    those k.  The basis holds no kernel: a decomposed one and one rebuilt
+    from stored gains and modes by ``from_modes`` are the same.
     """
 
     gains: np.ndarray
     modes_freq: np.ndarray
     grid: FrequencyGrid
     n_kept: int
-    kernel: JointKernel | None = field(default=None, repr=False)
 
     @classmethod
     def from_modes(cls, gains: np.ndarray, modes_freq: np.ndarray,
-                   grid: FrequencyGrid,
-                   gain_cutoff: float = DEFAULT_GAIN_CUTOFF,
-                   kernel: JointKernel | None = None) -> SupermodeBasis:
+                   grid: FrequencyGrid, gain_cutoff: float) -> SupermodeBasis:
         """The basis of descending ``gains`` and mode samples ``modes_freq``
-        on the comb grid ``grid``."""
+        on the comb grid ``grid``, keeping g_n >= gain_cutoff * g_0."""
         return cls(gains=gains, modes_freq=modes_freq, grid=grid,
-                   n_kept=kept_count(gains, gain_cutoff), kernel=kernel)
+                   n_kept=kept_count(gains, gain_cutoff))
 
     @cached_property
     def time_grid(self) -> np.ndarray:
@@ -250,19 +244,20 @@ class SupermodeBasis:
     def modes_time(self) -> np.ndarray:
         return self.time_samples(self.modes_freq)
 
-    def reconstruction_residual(self) -> float:
-        """Relative Frobenius residual of sum_n g_n psi_n psi_n^T over the
-        basis's modes: every mode of a full basis, a rank-k approximation's
-        residual for a truncated one.  A basis without its kernel has none."""
-        if self.kernel is None:
-            raise ValidationError("the basis carries no kernel to compare")
-        weight = self.grid.weight
-        phi = self.modes_freq * np.sqrt(weight)
+    def reconstruction_residual(self, kernel: JointKernel) -> float:
+        """Relative Frobenius residual of sum_n g_n psi_n psi_n^T against
+        ``kernel`` over the basis's modes: every mode of a full basis, a
+        rank-k approximation's residual for a truncated one.  A kernel on
+        another grid is refused (``ValidationError``)."""
+        if kernel.grid != self.grid:
+            raise ValidationError(
+                "the kernel lies on another grid than the basis")
+        phi = self.modes_freq * np.sqrt(self.grid.weight)
         rec = (phi * self.gains) @ phi.T
-        denom = self.kernel.frobenius_norm()
+        denom = np.linalg.norm(kernel.matrix)
         if denom == 0.0:
             return float(np.linalg.norm(rec))
-        return float(np.linalg.norm(rec - self.kernel.matrix) / denom)
+        return float(np.linalg.norm(rec - kernel.matrix) / denom)
 
     def gram_defect(self) -> float:
         """Max deviation of the kept-mode Gram matrix from identity; 0 when
@@ -272,19 +267,16 @@ class SupermodeBasis:
         return float(np.abs(phi.conj().T @ phi - np.eye(n)).max(initial=0.0))
 
 
-def schmidt_decompose(kernel: JointKernel,
-                      gain_cutoff: float = DEFAULT_GAIN_CUTOFF,
+def schmidt_decompose(kernel: JointKernel, gain_cutoff: float,
                       n_modes: int | None = None) -> SupermodeBasis:
-    """Decompose a joint kernel into supermodes with gains.
+    """Decompose a joint kernel into supermodes with gains, keeping
+    g_n >= gain_cutoff * g_0 (``kept_count``).
 
     The time grid of the synthesized psi_n(t) spans one comb period, the
     ``rep_period`` of the kernel's grid.  ``n_modes`` truncates the
     basis to the top k modes (see ``takagi``).
     """
-    if gain_cutoff < 0:
-        raise ValidationError("gain_cutoff must be >= 0")
     grid = kernel.grid
     gains, modes_freq = takagi(kernel, n_modes)
     modes_freq *= 1.0 / np.sqrt(grid.weight)
-    return SupermodeBasis.from_modes(gains, modes_freq, grid, gain_cutoff,
-                                     kernel)
+    return SupermodeBasis.from_modes(gains, modes_freq, grid, gain_cutoff)

@@ -10,6 +10,8 @@ OMEGA0 = 2.356e15
 TAU_P = 1.0e-13
 T0 = 4.0e-12
 N_POINTS = 171
+#: the config's default gain cutoff: modes with g_n >= 1e-6 g_0 are kept
+GAIN_CUTOFF = 1e-6
 #: speed of light in vacuum (m/s), exact in SI
 C_LIGHT = 299792458.0
 
@@ -54,7 +56,7 @@ def default_kernel(default_pump, default_crystal):
 
 @pytest.fixture(scope="session")
 def default_basis(default_kernel):
-    return schmidt_decompose(default_kernel, gain_cutoff=1e-6)
+    return schmidt_decompose(default_kernel, GAIN_CUTOFF)
 
 
 @pytest.fixture(scope="session")

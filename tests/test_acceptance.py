@@ -29,7 +29,7 @@ from spopo import (CavityConfig, check_symplectic, comb_io, covariance,
                    schmidt_decompose, sigma2_limit, threshold_gain)
 from spopo.metrology import ASYMPTOTE_FRACTION
 
-from conftest import below_threshold_draws
+from conftest import GAIN_CUTOFF, below_threshold_draws
 from test_metrology import fock_variance_of_x
 from test_pulses import (ppt_min_symplectic_eigenvalue, pulse_pair_covariance,
                          series_covariance_entry)
@@ -194,12 +194,12 @@ def test_criterion_08_symplecticity_sweep():
 def test_criterion_09_double_gaussian_schmidt():
     a, b = 1.0, 0.25
     kernel = double_gaussian_kernel(a, b, omega_max=16.0, n_points=321)
-    basis = schmidt_decompose(kernel)
+    basis = schmidt_decompose(kernel, GAIN_CUTOFF)
     g0, mu = double_gaussian_law(a, b)
     predicted = g0 * mu ** np.arange(10)
     rel = np.abs(basis.gains[:10] / predicted - 1).max()
     gram = basis.gram_defect()
-    residual = basis.reconstruction_residual()
+    residual = basis.reconstruction_residual(kernel)
     report(9, rel < 1e-6 and gram < 1e-10 and residual < 1e-8,
            f"spectrum rel err {rel:.2e}, gram {gram:.2e}, residual {residual:.2e}")
 

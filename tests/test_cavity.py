@@ -238,6 +238,12 @@ class TestCombIO:
         with pytest.raises(ValidationError, match="overflow"):
             comb_io(800.0, 0.0, CavityConfig(r=0.5))
 
+    @pytest.mark.parametrize("gain", [np.nan, [0.1, np.nan]])
+    def test_nan_gain_refused(self, gain):
+        # a NaN gain is no gain, not an overflowing one
+        with pytest.raises(ValidationError, match="gain must be >= 0"):
+            comb_io(gain, 0.0, CavityConfig(r=0.5))
+
     def test_inverse_map_identity(self):
         # R(T) R(T^-1) = 1 on the 2x2 blocks
         rng = np.random.default_rng(9)

@@ -344,7 +344,7 @@ class TestCliRuns:
         path = write_config(tmp_path, raw)
         cfg = load_scenario(path)
         full_g0 = takagi_values(build_kernel(cfg.grid.n_points, cfg.pump,
-                                             cfg.crystal).matrix)[0]
+                                             cfg.crystal))[0]
         forbid_full_eigensolves(monkeypatch, 341)
         seen = []
 
@@ -368,7 +368,8 @@ class TestCliRuns:
         assert main(["supermodes", "--config", str(path), "--out", str(out)]) == 0
         cfg = load_scenario(path)
         basis = schmidt_decompose(build_kernel(cfg.grid.n_points, cfg.pump,
-                                               cfg.crystal))
+                                               cfg.crystal),
+                                  cfg.run["gain_cutoff"])
         gains = load_table(out / "gains.csv")["gain"]
         scale = 0.8 * threshold_gain(cfg.cavity).gain / basis.gains[0]
         assert np.abs(gains - scale * basis.gains).max() \
@@ -392,8 +393,8 @@ class TestCliRuns:
             requested.append(n_modes)
             return decompose(*args, n_modes=n_modes, **kwargs)
 
-        def shifted(matrix):
-            gains = values(matrix)
+        def shifted(kernel):
+            gains = values(kernel)
             gains[1] *= 1.0 + 1e-9
             return gains
 
@@ -879,7 +880,7 @@ class TestRunSpectrum:
         cfg = load_scenario(path)
         assert body == takagi_values(build_kernel(
             cfg.grid.n_points, cfg.pump,
-            cfg.crystal).matrix).astype("<f8").tobytes()
+            cfg.crystal)).astype("<f8").tobytes()
 
     def test_read_spectrum_is_not_solved_again(self, tmp_path, monkeypatch,
                                                capsys):
@@ -1066,7 +1067,7 @@ class TestRunBasis:
         cfg = load_scenario(path)
         basis = schmidt_decompose(
             build_kernel(cfg.grid.n_points, cfg.pump, cfg.crystal),
-            n_modes=cfg.run["n_modes_dump"])
+            cfg.run["gain_cutoff"], n_modes=cfg.run["n_modes_dump"])
         assert key == spopo.cli._spectrum_key(cfg)
         assert body == (basis.gains.astype("<f8").tobytes()
                         + basis.modes_freq.astype("<c16").tobytes())
@@ -1116,8 +1117,8 @@ class TestRunBasis:
         cold = self._run(path, tmp_path / "cold", "metrology")
         values = spopo.supermodes.takagi_values
 
-        def shifted(matrix):
-            gains = values(matrix)
+        def shifted(kernel):
+            gains = values(kernel)
             gains[1] *= 1.0 + 1e-9
             return gains
 
@@ -1210,7 +1211,7 @@ class TestRecordKey:
                      str(write_config(tmp_path, twins[0])),
                      "--out", str(out)]) == 0
 
-        def solve(matrix):
+        def solve(kernel):
             raise AssertionError("the stored spectrum was solved again")
 
         monkeypatch.setattr(spopo.supermodes, "takagi_values", solve)
@@ -1347,7 +1348,7 @@ class TestOperatingPoint:
         cfg = load_scenario(path)
         basis = schmidt_decompose(
             build_kernel(cfg.grid.n_points, cfg.pump, cfg.crystal),
-            n_modes=cfg.run["n_modes_dump"])
+            cfg.run["gain_cutoff"], n_modes=cfg.run["n_modes_dump"])
         g_th = threshold_gain(cfg.cavity).gain
         summary = json.loads((out / "summary.json").read_text())
         assert summary["ratios"] == [float(basis.gains[0]) / g_th]
@@ -1464,6 +1465,12 @@ class TestStartup:
 
     def test_import_cli_skips_deferred_layers(self):
         assert loaded_modules("import spopo.cli") == CLI_MODULES
+
+    def test_supermode_layer_stands_on_the_kernel(self):
+        # no config, and through it no cavity layer
+        assert loaded_modules("import spopo.supermodes") == {
+            "numpy", "spopo", "spopo.supermodes", "spopo.kernel",
+            "spopo.errors"}
 
     @pytest.mark.parametrize("command, layers", [
         ("supermodes", {"spopo.supermodes"}),

@@ -79,6 +79,17 @@ class TestChi0:
         with pytest.raises(ValidationError):
             make_crystal(n0=0.5)
 
+    @pytest.mark.parametrize("name, value", [
+        ("length", math.nan), ("length", math.inf), ("d_eff", math.nan),
+        ("d_eff", -math.inf), ("a_eff", math.nan), ("a_eff", math.inf),
+        ("n0", math.nan), ("n0", math.inf), ("omega0", math.nan),
+        ("omega0", math.inf),
+        ("signal_dispersion", (0.0, math.nan, 0.0, 0.0)),
+        ("pump_dispersion", (0.0, 0.0, 0.0, math.inf))])
+    def test_non_finite_crystal_refused(self, name, value):
+        with pytest.raises(ValidationError, match=name):
+            make_crystal(**{name: value})
+
 
 class TestPhaseMatching:
     def test_matched_carrier(self):
@@ -111,6 +122,14 @@ class TestPumpEnvelope:
         w = np.linspace(-8e14, 8e14, 8001)
         norm = np.trapezoid(np.abs(pump.envelope_spectrum(w)) ** 2, w) / (2 * np.pi)
         assert norm == pytest.approx(1.0, abs=1e-10)
+
+    @pytest.mark.parametrize("name, value", [
+        ("pulse_energy", math.nan), ("pulse_energy", math.inf),
+        ("tau_p", math.nan), ("rep_period", math.nan),
+        ("rep_period", math.inf)])
+    def test_non_finite_pump_refused(self, name, value):
+        with pytest.raises(ValidationError, match=name):
+            make_pump(**{name: value})
 
     def test_pulse_much_shorter_than_period(self):
         with pytest.raises(ValidationError):

@@ -97,6 +97,13 @@ class TestOptimalProbe:
                           default_cavity.r, n_pulses=2, n_bar0=1e6,
                           gain0=0.05)
 
+    @pytest.mark.parametrize("n_bar0", [np.nan, np.inf])
+    def test_non_finite_photon_number_refused(self, n_bar0, default_basis,
+                                              default_cavity):
+        with pytest.raises(ValidationError, match="n_bar0"):
+            optimal_probe(default_basis, OMEGA0, default_cavity.r,
+                          n_pulses=2, n_bar0=n_bar0, gain0=0.05)
+
     def test_photon_number_normalization(self, default_basis, default_cavity):
         n_pulses, n_bar0 = 6, 2.5e5
         probe = optimal_probe(default_basis, OMEGA0, default_cavity.r,
@@ -161,6 +168,11 @@ class TestImprovementCurve:
     def test_rejects_ratio_at_threshold(self, default_cavity):
         with pytest.raises(ValidationError):
             improvement_curve(default_cavity, [1.0], 10)
+
+    @pytest.mark.parametrize("ratios", [[np.nan], [0.5, np.nan]])
+    def test_rejects_nan_ratio(self, default_cavity, ratios):
+        with pytest.raises(ValidationError, match="pump ratios"):
+            improvement_curve(default_cavity, ratios, 10)
 
     def test_odd_branch_equals_even(self, default_cavity):
         odd = improvement_curve(CavityConfig(r=default_cavity.r, phase=np.pi),

@@ -476,6 +476,15 @@ class TestThresholdGuards:
         with pytest.raises(ValidationError):
             covariance(0.0, r, 4)
 
+    @pytest.mark.parametrize("call, args", [
+        (io_series_coefficients, ()), (covariance, (4,)), (sigma2_limit, ()),
+        (min_variance_curve, (np.arange(1, 4),)),
+        (min_variance_transcendental, (4,)), (duan_sum, (1,))],
+        ids=lambda value: getattr(value, "__name__", ""))
+    def test_nan_gain_refused(self, call, args):
+        with pytest.raises(ValidationError, match="gain must be >= 0"):
+            call(np.nan, 0.5, *args)
+
     def test_sigma2_depends_on_abs_r(self):
         g, r = 0.09, 0.87
         assert sigma2_limit(g, -r) == sigma2_limit(g, r)

@@ -7,7 +7,7 @@ from spopo import (FrequencyGrid, JointKernel, ValidationError,
 
 from spopo.supermodes import SupermodeBasis, kept_count, takagi_values
 
-from conftest import N_POINTS, T0, make_pump
+from conftest import GAIN_CUTOFF, N_POINTS, T0, make_pump
 
 
 def double_gaussian_kernel(a, b, omega_max=14.0, n_points=301, amplitude=1.0):
@@ -150,15 +150,14 @@ class TestTakagi:
 
     def test_complex_input_refused(self, default_kernel):
         # the joint kernel is real; a complex array is refused before the
-        # symmetry and grid checks, even with a zero imaginary part
+        # symmetry and grid checks, even with a zero imaginary part, so no
+        # complex matrix reaches takagi_values
         grid = default_kernel.grid
         asymmetric = np.array([[0.0, 1j], [0.0, 0.0]])
         for m in (default_kernel.matrix + 0j, symmetric_case("3") * (1 + 2j),
                   asymmetric):
             with pytest.raises(ValidationError, match="real"):
                 takagi(m)
-            with pytest.raises(ValidationError, match="real"):
-                takagi_values(m)
             with pytest.raises(ValidationError, match="real"):
                 JointKernel(matrix=m, grid=grid)
 
@@ -169,7 +168,7 @@ class TestTakagi:
         check = spopo.supermodes.check_symmetric
         monkeypatch.setattr(spopo.supermodes, "check_symmetric",
                             lambda m, name: calls.append(name) or check(m, name))
-        basis = schmidt_decompose(default_kernel, n_modes=2)
+        basis = schmidt_decompose(default_kernel, GAIN_CUTOFF, n_modes=2)
         vals, u = takagi(default_kernel, 2)
         assert calls == []
         assert np.array_equal(vals, basis.gains)
@@ -350,35 +349,57 @@ class TestTopModes:
         assert np.abs(basis.modes_freq - default_basis.modes_freq[:, :4]).max() \
             <= 1e-12 * np.abs(default_basis.modes_freq[:, :4]).max()
         # a rank-4 approximation of a kernel with many significant gains
-        assert basis.reconstruction_residual() > 0.1
+        assert basis.reconstruction_residual(default_kernel) > 0.1
 
 
 class TestSchmidtDecompose:
     def test_basis_from_stored_modes(self, default_kernel, default_basis):
-        # gains and modes alone rebuild the basis, without its kernel
+        # gains and modes alone rebuild the basis: it equals the decomposed
+        # one, and handed the kernel it gives the same residual, bit for bit
         basis = SupermodeBasis.from_modes(
             default_basis.gains, default_basis.modes_freq, default_kernel.grid,
-            gain_cutoff=1e-6)
-        assert basis.kernel is None
+            GAIN_CUTOFF)
         assert basis.n_kept == default_basis.n_kept
         assert basis.grid == default_basis.grid
         assert basis.time_grid.tobytes() == default_basis.time_grid.tobytes()
         assert basis.modes_time.tobytes() == default_basis.modes_time.tobytes()
         assert basis.gram_defect() == default_basis.gram_defect()
-        with pytest.raises(ValidationError, match="no kernel"):
-            basis.reconstruction_residual()
+        assert basis.reconstruction_residual(default_kernel) \
+            == default_basis.reconstruction_residual(default_kernel)
 
-    def test_basis_invariants(self, default_basis):
+    def test_residual_refuses_kernel_on_another_grid(self, default_basis,
+                                                     default_pump,
+                                                     default_crystal):
+        other = build_kernel(N_POINTS + 2, default_pump, default_crystal)
+        with pytest.raises(ValidationError, match="another grid"):
+            default_basis.reconstruction_residual(other)
+
+    @pytest.mark.parametrize("cutoff", [np.nan, -1e-9, 1.0 + 1e-9, 2.0,
+                                        np.inf])
+    def test_cutoff_outside_unit_interval_refused(self, cutoff, default_kernel,
+                                                  default_basis):
+        # past 1 the basis would keep no mode, not even mode 0
+        gains, modes = default_basis.gains, default_basis.modes_freq
+        for call in (lambda: kept_count(gains, cutoff),
+                     lambda: SupermodeBasis.from_modes(gains, modes,
+                                                       default_basis.grid,
+                                                       cutoff),
+                     lambda: schmidt_decompose(default_kernel, cutoff,
+                                               n_modes=2)):
+            with pytest.raises(ValidationError, match="gain_cutoff"):
+                call()
+
+    def test_basis_invariants(self, default_kernel, default_basis):
         assert default_basis.gains[0] == default_basis.gains.max()
         assert np.all(np.diff(default_basis.gains) <= 1e-14)
         assert default_basis.gram_defect() < 1e-10
-        assert default_basis.reconstruction_residual() < 1e-8
+        assert default_basis.reconstruction_residual(default_kernel) < 1e-8
         assert 5 < default_basis.n_kept < default_basis.gains.size
 
     def test_zero_kernel_keeps_nothing(self, default_crystal):
         kernel = build_kernel(N_POINTS, make_pump(pulse_energy=0.0),
                               default_crystal)
-        basis = schmidt_decompose(kernel)
+        basis = schmidt_decompose(kernel, GAIN_CUTOFF)
         assert basis.n_kept == 0
         assert not np.any(basis.gains)
         # the empty Gram matrix is the empty identity
@@ -386,13 +407,13 @@ class TestSchmidtDecompose:
 
     def test_double_gaussian_geometric_spectrum(self):
         kernel = double_gaussian_kernel(1.0, 0.25)
-        basis = schmidt_decompose(kernel)
+        basis = schmidt_decompose(kernel, GAIN_CUTOFF)
         g0, mu = double_gaussian_law(1.0, 0.25)
         predicted = g0 * mu ** np.arange(10)
         np.testing.assert_allclose(basis.gains[:10], predicted, rtol=1e-8)
 
     def test_time_modes_synthesized_on_first_access(self, default_kernel):
-        basis = schmidt_decompose(default_kernel)
+        basis = schmidt_decompose(default_kernel, GAIN_CUTOFF)
         assert "modes_time" not in basis.__dict__
         m = basis.grid.n_points
         tau = (np.arange(m) + 0.5) * T0 / m - T0 / 2.0
@@ -409,7 +430,7 @@ class TestSchmidtDecompose:
                                                       default_pump,
                                                       default_crystal):
         basis = schmidt_decompose(
-            build_kernel(n_points, default_pump, default_crystal))
+            build_kernel(n_points, default_pump, default_crystal), GAIN_CUTOFF)
         grid = basis.grid
         probe = basis.modes_freq[:, 0] / (2.356e15 + grid.omegas)
         for samples in (basis.modes_freq, probe):
@@ -422,11 +443,11 @@ class TestSchmidtDecompose:
     def test_takagi_values_match_takagi(self, n_points, default_pump,
                                         default_crystal):
         kernel = build_kernel(n_points, default_pump, default_crystal)
-        values = takagi_values(kernel.matrix)
+        values = takagi_values(kernel)
         assert np.abs(values - takagi(kernel.matrix)[0]).max() \
             <= 1e-14 * values[0]
-        assert kept_count(values) \
-            == schmidt_decompose(kernel).n_kept
+        assert kept_count(values, GAIN_CUTOFF) \
+            == schmidt_decompose(kernel, GAIN_CUTOFF).n_kept
 
     def test_one_pass_modes_match_complex_chain(self, default_pump,
                                                 default_crystal):
@@ -447,7 +468,7 @@ class TestSchmidtDecompose:
         kernels += [JointKernel(matrix=ties, grid=small),
                     JointKernel(matrix=noise + noise.T, grid=small)]
         for kernel in kernels:
-            modes = schmidt_decompose(kernel).modes_freq
+            modes = schmidt_decompose(kernel, GAIN_CUTOFF).modes_freq
             reference = modes_by_complex_chain(kernel.matrix, kernel.grid.weight)
             assert modes.dtype == reference.dtype
             assert np.array_equal(modes, reference)
