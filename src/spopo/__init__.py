@@ -18,18 +18,16 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "cavity": ("CavityConfig", "ModePairTransform", "SqueezingSpectrum",
                "ThresholdResult", "check_symplectic", "comb_io",
-               "output_covariance", "resonant_r", "squeezing_spectrum",
-               "threshold_gain"),
+               "resonant_r", "squeezing_spectrum", "threshold_gain"),
     "errors": ("AboveThresholdError", "AtThresholdError", "ConfigError",
                "NoFiniteThresholdError", "NumericalError", "SpopoError",
                "SpectralLeakageError", "ValidationError"),
     "kernel": ("CrystalConfig", "FrequencyGrid", "JointKernel", "PumpConfig",
-               "build_kernel", "chi0", "phase_matching"),
+               "build_kernel", "chi0"),
     "metrology": ("ImprovementCurve", "ProbeField", "fisher_information",
                   "improvement_curve", "optimal_probe"),
     "pulses": ("MinVarianceSolution", "PulseCovariance", "covariance",
-               "duan_sum", "io_series_coefficients", "min_variance_direct",
-               "min_variance_transcendental", "sigma2_limit"),
+               "duan_sum", "min_variance_transcendental", "sigma2_limit"),
     "supermodes": ("SupermodeBasis", "schmidt_decompose", "takagi"),
 }
 _SOURCE = {name: module for module, names in _EXPORTS.items()

@@ -51,9 +51,6 @@ CONDITION_LIMIT = 1e12
 
 DEFAULT_SYMPLECTIC_TOL = 1e-10
 
-#: vacuum variance of each quadrature, x = (a + a^dag)/sqrt(2)
-VACUUM_VARIANCE = 0.5
-
 
 class ModePairTransform(NamedTuple):
     """Comb-pair Bogoliubov blocks ``[[c, s], [s*, c*]]``: one block, or a
@@ -80,24 +77,6 @@ def check_symplectic(transform: ModePairTransform,
     return bool(np.all(np.abs(transform.symplectic_defect()) <= tol * scale))
 
 
-def output_covariance(transform: ModePairTransform):
-    """Quadrature covariance (var_x, var_p, cov) of the output mode for a
-    vacuum input, in the degenerate (self-paired) case, per block.
-
-    The block acts on (x, p) as the real 2x2 matrix
-    m = [[Re(c + s), -Im(c - s)], [Im(c + s), Re(c - s)]], whose determinant
-    is |c|^2 - |s|^2, i.e. 1 for a symplectic block; the covariance is
-    (1/2) m m^T.  The identity gives (1/2, 1/2, 0); a real squeezing block
-    c = cosh g, s = sinh g gives var_p = e^{-2g}/2.
-    """
-    c, s = transform
-    plus, minus = c + s, c - s
-    return (VACUUM_VARIANCE * (np.real(plus) ** 2 + np.imag(minus) ** 2),
-            VACUUM_VARIANCE * (np.imag(plus) ** 2 + np.real(minus) ** 2),
-            VACUUM_VARIANCE * (np.real(plus) * np.imag(plus)
-                               - np.imag(minus) * np.real(minus)))
-
-
 @dataclass(frozen=True)
 class CavityConfig:
     """Output-coupler amplitude r and round-trip phase delta_rt + delta0.
@@ -122,11 +101,6 @@ class CavityConfig:
     def t(self) -> float:
         """Amplitude transmission; r^2 + t^2 = 1 exactly by construction."""
         return math.sqrt(1.0 - self.r**2)
-
-    @property
-    def finesse(self) -> float:
-        """Diagnostic high-finesse estimate 2 pi / t^2."""
-        return 2.0 * math.pi / self.t**2
 
     @classmethod
     def from_finesse(cls, finesse: float, phase: float = 0.0) -> "CavityConfig":
@@ -185,7 +159,8 @@ def comb_io(gain, theta, cavity: CavityConfig) -> ModePairTransform:
     Returns the coefficients of a_out(theta) = C a_in(theta) +
     S a_in^dag(-theta) for each (supermode gain, frequency shift) pair: numbers
     for scalar arguments, arrays of the broadcast shape otherwise.  Each block
-    satisfies |C|^2 - |S|^2 = 1 for every theta below threshold.
+    satisfies |C|^2 - |S|^2 = 1 for every theta below threshold.  A
+    non-finite theta is refused (``ValidationError``).
 
     Raises ``AtThresholdError`` at the first point whose resolvent
     1 - r e^{i theta} T_n has a 2-norm condition number sigma_max^2 / |D| of
@@ -195,6 +170,8 @@ def comb_io(gain, theta, cavity: CavityConfig) -> ModePairTransform:
     gain = np.asarray(gain, dtype=float)
     if not np.all(gain >= 0):
         raise ValidationError("gain must be >= 0")
+    if not np.all(np.isfinite(theta)):
+        raise ValidationError("theta must be finite")
     with np.errstate(over="ignore"):
         ch, sh = np.cosh(gain), np.sinh(gain)
     if not np.all(np.isfinite(ch)):
@@ -242,7 +219,8 @@ def squeezing_spectrum(gains: Sequence[float], cavity: CavityConfig,
                        theta_grid: Sequence[float]) -> SqueezingSpectrum:
     """Squeezing and pair-entanglement spectra for each supermode gain.
 
-    All gains must lie below the oscillation threshold.
+    All gains must lie below the oscillation threshold, and every theta must
+    be finite (``comb_io`` refuses it otherwise).
     """
     gains = np.asarray(gains, dtype=float)
     thetas = np.asarray(theta_grid, dtype=float)

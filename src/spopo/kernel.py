@@ -3,7 +3,11 @@
 The kernel couples signal detunings omega, omega' around the carrier omega0:
 
     S(omega, omega') = chi0 * l_c * sqrt(E_p) * pump_spectrum(omega + omega')
-                       * phase_matching(omega, omega')
+                       * sin(dphi) / dphi,
+    dphi = l_c [k_s(omega) + k_s(omega') - k_p(omega + omega')] / 2,
+
+with k_s, k_p the crystal's cubic wavevector expansions and the analytic
+limit 1 at dphi = 0.
 
 Discretised with the quadrature weight d_omega/(2 pi) split symmetrically over
 both indices, so the singular values of the matrix are directly the per-round-
@@ -93,11 +97,6 @@ class PumpConfig:
         """Gaussian width: envelope ~ exp(-t^2 / (2 sigma_t^2))."""
         return self.tau_p / _FWHM_TO_SIGMA
 
-    def envelope_time(self, t: np.ndarray) -> np.ndarray:
-        """Normalized envelope alpha_p(t), unit integral of |alpha_p|^2."""
-        s = self.sigma_t
-        return (np.pi * s**2) ** (-0.25) * np.exp(-np.asarray(t) ** 2 / (2 * s**2))
-
     def envelope_spectrum(self, omega: np.ndarray) -> np.ndarray:
         """Fourier transform of the envelope, alpha(w) = int alpha(t) e^{-iwt} dt."""
         s = self.sigma_t
@@ -142,19 +141,6 @@ class CrystalConfig:
                 raise ValidationError(f"{name} coefficients must be finite")
             object.__setattr__(self, name, coeffs)
 
-    def k_signal(self, omega) -> np.ndarray:
-        """Signal wavevector at carrier detuning omega."""
-        return _poly3(self.signal_dispersion, omega)
-
-    def k_pump(self, omega) -> np.ndarray:
-        """Pump wavevector at detuning omega from 2 omega0."""
-        return _poly3(self.pump_dispersion, omega)
-
-
-def _poly3(c, x):
-    x = np.asarray(x, dtype=float)
-    return c[0] + x * (c[1] + x * (c[2] + x * c[3]))
-
 
 def chi0(crystal: CrystalConfig) -> float:
     """Effective nonlinear coupling sqrt(2 w0^2 / (eps0 n0^3 c^3 A_eff)) d_eff."""
@@ -162,18 +148,6 @@ def chi0(crystal: CrystalConfig) -> float:
     # vacuum permittivity (F/m) and speed of light (m/s), CODATA 2022
     den = 8.8541878188e-12 * crystal.n0**3 * 299792458.0**3 * crystal.a_eff
     return math.sqrt(num / den) * crystal.d_eff
-
-
-def phase_matching(crystal: CrystalConfig, omega, omega_prime) -> np.ndarray:
-    """sinc phase-matching factor sin(dphi)/dphi.
-
-    dphi = l_c [k_s(w) + k_s(w') - k_p(w + w')] / 2, with the analytic limit
-    1 at dphi = 0.
-    """
-    w, wp = np.asarray(omega, dtype=float), np.asarray(omega_prime, dtype=float)
-    dphi = 0.5 * crystal.length * (
-        crystal.k_signal(w) + crystal.k_signal(wp) - crystal.k_pump(w + wp))
-    return np.sinc(dphi / np.pi)
 
 
 def check_symmetric(m: np.ndarray, name: str) -> None:

@@ -54,7 +54,8 @@ import numpy as np
 
 from .cavity import CavityConfig, resonant_r, threshold_gain
 from .errors import NumericalError, ValidationError
-from .pulses import min_variance_curve, min_variance_transcendental, sigma2_limit
+from .pulses import (_check_counts, min_variance_curve,
+                     min_variance_transcendental, sigma2_limit)
 from .supermodes import SupermodeBasis
 
 #: convergence level defining the "minimum pulse number" of a curve
@@ -82,9 +83,6 @@ class ProbeField:
     pulse_freq: np.ndarray
     n_pulses: int
 
-    def total_photons(self, dt: float) -> float:
-        return float(np.sum(np.abs(self.envelope) ** 2) * dt)
-
 
 def fisher_information(alpha_prime: np.ndarray,
                        v_minus_family: Sequence[np.ndarray]) -> float:
@@ -96,6 +94,8 @@ def fisher_information(alpha_prime: np.ndarray,
     positive-definite p-covariance per row.
     """
     alpha = np.atleast_2d(np.asarray(alpha_prime, dtype=float))
+    if not np.all(np.isfinite(alpha)):
+        raise ValidationError("alpha_prime has non-finite entries")
     if len(v_minus_family) < alpha.shape[0]:
         raise ValidationError("need one V^(-) matrix per probe mode row")
     total = 0.0
@@ -167,7 +167,8 @@ class ImprovementCurve:
 
 def improvement_curve(cavity: CavityConfig, ratios: Sequence[float],
                       n_max: int) -> ImprovementCurve:
-    """Improvement(N) for N = 1..n_max at each pump ratio g0/g_th < 1.
+    """Improvement(N) for N = 1..n_max at each pump ratio g0/g_th < 1;
+    ``n_max`` is one whole number >= 1.
 
     Also reports the asymptote 1/(sqrt 2 sigma(inf)) and the minimum pulse
     number reaching ``ASYMPTOTE_FRACTION`` of it (in closed form, beyond
@@ -176,12 +177,13 @@ def improvement_curve(cavity: CavityConfig, ratios: Sequence[float],
     ratios = np.asarray(ratios, dtype=float)
     if not np.all((0.0 <= ratios) & (ratios < 1.0)):
         raise ValidationError("pump ratios must lie in [0, 1)")
-    if n_max < 1:
-        raise ValidationError("n_max must be >= 1")
+    if np.ndim(n_max):
+        raise ValidationError("n_max must be one whole number >= 1")
+    _check_counts(n_max, "n_max")
     # sigma^2 is the same on both resonant branches; this refuses other phases
     resonant_r(cavity)
     gth = threshold_gain(cavity).gain
-    ns = np.arange(1, n_max + 1)
+    ns = np.arange(1, int(n_max) + 1)
     sig = np.empty((ratios.size, ns.size))
     asym = np.empty(ratios.size)
     min_n = np.empty(ratios.size, dtype=int)

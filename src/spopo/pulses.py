@@ -55,25 +55,22 @@ import numpy as np
 
 from .errors import AboveThresholdError, NumericalError, ValidationError
 
-#: truncation target for the squared tail of the input-output series
-SERIES_TAIL = 1e-14
 #: Newton passes of ``min_variance_curve``; the slowest start, N = 1 at
 #: kappa = 2^-54 (|r| e^-g the largest float below 1), needs 32
 NEWTON_CAP = 48
 _EPS = np.finfo(float).eps
 
 
-def _check_below_threshold(gain: float, r: float, strict: bool = True) -> None:
-    """Strict mode rejects |r| e^g >= 1 (series divergence); the closed forms
-    accept g = -ln |r| itself, where only the + branch diverges."""
+def _check_below_threshold(gain: float, r: float) -> None:
+    """Refuse |r| e^g > 1 (with 1e-12 slack): the closed forms accept
+    g = -ln |r| itself, where only the + branch diverges."""
     if not gain >= 0:
         raise ValidationError("gain must be >= 0")
     if not abs(r) < 1.0:
         raise ValidationError(f"need |r| < 1, got {r}")
     q = abs(r) * math.exp(gain)
-    if (q >= 1.0) if strict else (q > 1.0 + 1e-12):
-        raise AboveThresholdError(
-            f"|r| e^g = {q:.6g} {'>=' if strict else '>'} 1: above threshold")
+    if q > 1.0 + 1e-12:
+        raise AboveThresholdError(f"|r| e^g = {q:.6g} > 1: above threshold")
 
 
 @dataclass(frozen=True)
@@ -83,37 +80,6 @@ class PulseCovariance:
     n_pulses: int
     v_plus: np.ndarray
     v_minus: np.ndarray
-
-
-def io_series_coefficients(gain: float, r: float, s_max: int | None = None
-                           ) -> tuple[np.ndarray, np.ndarray]:
-    """Pulse input-output series coefficients for the x (+g) and p (-g) branches.
-
-    Output pulse k is coeff[0] times input pulse k plus coeff[s] times input
-    pulse k-s: (-r, t^2 e^{+-g}, t^2 r e^{+-2g}, ...), t^2 = 1 - r^2, for the
-    signed round-trip amplitude r.  ``s_max`` defaults to the smallest
-    truncation whose squared tail is below ``SERIES_TAIL``.
-    """
-    _check_below_threshold(gain, r)
-    t2 = 1.0 - r**2
-    if s_max is None:
-        # tail of sum c_s^2 on the + branch is (t^2 e^g)^2 q^(2 smax) / (1-q^2),
-        # q = |r| e^g < 1
-        q = abs(r) * math.exp(gain)
-        if q == 0.0:
-            s_max = 1
-        else:
-            lead = (t2 * math.exp(gain)) ** 2 / (1.0 - q**2)
-            s_max = max(1, int(math.ceil(
-                math.log(SERIES_TAIL / max(lead, SERIES_TAIL)) / (2.0 * math.log(q)))))
-    out = []
-    s = np.arange(1, s_max + 1)
-    for sign in (+1.0, -1.0):
-        coeff = np.empty(s_max + 1)
-        coeff[0] = -r
-        coeff[1:] = t2 * r ** (s - 1) * np.exp(sign * gain * s)
-        out.append(coeff)
-    return out[0], out[1]
 
 
 def _check_counts(values, name: str) -> None:
@@ -147,7 +113,7 @@ def covariance(gain: float, r: float, n_pulses: int) -> PulseCovariance:
     """Exact pulse covariance matrices V^(+-)(N) for the signed round-trip
     amplitude r: ``_toeplitz_entries`` on the |j - k| grid, valid up to and
     including g = -ln |r|, where V^(+) diverges and is reported as +inf."""
-    _check_below_threshold(gain, r, strict=False)
+    _check_below_threshold(gain, r)
     _check_counts(n_pulses, "n_pulses")
     idx = np.arange(n_pulses)
     return PulseCovariance(n_pulses, *_toeplitz_entries(
@@ -156,31 +122,12 @@ def covariance(gain: float, r: float, n_pulses: int) -> PulseCovariance:
 
 @dataclass(frozen=True)
 class MinVarianceSolution:
-    """Smallest eigenpair of V^(-)(N).
-
-    ``theta_sol`` is the cosine-mode angle in (0, pi/N) for the semi-analytic
-    route (arccos(|r| e^{-g}) at N = 1), None when the eigenpair came from a
-    dense solver.
-    """
+    """Smallest eigenpair of V^(-)(N) and its cosine-mode angle
+    ``theta_sol`` in (0, pi/N) (arccos(|r| e^{-g}) at N = 1)."""
 
     sigma2: float
     eigvec: np.ndarray
-    theta_sol: float | None = None
-
-
-def min_variance_direct(cov: PulseCovariance) -> MinVarianceSolution:
-    """Smallest eigenpair of V^(-) by a dense symmetric eigensolver.
-
-    Sign gauge: the central eigenvector entry is made positive.
-    """
-    if cov.n_pulses > 4096:
-        raise ValidationError("dense solve limited to N <= 4096")
-    vals, vecs = np.linalg.eigh(cov.v_minus)
-    vec = vecs[:, 0]
-    center = vec[(cov.n_pulses - 1) // 2]
-    if center < 0 or (center == 0 and vec.sum() < 0):
-        vec = -vec
-    return MinVarianceSolution(sigma2=float(vals[0]), eigvec=vec)
+    theta_sol: float
 
 
 def _variance_at_angle(gain: float, r: float, theta):
@@ -192,7 +139,7 @@ def _variance_at_angle(gain: float, r: float, theta):
 def sigma2_limit(gain: float, r: float) -> float:
     """Large-N limit of the minimum variance: p-quadrature variance of the
     squeezed comb at zero shift, (1/2) [(|r| - e^-g) / (1 - |r| e^-g)]^2."""
-    _check_below_threshold(gain, r, strict=False)
+    _check_below_threshold(gain, r)
     return _variance_at_angle(gain, abs(r), 0.0)
 
 
@@ -209,7 +156,7 @@ def min_variance_curve(gain: float, r: float,
     of the call.  An N still moving after ``NEWTON_CAP`` passes raises
     ``NumericalError``.
     """
-    _check_below_threshold(gain, r, strict=False)
+    _check_below_threshold(gain, r)
     r = abs(r)
     shape = np.shape(n_pulses)
     # numpy's complex abs rounds a 0-d input apart from a 1-d array (last
@@ -276,7 +223,7 @@ def duan_sum(gain: float, r: float, separations):
     Separable states satisfy >= 2 in this convention (vacuum gives exactly 2);
     smaller values certify entanglement of the pulse pair.
     """
-    _check_below_threshold(gain, r, strict=False)
+    _check_below_threshold(gain, r)
     _check_counts(separations, "separations")
     v_plus, v_minus = _toeplitz_entries(gain, r, np.append(0, separations))
     sums = (v_plus[0] + v_plus[0] - 2.0 * v_plus[1:]) \

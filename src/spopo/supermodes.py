@@ -186,10 +186,11 @@ class SupermodeBasis:
     """Gains and supermode functions of one kernel decomposition.
 
     ``modes_freq[:, n]`` samples psi_n(omega) with unit L2 norm under the
-    d_omega/2pi quadrature weight; ``modes_time[:, n]`` samples psi_n(t) on
-    ``time_grid`` (one period, pulses centered at t = 0) with unit L2 norm
-    under dt, synthesized on first access; the period is the comb's, the
-    grid's ``rep_period``.  ``n_kept`` counts modes with g_n >= cutoff * g_0.
+    d_omega/2pi quadrature weight; ``time_samples(modes_freq)[:, n]``
+    samples psi_n(t) on ``time_grid`` (one period, pulses centered at t = 0)
+    with unit L2 norm under dt = T0 / n_points, the period being the comb's,
+    the grid's ``rep_period``.  ``n_kept`` counts modes with
+    g_n >= cutoff * g_0.
     A basis truncated to the top k modes (``schmidt_decompose(...,
     n_modes=k)``) holds k gains and k modes, and counts ``n_kept`` among
     those k.  The basis holds no kernel: a decomposed one and one rebuilt
@@ -214,10 +215,6 @@ class SupermodeBasis:
         n, period = self.grid.n_points, self.grid.rep_period
         return (np.arange(n) + 0.5) * period / n - period / 2.0
 
-    @property
-    def dt(self) -> float:
-        return float(self.time_grid[1] - self.time_grid[0])
-
     def time_samples(self, freq_samples: np.ndarray) -> np.ndarray:
         """Discrete Fourier synthesis sum_i e^{i w_i t} f(w_i) d_omega/2pi of
         samples on the frequency grid (first axis) onto ``time_grid``.
@@ -239,25 +236,6 @@ class SupermodeBasis:
         spectrum = pre.reshape(column) * samples
         return post.reshape(column) * np.fft.ifft(spectrum, axis=0,
                                                   norm="forward")
-
-    @cached_property
-    def modes_time(self) -> np.ndarray:
-        return self.time_samples(self.modes_freq)
-
-    def reconstruction_residual(self, kernel: JointKernel) -> float:
-        """Relative Frobenius residual of sum_n g_n psi_n psi_n^T against
-        ``kernel`` over the basis's modes: every mode of a full basis, a
-        rank-k approximation's residual for a truncated one.  A kernel on
-        another grid is refused (``ValidationError``)."""
-        if kernel.grid != self.grid:
-            raise ValidationError(
-                "the kernel lies on another grid than the basis")
-        phi = self.modes_freq * np.sqrt(self.grid.weight)
-        rec = (phi * self.gains) @ phi.T
-        denom = np.linalg.norm(kernel.matrix)
-        if denom == 0.0:
-            return float(np.linalg.norm(rec))
-        return float(np.linalg.norm(rec - kernel.matrix) / denom)
 
     def gram_defect(self) -> float:
         """Max deviation of the kept-mode Gram matrix from identity; 0 when

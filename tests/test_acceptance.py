@@ -16,6 +16,14 @@ entangled by the partial-transpose test.  The test name records the
 separability claim the criterion first made; the closed-form covariances,
 which agree with the input-output series (criterion 03) and the comb-block
 integral, refute it.
+
+The oracles live in ``tests/oracles.py``, outside the library: criterion
+06's series oracle (``series_covariance_entry``, a direct summation of the
+input-output series) and partial-transpose test
+(``ppt_min_symplectic_eigenvalue``), criterion 03's
+``io_series_coefficients``, criterion 04's dense ``min_variance_direct``,
+criterion 05's ``output_covariance``, criterion 09's double-Gaussian kernel
+and ``reconstruction_residual``, and criterion 11's Fock-space variance.
 """
 
 import time
@@ -24,16 +32,16 @@ import numpy as np
 
 from spopo import (CavityConfig, check_symplectic, comb_io, covariance,
                    duan_sum, fisher_information, improvement_curve,
-                   io_series_coefficients, min_variance_direct,
-                   min_variance_transcendental, output_covariance,
-                   schmidt_decompose, sigma2_limit, threshold_gain)
+                   min_variance_transcendental, schmidt_decompose,
+                   sigma2_limit, threshold_gain)
 from spopo.metrology import ASYMPTOTE_FRACTION
 
 from conftest import GAIN_CUTOFF, below_threshold_draws
-from test_metrology import fock_variance_of_x
-from test_pulses import (ppt_min_symplectic_eigenvalue, pulse_pair_covariance,
-                         series_covariance_entry)
-from test_supermodes import double_gaussian_kernel, double_gaussian_law
+from oracles import (double_gaussian_kernel, double_gaussian_law,
+                     fock_variance_of_x, io_series_coefficients,
+                     min_variance_direct, output_covariance,
+                     ppt_min_symplectic_eigenvalue, pulse_pair_covariance,
+                     reconstruction_residual, series_covariance_entry)
 
 R_SWEEP = (0.5, 0.8, 0.9, 0.99)
 FIG3_R = 0.8894
@@ -199,7 +207,7 @@ def test_criterion_09_double_gaussian_schmidt():
     predicted = g0 * mu ** np.arange(10)
     rel = np.abs(basis.gains[:10] / predicted - 1).max()
     gram = basis.gram_defect()
-    residual = basis.reconstruction_residual(kernel)
+    residual = reconstruction_residual(basis, kernel)
     report(9, rel < 1e-6 and gram < 1e-10 and residual < 1e-8,
            f"spectrum rel err {rel:.2e}, gram {gram:.2e}, residual {residual:.2e}")
 

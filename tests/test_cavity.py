@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from spopo import (AtThresholdError, CavityConfig, NoFiniteThresholdError,
-                   ValidationError, check_symplectic, comb_io,
-                   output_covariance, resonant_r, squeezing_spectrum,
-                   threshold_gain)
+                   ValidationError, check_symplectic, comb_io, resonant_r,
+                   squeezing_spectrum, threshold_gain)
 from spopo import cavity as cavity_module
 
 from conftest import below_threshold_draws
+from oracles import output_covariance
 
 
 def raw_block(gain, theta, r, phase):
@@ -117,7 +117,7 @@ class TestCavityConfig:
     def test_from_finesse(self):
         cavity = CavityConfig.from_finesse(30.0)
         assert cavity.t**2 == pytest.approx(2 * np.pi / 30.0, rel=1e-12)
-        assert cavity.finesse == pytest.approx(30.0, rel=1e-12)
+        assert 2 * np.pi / cavity.t**2 == pytest.approx(30.0, rel=1e-12)
 
     def test_invalid_reflectivity(self):
         with pytest.raises(ValidationError):
@@ -243,6 +243,17 @@ class TestCombIO:
         # a NaN gain is no gain, not an overflowing one
         with pytest.raises(ValidationError, match="gain must be >= 0"):
             comb_io(gain, 0.0, CavityConfig(r=0.5))
+
+    @pytest.mark.parametrize("theta", [np.nan, np.inf,
+                                       np.array([0.1, np.nan])])
+    def test_non_finite_theta_refused(self, theta):
+        # refused before numpy divides by a NaN determinant
+        with pytest.raises(ValidationError, match="theta must be finite"):
+            comb_io(0.1, theta, CavityConfig(r=0.8894))
+
+    def test_spectrum_refuses_non_finite_theta(self):
+        with pytest.raises(ValidationError, match="theta must be finite"):
+            squeezing_spectrum([0.1], CavityConfig(r=0.8894), [np.nan, 0.0])
 
     def test_inverse_map_identity(self):
         # R(T) R(T^-1) = 1 on the 2x2 blocks

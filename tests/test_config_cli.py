@@ -1,5 +1,6 @@
 import gc
 import hashlib
+import importlib.util
 import json
 import math
 import os
@@ -740,7 +741,8 @@ class TestCliRuns:
 
     def test_module_entry_point(self, tmp_path):
         # the python -m spopo.cli process matches the in-process run; the
-        # supermodes and metrology processes never touch modes_time
+        # supermodes and metrology processes never synthesize the modes in
+        # time
         raw = scenario_dict(**{"run.n_modes_dump": 2})
         path = write_config(tmp_path, raw)
         names = {"pulses": ("sigma2.csv", "duan.csv"),
@@ -1494,16 +1496,33 @@ class TestStartup:
             assert getattr(sys.modules[value.__module__], name) is value
         with pytest.raises(AttributeError, match="no_such_name"):
             spopo.no_such_name
-        # removed with no pipeline, oracle or diagnostic left to use them
+        # removed with no pipeline, oracle or diagnostic left to use them,
+        # and the oracles that moved to tests/oracles.py
         for name in ("CombFunction", "synthesize_comb", "comb_inner_product",
                      "project_pulse", "pulse_train_from_coefficients",
                      "pair_covariance", "epr_pair_check",
                      "TranslationGenerator", "omega_matrix", "compose",
                      "minimum_quadrature_variance", "quadrature_matrix",
-                     "symplectic"):
+                     "symplectic", "io_series_coefficients",
+                     "min_variance_direct", "output_covariance",
+                     "phase_matching"):
             assert name not in spopo.__all__
             with pytest.raises(AttributeError, match=name):
                 getattr(spopo, name)
+
+    def test_benchmark_traced_names_resolve(self, monkeypatch):
+        # perfbench/layers.py looks each traced function up by name in the
+        # loaded spopo modules; a renamed or deleted one breaks --trace
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
+        monkeypatch.setattr(sys, "dont_write_bytecode", True)
+        spec = importlib.util.spec_from_file_location("perfbench_layers", path)
+        layers = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(layers)
+        names = (*layers.SPAN_FUNCTIONS, *layers.AGGREGATED_FUNCTIONS)
+        for name in names:
+            importlib.import_module(f"spopo.{name.partition('.')[0]}")
+        for name in names:
+            assert callable(layers._lookup(name)), name
 
     def test_main_leaves_collector_unfrozen(self, tmp_path):
         path = write_config(tmp_path, scenario_dict())

@@ -11,30 +11,7 @@ from spopo.metrology import ASYMPTOTE_FRACTION, _first_n_at_asymptote
 from spopo.pulses import min_variance_curve
 
 from conftest import OMEGA0
-
-
-def fock_variance_of_x(squeeze: float, displacement: complex,
-                       cutoff: int = 220) -> float:
-    """First-principles Var(x) of D(beta) S |0> built by operator exponentials
-    acting on the Fock-space state vector.
-
-    The squeeze direction is chosen so that p is the squeezed quadrature
-    (x anti-squeezed), matching the pulse covariance convention.
-    """
-    from scipy.sparse import diags
-    from scipy.sparse.linalg import expm_multiply
-
-    a = diags(np.sqrt(np.arange(1, cutoff)), 1, format="csc")
-    adag = a.conj().T
-    vacuum = np.zeros(cutoff, dtype=complex)
-    vacuum[0] = 1.0
-    state = expm_multiply(0.5 * squeeze * (adag @ adag - a @ a), vacuum)
-    state = expm_multiply(displacement * adag - np.conj(displacement) * a,
-                          state)
-    x_op = ((a + adag) / np.sqrt(2)).toarray()
-    mean = np.vdot(state, x_op @ state).real
-    second = np.vdot(state, x_op @ (x_op @ state)).real
-    return second - mean**2
+from oracles import fock_variance_of_x
 
 
 class TestFisherInformation:
@@ -58,6 +35,11 @@ class TestFisherInformation:
     def test_rejects_non_positive_definite(self):
         with pytest.raises(ValidationError):
             fisher_information(np.ones((1, 2)), [-np.eye(2)])
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_rejects_non_finite_alpha_prime(self, value):
+        with pytest.raises(ValidationError, match="alpha_prime"):
+            fisher_information(np.array([[value]]), [0.5 * np.eye(1)])
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
     def test_gaussian_qfi_oracle(self, seed):
@@ -108,7 +90,9 @@ class TestOptimalProbe:
         n_pulses, n_bar0 = 6, 2.5e5
         probe = optimal_probe(default_basis, OMEGA0, default_cavity.r,
                               n_pulses=n_pulses, n_bar0=n_bar0, gain0=0.08)
-        total = probe.total_photons(default_basis.dt)
+        grid = default_basis.grid
+        dt = grid.rep_period / grid.n_points
+        total = float(np.sum(np.abs(probe.envelope) ** 2) * dt)
         assert total == pytest.approx(n_pulses * n_bar0, rel=1e-8)
 
     def test_spread_much_smaller_than_carrier(self, default_basis,
@@ -173,6 +157,18 @@ class TestImprovementCurve:
     def test_rejects_nan_ratio(self, default_cavity, ratios):
         with pytest.raises(ValidationError, match="pump ratios"):
             improvement_curve(default_cavity, ratios, 10)
+
+    @pytest.mark.parametrize("n_max", [np.nan, np.inf, 2.5, 0, -3, [3, 4]])
+    def test_rejects_pulse_count_that_is_not_whole(self, default_cavity,
+                                                   n_max):
+        with pytest.raises(ValidationError, match="n_max"):
+            improvement_curve(default_cavity, [0.5], n_max)
+
+    def test_whole_float_pulse_count_gives_integer_n(self, default_cavity):
+        curve = improvement_curve(default_cavity, [0.5], 3.0)
+        assert curve.n_values.dtype.kind == "i"
+        assert curve.sigma2.tobytes() \
+            == improvement_curve(default_cavity, [0.5], 3).sigma2.tobytes()
 
     def test_odd_branch_equals_even(self, default_cavity):
         odd = improvement_curve(CavityConfig(r=default_cavity.r, phase=np.pi),

@@ -5,58 +5,14 @@ import pytest
 
 import spopo.pulses
 from spopo import (AboveThresholdError, NumericalError, ValidationError,
-                   covariance, duan_sum, io_series_coefficients,
-                   min_variance_direct, min_variance_transcendental,
+                   covariance, duan_sum, min_variance_transcendental,
                    sigma2_limit)
 from spopo.pulses import _variance_at_angle, min_variance_curve
 
 from conftest import below_threshold_draws
-
-
-def series_covariance_entry(g, r, separation, sign):
-    """Independent covariance evaluation by direct series summation.
-
-    Each coefficient t^2 r^(s-1) e^(+-g s) is taken as t^2 e^(+-g) q^(s-1),
-    q = r e^(+-g) < 1: near threshold s_max runs to thousands, where e^(g s)
-    alone overflows and r^(s-1) underflows to a nan product.
-    """
-    t2 = 1 - r * r
-    q = r * np.exp(sign * g)
-    # q^(2 s_tail) <= 1e-18 truncates the products past the separation, so
-    # every entry keeps s_tail + 1 of them whatever its separation
-    s_tail = max(8, int(np.ceil(np.log(1e-18) / (2 * np.log(q)))) if q > 0 else 8)
-    s_max = separation + s_tail
-    coeff = np.empty(s_max + 1)
-    coeff[0] = -r
-    s = np.arange(1, s_max + 1)
-    coeff[1:] = t2 * np.exp(sign * g) * q ** (s - 1)
-    if separation == 0:
-        return 0.5 * np.sum(coeff**2)
-    return 0.5 * np.sum(coeff[separation:] * coeff[:-separation])
-
-
-def pulse_pair_covariance(var_x, cov_x, var_p, cov_p):
-    """4x4 covariance of two pulses, ordered (x_j, p_j, x_k, p_k), from the
-    Toeplitz diagonal and off-diagonal entries of V^(+) and V^(-)."""
-    return np.array([[var_x, 0.0, cov_x, 0.0],
-                     [0.0, var_p, 0.0, cov_p],
-                     [cov_x, 0.0, var_x, 0.0],
-                     [0.0, cov_p, 0.0, var_p]])
-
-
-def ppt_min_symplectic_eigenvalue(sigma):
-    """Smallest symplectic eigenvalue of the partial transpose of a two-mode
-    covariance ordered (x_1, p_1, x_2, p_2).
-
-    Partial transposition flips p_2; the symplectic eigenvalues are the
-    moduli of the eigenvalues of i Omega sigma.  Two Gaussian modes are
-    entangled exactly when the result is below the vacuum variance 1/2
-    (Simon, PRL 84, 2726 (2000)).
-    """
-    flip = np.array([1.0, 1.0, 1.0, -1.0])
-    omega = np.kron(np.eye(2), [[0.0, 1.0], [-1.0, 0.0]])
-    transposed = sigma * np.outer(flip, flip)
-    return float(np.abs(np.linalg.eigvals(1j * omega @ transposed)).min())
+from oracles import (io_series_coefficients, min_variance_direct,
+                     ppt_min_symplectic_eigenvalue, pulse_pair_covariance,
+                     series_covariance_entry)
 
 
 class TestSeriesCoefficients:
