@@ -19,9 +19,9 @@ _EXPORTS = {
     "cavity": ("CavityConfig", "ModePairTransform", "SqueezingSpectrum",
                "ThresholdResult", "check_symplectic", "comb_io",
                "resonant_r", "squeezing_spectrum", "threshold_gain"),
-    "errors": ("AboveThresholdError", "AtThresholdError", "ConfigError",
-               "NoFiniteThresholdError", "NumericalError", "SpopoError",
-               "SpectralLeakageError", "ValidationError"),
+    "errors": ("AtThresholdError", "ConfigError", "NoFiniteThresholdError",
+               "NumericalError", "SpopoError", "SpectralLeakageError",
+               "ValidationError"),
     "kernel": ("CrystalConfig", "FrequencyGrid", "JointKernel", "PumpConfig",
                "build_kernel", "chi0"),
     "metrology": ("ImprovementCurve", "ProbeField", "fisher_information",

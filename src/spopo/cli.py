@@ -1,11 +1,12 @@
-"""Command line runner: spopo <subcommand> --config <path> --out <dir> [--seed N].
+"""Command line runner: spopo <subcommand> --config <path> --out <dir>.
 
 Subcommands: supermodes | squeezing | pulses | metrology.  Each output is a
 CSV file with a one-line header preceded by '#' metadata lines (tool version,
-config hash, seed), apart from metrology's ``summary.json``; stdout lists the
-outputs a run wrote.  Errors are emitted as a JSON object on stderr with a
-stable code and mapped to exit codes 2 (config), 3 (physics domain), 4
-(numerical).
+config hash, then the command's own keys, such as threshold_gain), apart
+from metrology's ``summary.json``; stdout lists the outputs a run wrote.
+Errors are emitted as a JSON object on stderr with a stable code and mapped
+to exit codes 2 (config), 3 (physics domain), 4 (numerical).  The config is
+parsed, and a leaking window refused, before ``--out`` is made.
 
 A run directory also keeps two records, which are not outputs, behind one
 key line (``_spectrum_key``: the grid, pump and crystal, the versions, the
@@ -90,9 +91,9 @@ def _write_csv(path: Path, header: list[str], blocks, metadata: dict) -> Path:
     return path
 
 
-def _metadata(cfg: ScenarioConfig, seed, **extra) -> dict:
+def _metadata(cfg: ScenarioConfig, **extra) -> dict:
     return {"spopo_version": __version__, "config_hash": cfg.config_hash,
-            "seed": "none" if seed is None else seed, **extra}
+            **extra}
 
 
 def _spectrum_key(cfg: ScenarioConfig) -> bytes:
@@ -195,9 +196,10 @@ class _Run:
         return threshold_gain(self.cfg.cavity).gain
 
     def scaled(self, gains: np.ndarray):
-        """``gains`` at the run's pump and that pump's pulse energy; refuses a
-        top gain at or above the threshold.  Gains scale as sqrt(pulse_energy),
-        so a pump_ratio is one factor on its pump's REFERENCE_ENERGY gains."""
+        """``gains`` at the run's pump and the factor that took them there;
+        refuses a top gain at or above the threshold.  Gains scale as
+        sqrt(pulse_energy), so a pump_ratio is one factor on its pump's
+        REFERENCE_ENERGY gains."""
         cfg, gth = self.cfg, self.threshold
         scale = 1.0
         if cfg.pump_ratio is not None:
@@ -212,7 +214,7 @@ class _Run:
         if gains.size and gains[0] >= gth:
             raise AtThresholdError(
                 f"pump drives g0 = {gains[0]:.6g} at/above threshold {gth:.6g}")
-        return gains, cfg.pump.pulse_energy * scale**2
+        return gains, scale
 
     @cached_property
     def g0(self) -> float:
@@ -262,10 +264,14 @@ class _Run:
             cfg.grid, cfg.run["gain_cutoff"])
 
 
-def run_supermodes(run: _Run, seed=None) -> list[Path]:
+def run_supermodes(run: _Run) -> list[Path]:
+    """gain spectrum and supermode dumps"""
     cfg, outdir = run.cfg, run.outdir
     values, n_kept = run.values, run.n_kept
-    gains, energy = run.scaled(values)
+    gains, scale = run.scaled(values)
+    # a tiny coupling scales by up to ~1e300: the energy prints as inf
+    with np.errstate(over="ignore"):
+        energy = cfg.pump.pulse_energy * scale**2
     n_dump = min(n_kept, cfg.run["n_modes_dump"])
     if n_dump:
         modes = run.basis.modes_freq
@@ -277,7 +283,7 @@ def run_supermodes(run: _Run, seed=None) -> list[Path]:
 
             modes = schmidt_decompose(run.kernel,
                                       cfg.run["gain_cutoff"]).modes_freq
-    meta = _metadata(cfg, seed, threshold_gain=_FLOAT_FMT % run.threshold,
+    meta = _metadata(cfg, threshold_gain=_FLOAT_FMT % run.threshold,
                      effective_pulse_energy=_FLOAT_FMT % energy, n_kept=n_kept)
     written = [_write_csv(outdir / "gains.csv", ["index", "gain"],
                           [[np.arange(gains.size), gains]], meta)]
@@ -301,7 +307,8 @@ def run_supermodes(run: _Run, seed=None) -> list[Path]:
     return written
 
 
-def run_squeezing(run: _Run, seed=None) -> list[Path]:
+def run_squeezing(run: _Run) -> list[Path]:
+    """squeezing / EPR spectra versus comb shift theta"""
     cfg = run.cfg
     gains, _ = run.scaled(run.values)
     theta_max = cfg.run["theta_max"]
@@ -309,19 +316,20 @@ def run_squeezing(run: _Run, seed=None) -> list[Path]:
     spectrum = squeezing_spectrum(gains[:run.n_kept], cfg.cavity, thetas)
     blocks = [[thetas, mode, spectrum.var_x[mode], spectrum.var_p[mode],
                spectrum.epr[mode]] for mode in range(len(spectrum.var_x))]
-    meta = _metadata(cfg, seed, threshold_gain=_FLOAT_FMT % run.threshold)
+    meta = _metadata(cfg, threshold_gain=_FLOAT_FMT % run.threshold)
     return [_write_csv(run.outdir / "squeezing.csv",
                        ["theta", "mode", "var_x", "var_p", "epr_variance"],
                        blocks, meta)]
 
 
-def run_pulses(run: _Run, seed=None) -> list[Path]:
+def run_pulses(run: _Run) -> list[Path]:
+    """pulse covariance, minimum variance, Duan sweeps"""
     from .pulses import covariance, duan_sum, min_variance_curve
 
     cfg, outdir, g0 = run.cfg, run.outdir, run.g0
     r = resonant_r(cfg.cavity)
     n_max = cfg.run["N_max"]
-    meta = _metadata(cfg, seed, threshold_gain=_FLOAT_FMT % run.threshold)
+    meta = _metadata(cfg, threshold_gain=_FLOAT_FMT % run.threshold)
     ns = np.arange(1, n_max + 1)
     sigma2, theta = min_variance_curve(g0, r, ns)
     written = [_write_csv(outdir / "sigma2.csv",
@@ -343,7 +351,8 @@ def run_pulses(run: _Run, seed=None) -> list[Path]:
     return written
 
 
-def run_metrology(run: _Run, seed=None) -> list[Path]:
+def run_metrology(run: _Run) -> list[Path]:
+    """time-delay improvement curves and optimal probe"""
     from .metrology import improvement_curve, optimal_probe
 
     cfg, outdir = run.cfg, run.outdir
@@ -351,7 +360,7 @@ def run_metrology(run: _Run, seed=None) -> list[Path]:
     basis, g0 = run.basis, run.g0
     r = resonant_r(cfg.cavity)
     if "ratios" in cfg.run:
-        ratios = [float(x) for x in cfg.run["ratios"]]
+        ratios = cfg.run["ratios"]
     elif cfg.pump_ratio is not None:
         ratios = [cfg.pump_ratio]
     else:
@@ -361,7 +370,7 @@ def run_metrology(run: _Run, seed=None) -> list[Path]:
     probe = optimal_probe(basis, cfg.crystal.omega0, r,
                           cfg.run["probe_pulses"], cfg.run["n_bar0"],
                           gain0=g0)
-    meta = _metadata(cfg, seed, threshold_gain=_FLOAT_FMT % run.threshold)
+    meta = _metadata(cfg, threshold_gain=_FLOAT_FMT % run.threshold)
     blocks = [[ratio, curve.n_values, sigma2, improvement, asymptote]
               for ratio, sigma2, improvement, asymptote in zip(
                   curve.ratios, curve.sigma2, curve.improvement,
@@ -383,7 +392,7 @@ def run_metrology(run: _Run, seed=None) -> list[Path]:
 
     times = (np.arange(probe.n_pulses)[:, None] * basis.grid.rep_period
              + basis.time_grid[None, :]).ravel()
-    pmeta = _metadata(cfg, seed, amplitude=_FLOAT_FMT % probe.amplitude,
+    pmeta = _metadata(cfg, amplitude=_FLOAT_FMT % probe.amplitude,
                       omega_eff_sq=_FLOAT_FMT % probe.omega_eff_sq)
     written.append(_write_csv(
         outdir / "probe.csv", ["t", "re", "im"],
@@ -400,22 +409,20 @@ _RUNNERS = {
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One parser: a command (a key of _RUNNERS, whose docstring line is
+    its help) and the --config and --out that every command takes."""
     parser = argparse.ArgumentParser(
         prog="spopo",
         description="Below-threshold SPOPO quantum properties: supermodes, "
-                    "squeezing spectra, pulse covariances, time-delay bounds.")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-            ("supermodes", "gain spectrum and supermode dumps"),
-            ("squeezing", "squeezing / EPR spectra versus comb shift theta"),
-            ("pulses", "pulse covariance, minimum variance, Duan sweeps"),
-            ("metrology", "time-delay improvement curves and optimal probe")):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", required=True, help="scenario JSON path")
-        p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--seed", type=int, default=None,
-                       help="reserved for future stochastic features; "
-                            "recorded in output metadata")
+                    "squeezing\nspectra, pulse covariances, time-delay bounds.",
+        epilog="commands:\n" + "".join(
+            f"  {name:<12}{runner.__doc__}\n"
+            for name, runner in _RUNNERS.items()),
+        formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("command", choices=_RUNNERS, metavar="command",
+                        help="one of the commands below")
+    parser.add_argument("--config", required=True, help="scenario JSON path")
+    parser.add_argument("--out", required=True, help="output directory")
     return parser
 
 
@@ -430,7 +437,7 @@ def main(argv=None) -> int:
             raise ConfigError(
                 f"--out is not a usable directory: {exc}") from exc
         run = _Run(cfg, outdir)
-        written = _RUNNERS[args.command](run, args.seed)
+        written = _RUNNERS[args.command](run)
         run.store()
     except (SpopoError, MemoryError) as exc:
         if isinstance(exc, MemoryError):

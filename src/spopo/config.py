@@ -2,8 +2,9 @@
 
 Schema (all values SI):
 
-    grid:    n_points (odd int): the comb grid FrequencyGrid(n_points, T0),
-             spacing 2 pi / T0, half-width omega_max = (n_points - 1) pi / T0
+    grid:    n_points (odd int): the comb grid comb_grid(n_points, pump),
+             spacing 2 pi / T0, half-width omega_max = (n_points - 1) pi / T0,
+             wide enough that the pump spectrum does not leak out of it
     pump:    exactly one of energy (J) / pump_ratio (g0/g_th); tau_p (s,
              intensity FWHM); T0 (s); delta0 (rad, half the pump CEO)
     crystal: l_c (m); d_eff (m/V); n0; A_eff (m^2); omega0 (rad/s, above
@@ -13,13 +14,17 @@ Schema (all values SI):
              makes the cavity's one round-trip phase delta_rt + delta0
     run:     optional subcommand knobs: each of RUN_DEFAULTS (gain_cutoff
              in [0, 1], so mode 0 is kept whenever g0 > 0), and ratios
-             ([pump_ratio], or [g0 / g_th] for an energy pump)
+             ([pump_ratio], or [g0 / g_th] for an energy pump); the parsed
+             run holds theta_max, n_bar0, gain_cutoff and each ratio as a
+             float, whatever JSON number the config gave
 
 Every number must be finite: Python's json reads NaN, Infinity and -Infinity,
 and a config holding one anywhere above (a dispersion coefficient, a run knob
 or a ratio included) is a config error, as is a sum delta_rt + delta0 that
 overflows.  So is a key the schema does not name, at the top level or in any
-section: a misspelled knob would otherwise run with its default.
+section: a misspelled knob would otherwise run with its default.  A config
+whose pump spectrum leaks out of the grid's window is refused with
+``SpectralLeakageError`` (a physics-domain error, not a config error).
 """
 
 from __future__ import annotations
@@ -31,8 +36,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .cavity import CavityConfig
-from .errors import ConfigError, SpopoError
-from .kernel import CrystalConfig, FrequencyGrid, PumpConfig
+from .errors import ConfigError, SpectralLeakageError, SpopoError
+from .kernel import CrystalConfig, FrequencyGrid, PumpConfig, comb_grid
 
 #: reference pulse energy used to obtain mode shapes when the pump is
 #: specified through a threshold ratio (gains are rescaled exactly afterwards)
@@ -128,6 +133,10 @@ def _validate_run_section(run: dict) -> None:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
+    """A parsed config.  ``grid`` comes from ``comb_grid``, so it does not
+    leak; ``run`` is a new dict of every run knob, ``raw`` the JSON as
+    given."""
+
     grid: FrequencyGrid
     pump: PumpConfig
     crystal: CrystalConfig
@@ -201,7 +210,6 @@ def parse_scenario(raw: dict) -> ScenarioConfig:
         raise ConfigError("cavity needs exactly one of r / finesse")
 
     try:
-        grid = FrequencyGrid(n_points, t0)
         pump = PumpConfig(
             pulse_energy=energy,
             tau_p=_number(pump_sec, "pump", "tau_p"),
@@ -218,11 +226,6 @@ def parse_scenario(raw: dict) -> ScenarioConfig:
             pump_dispersion=_coefficients(crystal_sec, "crystal",
                                           "pump_dispersion"),
         )
-        if crystal.omega0 <= grid.omega_max:
-            raise ConfigError(
-                f"crystal.omega0 = {crystal.omega0:.6g} rad/s must exceed the "
-                f"grid's omega_max = {grid.omega_max:.6g} rad/s, so that "
-                "omega0 + omega stays positive on the grid")
         phase = (_number(cavity_sec, "cavity", "delta_rt", 0.0)
                  + _number(pump_sec, "pump", "delta0", 0.0))
         if has_r:
@@ -231,11 +234,25 @@ def parse_scenario(raw: dict) -> ScenarioConfig:
         else:
             cavity = CavityConfig.from_finesse(
                 _number(cavity_sec, "cavity", "finesse"), phase=phase)
-    except ConfigError:
+        # the window comes last, so a leaking config with a malformed field
+        # is refused as a config error
+        grid = comb_grid(n_points, pump)
+        if crystal.omega0 <= grid.omega_max:
+            raise ConfigError(
+                f"crystal.omega0 = {crystal.omega0:.6g} rad/s must exceed the "
+                f"grid's omega_max = {grid.omega_max:.6g} rad/s, so that "
+                "omega0 + omega stays positive on the grid")
+    except (ConfigError, SpectralLeakageError):
         raise
     except SpopoError as exc:
         raise ConfigError(f"invalid configuration: {exc}") from exc
-    # a new dict: raw, and so config_hash, stays as the file gave it
+    # a new dict: raw, and so config_hash, stays as the file gave it; an
+    # integer beyond int64 would turn a numpy array built from it into an
+    # object array
+    run = RUN_DEFAULTS | run
+    run.update({key: float(run[key])
+                for key in ("theta_max", "gain_cutoff", "n_bar0")})
+    if "ratios" in run:
+        run["ratios"] = [float(x) for x in run["ratios"]]
     return ScenarioConfig(grid=grid, pump=pump, crystal=crystal, cavity=cavity,
-                          pump_ratio=pump_ratio, run=RUN_DEFAULTS | run,
-                          raw=raw)
+                          pump_ratio=pump_ratio, run=run, raw=raw)

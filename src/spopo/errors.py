@@ -1,4 +1,10 @@
-"""Exception hierarchy with stable machine-readable error codes."""
+"""Exception hierarchy with stable machine-readable error codes.
+
+The CLI prints ``{"error": code, "message": ...}`` on stderr and exits with
+``exit_code``: 2 for a config error, 3 for a physics-domain refusal
+(``validation-error``, ``spectral-leakage``, ``at-threshold``,
+``no-finite-threshold``), 4 for a numerical failure.
+"""
 
 
 class SpopoError(Exception):
@@ -30,7 +36,10 @@ class SpectralLeakageError(ValidationError):
 
 
 class AtThresholdError(SpopoError):
-    """Cavity input-output map singular at the requested operating point."""
+    """Operating point at or above the oscillation threshold: the cavity
+    input-output map is singular there, or the pulse-train closed forms
+    diverge (|r| e^g > 1).  ``theta`` is the comb shift where the cavity
+    map failed, when one did."""
 
     code = "at-threshold"
     exit_code = 3
@@ -38,13 +47,6 @@ class AtThresholdError(SpopoError):
     def __init__(self, message, theta=None):
         super().__init__(message)
         self.theta = theta
-
-
-class AboveThresholdError(SpopoError):
-    """Pulse-train series diverges: r e^g >= 1."""
-
-    code = "above-threshold"
-    exit_code = 3
 
 
 class NoFiniteThresholdError(SpopoError):

@@ -186,23 +186,18 @@ class JointKernel:
         object.__setattr__(self, "matrix", m)
 
 
-# an overflowing phase mismatch leaves inf or NaN in the matrix, which
-# JointKernel refuses; numpy need not warn on the way
-@np.errstate(over="ignore", invalid="ignore")
-def build_kernel(n_points: int, pump: PumpConfig,
-                 crystal: CrystalConfig) -> JointKernel:
-    """Assemble the joint kernel matrix from physical parameters on the
-    comb grid ``FrequencyGrid(n_points, pump.rep_period)``.
+# an edge far out in the envelope's tail overflows its exponent, and the
+# envelope there is exp(-inf) = 0: no leak, and no warning
+@np.errstate(over="ignore")
+def comb_grid(n_points: int, pump: PumpConfig) -> FrequencyGrid:
+    """The run's comb grid: ``n_points`` detunings spaced 2 pi / T0, with
+    T0 the pump's ``rep_period``.
 
     Refuses (``SpectralLeakageError``) when the pump spectrum has more than
     ``SPECTRAL_TAIL`` relative amplitude at the edge of the reachable sum
     window [-2 omega_max, 2 omega_max]: gains computed on such a window would
-    be truncation artifacts.
-
-    The matrix is exactly symmetric, and it lies within 1e-14 max|K| of the
-    same formula evaluated in extended precision on the uniform grid (tested
-    at 171 and 1361 points); evaluating the formula at all n^2 points in
-    float64 instead loses up to 5e-13 max|K| where the k_0 terms cancel.
+    be truncation artifacts.  The answer needs two scalar envelope values and
+    no kernel, so a config is refused when it is parsed.
     """
     grid = FrequencyGrid(n_points, pump.rep_period)
     edge = pump.envelope_spectrum(2.0 * grid.omega_max)
@@ -213,6 +208,23 @@ def build_kernel(n_points: int, pump: PumpConfig,
             f"amplitude {edge / peak:.3e} at its edge omega = "
             f"{2.0 * grid.omega_max:.6g} rad/s (limit {SPECTRAL_TAIL:g}); "
             "raise grid.n_points to widen it, or shorten tau_p")
+    return grid
+
+
+# an overflowing phase mismatch leaves inf or NaN in the matrix, which
+# JointKernel refuses; numpy need not warn on the way
+@np.errstate(over="ignore", invalid="ignore")
+def build_kernel(n_points: int, pump: PumpConfig,
+                 crystal: CrystalConfig) -> JointKernel:
+    """Assemble the joint kernel matrix from physical parameters on the
+    grid ``comb_grid(n_points, pump)``, which refuses a leaking window.
+
+    The matrix is exactly symmetric, and it lies within 1e-14 max|K| of the
+    same formula evaluated in extended precision on the uniform grid (tested
+    at 171 and 1361 points); evaluating the formula at all n^2 points in
+    float64 instead loses up to 5e-13 max|K| where the k_0 terms cancel.
+    """
+    grid = comb_grid(n_points, pump)
     # the pump amplitude and the pump-side phase are evaluated on the 2n - 1
     # sums sigma_{i+j} and read through Hankel views, view[i, j] = v[i + j];
     # the signal-side phase on the n grid points.  The Taylor constants are

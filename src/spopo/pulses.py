@@ -53,7 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AboveThresholdError, NumericalError, ValidationError
+from .errors import AtThresholdError, NumericalError, ValidationError
 
 #: Newton passes of ``min_variance_curve``; the slowest start, N = 1 at
 #: kappa = 2^-54 (|r| e^-g the largest float below 1), needs 32
@@ -62,15 +62,16 @@ _EPS = np.finfo(float).eps
 
 
 def _check_below_threshold(gain: float, r: float) -> None:
-    """Refuse |r| e^g > 1 (with 1e-12 slack): the closed forms accept
-    g = -ln |r| itself, where only the + branch diverges."""
+    """Refuse |r| e^g > 1 (with 1e-12 slack) as ``AtThresholdError``: the
+    closed forms accept g = -ln |r| itself, where only the + branch
+    diverges."""
     if not gain >= 0:
         raise ValidationError("gain must be >= 0")
     if not abs(r) < 1.0:
         raise ValidationError(f"need |r| < 1, got {r}")
     q = abs(r) * math.exp(gain)
     if q > 1.0 + 1e-12:
-        raise AboveThresholdError(f"|r| e^g = {q:.6g} > 1: above threshold")
+        raise AtThresholdError(f"|r| e^g = {q:.6g} > 1: above threshold")
 
 
 @dataclass(frozen=True)

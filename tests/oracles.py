@@ -11,7 +11,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from spopo import (AboveThresholdError, CrystalConfig, FrequencyGrid,
+from spopo import (AtThresholdError, CrystalConfig, FrequencyGrid,
                    JointKernel, ModePairTransform, PulseCovariance,
                    SupermodeBasis, ValidationError)
 from spopo.pulses import _check_below_threshold
@@ -111,12 +111,12 @@ def io_series_coefficients(gain: float, r: float, s_max: int | None = None
     pulse k-s: (-r, t^2 e^{+-g}, t^2 r e^{+-2g}, ...), t^2 = 1 - r^2, for the
     signed round-trip amplitude r.  ``s_max`` defaults to the smallest
     truncation whose squared tail is below ``SERIES_TAIL``.  The series
-    diverges at |r| e^g >= 1, threshold included (``AboveThresholdError``).
+    diverges at |r| e^g >= 1, threshold included (``AtThresholdError``).
     """
     _check_below_threshold(gain, r)
     q = abs(r) * math.exp(gain)
     if q >= 1.0:
-        raise AboveThresholdError(f"|r| e^g = {q:.6g} >= 1: above threshold")
+        raise AtThresholdError(f"|r| e^g = {q:.6g} >= 1: above threshold")
     t2 = 1.0 - r**2
     if s_max is None:
         # tail of sum c_s^2 on the + branch is (t^2 e^g)^2 q^(2 smax) / (1-q^2)

@@ -16,8 +16,9 @@ import spopo.cli
 import spopo.metrology
 import spopo.pulses
 import spopo.supermodes
-from spopo import (CavityConfig, ConfigError, build_kernel, duan_sum,
-                   optimal_probe, schmidt_decompose, threshold_gain)
+from spopo import (CavityConfig, ConfigError, SpectralLeakageError,
+                   build_kernel, duan_sum, optimal_probe, schmidt_decompose,
+                   threshold_gain)
 from spopo.supermodes import takagi_values
 from spopo.cli import BASIS_FILE, SPECTRUM_FILE, _write_csv, main
 from spopo.config import load_scenario, parse_scenario
@@ -130,6 +131,29 @@ class TestConfigValidation:
     def test_physical_validation_becomes_config_error(self):
         with pytest.raises(ConfigError, match="invalid configuration"):
             parse_scenario(scenario_dict(**{"pump.tau_p": T0}))
+
+    def test_leaking_window_refused_at_parse(self):
+        # a physics-domain refusal, decided with no kernel: it passes the
+        # config-error wrapper unchanged, so the parsed grid cannot leak
+        with pytest.raises(SpectralLeakageError, match="grid.n_points") \
+                as refused:
+            parse_scenario(scenario_dict(**{"grid": {"n_points": 41}}))
+        assert type(refused.value) is SpectralLeakageError
+
+    def test_float_run_knobs_are_floats(self):
+        # an integer beyond int64 would make numpy build an object array;
+        # raw, and so config_hash, keeps what the config gave
+        raw = scenario_dict(**{"run.theta_max": 10**19, "run.n_bar0": 1000,
+                               "run.gain_cutoff": 0, "run.ratios": [0, 0.5]})
+        cfg = parse_scenario(raw)
+        assert [type(cfg.run[key]) for key in ("theta_max", "n_bar0",
+                                               "gain_cutoff")] == [float] * 3
+        assert cfg.run["theta_max"] == 1e19
+        assert cfg.run["ratios"] == [0.0, 0.5]
+        assert all(type(x) is float for x in cfg.run["ratios"])
+        assert raw["run"]["theta_max"] == 10**19
+        assert raw["run"]["ratios"] == [0, 0.5]
+        assert type(raw["run"]["ratios"][0]) is int
 
     @pytest.mark.parametrize("command", ["supermodes", "squeezing", "pulses",
                                          "metrology"])
@@ -829,13 +853,31 @@ class TestCliRuns:
         assert proc.returncode == 0
         assert "supermodes" in proc.stdout and "metrology" in proc.stdout
 
-    def test_seed_recorded_in_metadata(self, tmp_path):
+    def test_seed_is_a_usage_error(self, tmp_path, capsys):
+        # the model is deterministic: there is no --seed to record
         path = write_config(tmp_path, scenario_dict())
         out = tmp_path / "out"
-        assert main(["pulses", "--config", str(path), "--out", str(out),
-                     "--seed", "7"]) == 0
-        header = (out / "sigma2.csv").read_text().splitlines()[:3]
-        assert any("seed = 7" in line for line in header)
+        with pytest.raises(SystemExit) as usage:
+            main(["pulses", "--config", str(path), "--out", str(out),
+                  "--seed", "1"])
+        assert usage.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_one_parser(self, capsys):
+        # the command is a positional of one parser, and --help still
+        # gives each command's one-line description
+        parser = spopo.cli.build_parser()
+        assert vars(parser.parse_args(["pulses", "--config", "c", "--out",
+                                       "o"])) \
+            == {"command": "pulses", "config": "c", "out": "o"}
+        with pytest.raises(SystemExit) as shown:
+            parser.parse_args(["--help"])
+        assert shown.value.code == 0
+        text = capsys.readouterr().out
+        lines = [line.split(None, 1) for line in text.splitlines()]
+        for name, runner in spopo.cli._RUNNERS.items():
+            assert [name, runner.__doc__] in lines
 
 
 def default_twin(name):
@@ -1439,6 +1481,51 @@ class TestOperatingPoint:
         assert not out.exists()
 
 
+#: twins of configs/default.json, each one edit (section, key, value): a pump
+#: spectrum that leaks out of the 171-point window; a coupling so small that
+#: the pump_ratio scale is ~1e300; a theta_max integer beyond int64
+EDGE_TWINS = {"leak": ("pump", "tau_p", 8.5e-16),
+              "tiny": ("crystal", "d_eff", 1e-300),
+              "huge-theta": ("run", "theta_max", 10**19)}
+
+
+@pytest.mark.parametrize("command", ["supermodes", "squeezing", "pulses",
+                                     "metrology"])
+@pytest.mark.parametrize("twin", EDGE_TWINS)
+def test_every_command_answers_an_edge_twin_alike(tmp_path, capsys, twin,
+                                                  command):
+    # leak: exit 3, one spectral-leakage line on stderr, no --out, even in
+    # pulses, which builds no kernel on a pump_ratio config; the others:
+    # exit 0 with nothing on stderr (a numpy warning fails the test)
+    section, key, value = EDGE_TWINS[twin]
+    raw = json.loads(DEFAULT_CONFIG.read_text())
+    raw[section][key] = value
+    out = tmp_path / "out"
+    code = main([command, "--config", str(write_config(tmp_path, raw)),
+                 "--out", str(out)])
+    err = capsys.readouterr().err
+    if twin == "leak":
+        assert code == 3
+        assert [json.loads(line)["error"] for line in err.splitlines()] \
+            == ["spectral-leakage"]
+        assert not out.exists()
+        return
+    assert (code, err) == (0, "")
+    if twin == "huge-theta" and command == "squeezing":
+        # the float twin writes the same rows
+        raw[section][key] = float(value)
+        twin_out = tmp_path / "float"
+        twin_path = tmp_path / "float.json"
+        twin_path.write_text(json.dumps(raw))
+        assert main([command, "--config", str(twin_path), "--out",
+                     str(twin_out)]) == 0
+        rows = [[line for line in (path / "squeezing.csv").read_text()
+                 .splitlines() if not line.startswith("#")]
+                for path in (out, twin_out)]
+        assert rows[0] == rows[1]
+        assert len(rows[0]) > 1
+
+
 def loaded_modules(code):
     """numpy and spopo modules in sys.modules after ``code`` runs in a fresh
     interpreter (``sys`` is imported)."""
@@ -1505,7 +1592,7 @@ class TestStartup:
                      "minimum_quadrature_variance", "quadrature_matrix",
                      "symplectic", "io_series_coefficients",
                      "min_variance_direct", "output_covariance",
-                     "phase_matching"):
+                     "phase_matching", "AboveThresholdError"):
             assert name not in spopo.__all__
             with pytest.raises(AttributeError, match=name):
                 getattr(spopo, name)

@@ -6,6 +6,7 @@ import pytest
 
 from spopo import (FrequencyGrid, SpectralLeakageError, ValidationError,
                    build_kernel, chi0)
+from spopo.kernel import comb_grid
 from spopo.supermodes import takagi
 
 from conftest import N_POINTS, T0, make_crystal, make_pump
@@ -232,6 +233,22 @@ class TestBuildKernel:
     def test_window_too_small_refused(self, default_crystal):
         with pytest.raises(SpectralLeakageError, match="leaks"):
             build_kernel(41, make_pump(), default_crystal)
+
+    def test_comb_grid_is_the_kernel_grid(self, default_crystal):
+        # one function builds the comb grid and decides leakage, with no
+        # kernel
+        pump = make_pump()
+        with pytest.raises(SpectralLeakageError, match="leaks"):
+            comb_grid(41, pump)
+        grid = comb_grid(N_POINTS, pump)
+        assert grid == FrequencyGrid(N_POINTS, pump.rep_period)
+        assert build_kernel(N_POINTS, pump, default_crystal).grid == grid
+
+    def test_comb_grid_far_tail_is_no_leak(self):
+        # the envelope's exponent overflows at the edge of a 10^171-point
+        # window: exp(-inf) = 0 is no leak, and numpy does not warn
+        grid = comb_grid(10**171 + 1, make_pump())
+        assert grid.omega_max > 1e182
 
     def test_gaussian_ridge_structure(self):
         # flat phase matching: kernel depends on omega + omega' only

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import spopo.pulses
-from spopo import (AboveThresholdError, NumericalError, ValidationError,
+from spopo import (AtThresholdError, NumericalError, ValidationError,
                    covariance, duan_sum, min_variance_transcendental,
                    sigma2_limit)
 from spopo.pulses import _variance_at_angle, min_variance_curve
@@ -41,7 +41,7 @@ class TestSeriesCoefficients:
 
     def test_above_threshold_rejected(self):
         for r in (0.9, -0.9):
-            with pytest.raises(AboveThresholdError):
+            with pytest.raises(AtThresholdError):
                 io_series_coefficients(0.2, r)
 
     def test_negative_r_alternates(self):
@@ -336,7 +336,7 @@ class TestDuanSum:
             duan_sum(0.1, 0.8, separations)
 
     def test_threshold_refused_before_separation(self):
-        with pytest.raises(AboveThresholdError):
+        with pytest.raises(AtThresholdError):
             duan_sum(0.3, 0.9, 0)
 
     def test_number_in_number_out_array_in_array_out(self):
@@ -424,7 +424,7 @@ class TestCombIntegralOracle:
 class TestThresholdGuards:
     def test_above_threshold_covariance(self):
         for r in (0.9, -0.9):
-            with pytest.raises(AboveThresholdError):
+            with pytest.raises(AtThresholdError):
                 covariance(0.3, r, 4)
 
     @pytest.mark.parametrize("r", [1.0, -1.0, np.nan])
