@@ -2,9 +2,10 @@
 
 Schema (all values SI):
 
-    grid:    n_points (odd int): the comb grid comb_grid(n_points, pump),
-             spacing 2 pi / T0, half-width omega_max = (n_points - 1) pi / T0,
-             wide enough that the pump spectrum does not leak out of it
+    grid:    n_points (odd int, at most MAX_N_POINTS): the comb grid
+             comb_grid(n_points, pump), spacing 2 pi / T0, half-width
+             omega_max = (n_points - 1) pi / T0, wide enough that the pump
+             spectrum does not leak out of it
     pump:    exactly one of energy (J) / pump_ratio (g0/g_th); tau_p (s,
              intensity FWHM); T0 (s); delta0 (rad, half the pump CEO)
     crystal: l_c (m); d_eff (m/V); n0; A_eff (m^2); omega0 (rad/s, above
@@ -32,6 +33,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -42,6 +44,10 @@ from .kernel import CrystalConfig, FrequencyGrid, PumpConfig, comb_grid
 #: reference pulse energy used to obtain mode shapes when the pump is
 #: specified through a threshold ratio (gains are rescaled exactly afterwards)
 REFERENCE_ENERGY = 1e-9
+
+#: the largest grid.n_points whose n x n float64 kernel numpy can lay out:
+#: an array's size in bytes must fit in a signed index, sys.maxsize
+MAX_N_POINTS = math.isqrt(sys.maxsize // 8)
 
 #: the default of every run knob but ``ratios``; ``ScenarioConfig.run`` holds
 #: each of them, from the config or from here
@@ -188,6 +194,10 @@ def parse_scenario(raw: dict) -> ScenarioConfig:
     n_points = _require(grid_sec, "grid", "n_points")
     if isinstance(n_points, bool) or not isinstance(n_points, int):
         raise ConfigError("field grid.n_points must be an integer")
+    if n_points > MAX_N_POINTS:
+        raise ConfigError(
+            f"field grid.n_points = {n_points} exceeds {MAX_N_POINTS}, the "
+            "largest grid whose n_points x n_points kernel numpy can lay out")
 
     has_energy = "energy" in pump_sec
     has_ratio = "pump_ratio" in pump_sec

@@ -21,7 +21,7 @@ from spopo import (CavityConfig, ConfigError, SpectralLeakageError,
                    threshold_gain)
 from spopo.supermodes import takagi_values
 from spopo.cli import BASIS_FILE, SPECTRUM_FILE, _write_csv, main
-from spopo.config import load_scenario, parse_scenario
+from spopo.config import MAX_N_POINTS, load_scenario, parse_scenario
 
 from conftest import (OMEGA0, PUMP_DISPERSION, SIGNAL_DISPERSION, T0, TAU_P)
 
@@ -107,6 +107,19 @@ class TestConfigValidation:
         above = float(np.nextafter(omega_max, np.inf))
         cfg = parse_scenario(scenario_dict(**{"crystal.omega0": above}))
         assert np.all(cfg.crystal.omega0 + cfg.grid.omegas > 0.0)
+
+    def test_largest_grid_is_the_largest_kernel_numpy_holds(self):
+        # the bound is parsed, not allocated: the next odd size is refused,
+        # and a kernel one row wider than the bound is beyond numpy's array
+        # size
+        raw = scenario_dict(**{"crystal.omega0": 1e40})
+        raw["grid"]["n_points"] = MAX_N_POINTS
+        assert parse_scenario(raw).grid.n_points == MAX_N_POINTS
+        raw["grid"]["n_points"] = MAX_N_POINTS + 2
+        with pytest.raises(ConfigError, match="grid.n_points"):
+            parse_scenario(raw)
+        with pytest.raises(ValueError, match="array is too big"):
+            np.empty((MAX_N_POINTS + 1, MAX_N_POINTS + 1))
 
     def test_missing_t0_names_field(self):
         raw = scenario_dict()
@@ -612,17 +625,21 @@ class TestCliRuns:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "no-finite-threshold"
 
-    def test_odd_branch_duan_sums(self, tmp_path):
-        # delta_rt = pi resonates on the odd branch: sign-alternating V^(-)
-        path = write_config(tmp_path, scenario_dict(**{"cavity.delta_rt": np.pi}))
+    @pytest.mark.parametrize("phase, sign", [(0.0, 1.0), (np.pi, -1.0)],
+                             ids=["even", "odd"])
+    def test_duan_sums_on_both_branches(self, tmp_path, phase, sign):
+        # delta_rt = pi resonates on the odd branch: sign-alternating V^(-);
+        # each row prints the closed form at g0 and the signed amplitude
+        path = write_config(tmp_path, scenario_dict(**{"cavity.delta_rt": phase}))
         out = tmp_path / "out"
         assert main(["pulses", "--config", str(path), "--out", str(out)]) == 0
-        cavity = CavityConfig(r=0.8894, phase=np.pi)
+        cavity = CavityConfig(r=0.8894, phase=phase)
         gain = 0.8 * threshold_gain(cavity).gain
-        duan = load_table(out / "duan.csv")
-        np.testing.assert_allclose(
-            duan["duan_sum"], duan_sum(gain, -cavity.r, np.arange(1, 12)),
-            rtol=1e-11)
+        rows = [line for line in (out / "duan.csv").read_text().splitlines()
+                if not line.startswith("#")]
+        assert rows == ["separation,duan_sum"] + [
+            f"{s},{'%.12g' % duan_sum(gain, sign * cavity.r, s)}"
+            for s in range(1, 12)]
         # the r column is the configured amplitude, not the signed one
         np.testing.assert_array_equal(load_table(out / "sigma2.csv")["r"], 0.8894)
 
@@ -852,6 +869,14 @@ class TestCliRuns:
         proc = subprocess.run([exe, "--help"], capture_output=True, text=True)
         assert proc.returncode == 0
         assert "supermodes" in proc.stdout and "metrology" in proc.stdout
+        # the installed script runs a subcommand through its own entry
+        out = tmp_path / "out"
+        proc = subprocess.run([exe, "pulses", "--config", str(DEFAULT_CONFIG),
+                               "--out", str(out)], capture_output=True,
+                              text=True, timeout=120)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert sorted(proc.stdout.splitlines()) \
+            == [str(out / "duan.csv"), str(out / "sigma2.csv")]
 
     def test_seed_is_a_usage_error(self, tmp_path, capsys):
         # the model is deterministic: there is no --seed to record
@@ -881,11 +906,14 @@ class TestCliRuns:
 
 
 def default_twin(name):
-    """configs/default.json, or one of its twins that CI runs: "odd" has a
-    round-trip phase of pi, "energy" sets a pulse energy and both dumps."""
+    """configs/default.json, or one of its twins: "odd" has a round-trip
+    phase of pi, "near" pumps at 0.9999 of threshold, "energy" sets a pulse
+    energy and both dumps."""
     raw = json.loads(DEFAULT_CONFIG.read_text())
     if name == "odd":
         raw["cavity"]["delta_rt"] = np.pi
+    elif name == "near":
+        raw["pump"]["pump_ratio"] = 0.9999
     elif name == "energy":
         del raw["pump"]["pump_ratio"]
         raw["pump"]["energy"] = 2e-10
@@ -1065,16 +1093,20 @@ class TestRunBasis:
 
     def test_run_knob_edits_reuse_the_records(self, tmp_path, monkeypatch,
                                               capsys):
-        # the records depend on the grid, the pump and the crystal: edits of
-        # run knobs and of the pump ratio read them
+        # the records depend on the grid, the pump envelope and the crystal:
+        # edits of run knobs, of the pump ratio and of the pump's CEO phase
+        # read them and rewrite neither
         out = self._run(write_config(tmp_path, default_twin("default")),
                         tmp_path / "out", "supermodes", "squeezing",
                         "metrology")
         records = {name: (out / name).read_bytes()
                    for name in (SPECTRUM_FILE, BASIS_FILE)}
+        stamps = {name: ((out / name).stat().st_ino,
+                         (out / name).stat().st_mtime_ns)
+                  for name in records}
         raw = default_twin("default")
         raw["run"].update(N_max=50, ratios=[0.3, 0.6])
-        raw["pump"]["pump_ratio"] = 0.7
+        raw["pump"].update(pump_ratio=0.7, delta0=np.pi)
         (tmp_path / "edited").mkdir()
         path = write_config(tmp_path / "edited", raw)
         cold = {}
@@ -1088,13 +1120,24 @@ class TestRunBasis:
         assert {name: outputs[name] for name in cold} == cold
         assert {name: (out / name).read_bytes() for name in records} \
             == records
+        assert {name: ((out / name).stat().st_ino,
+                       (out / name).stat().st_mtime_ns)
+                for name in records} == stamps
+        assert capsys.readouterr().err == ""
 
-    @pytest.mark.parametrize("twin", ["default", "odd", "energy"])
-    def test_both_orders_match_own_directories(self, tmp_path, twin):
+    # any warning fails the test, so each run leaves stderr empty
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("twin", ["default", "odd", "near", "energy"])
+    def test_both_orders_match_own_directories(self, tmp_path, capsys, twin):
         path = write_config(tmp_path, default_twin(twin))
         commands = ("supermodes", "squeezing", "pulses", "metrology")
         alone = [self._run(path, tmp_path / command, command)
                  for command in commands]
+        # probe.csv carries the probe's second moment <(omega0 + w)^2>
+        meta = dict(line[2:].split(" = ") for line in
+                    (alone[-1] / "probe.csv").read_text().splitlines()
+                    if line.startswith("# "))
+        assert 0.0 < float(meta["omega_eff_sq"]) < math.inf
         expected = {}
         for out in alone:
             expected |= self._outputs(out)
@@ -1104,6 +1147,7 @@ class TestRunBasis:
             shared = self._run(path, tmp_path / "-".join(order), *order)
             assert self._outputs(shared) == expected, order
             bases.add((shared / BASIS_FILE).read_bytes())
+        assert capsys.readouterr().err == ""
         # whoever computes the basis stores the same bits: the key line, then
         # the unscaled gains and modes of the k = n_modes_dump basis
         assert len(bases) == 1
@@ -1480,6 +1524,27 @@ class TestOperatingPoint:
         assert "crystal.omega0" in err["message"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["supermodes", "squeezing", "pulses",
+                                         "metrology"])
+    @pytest.mark.parametrize("n_points", [2**61 + 1, 2**63 + 1],
+                             ids=["2^61+1", "2^63+1"])
+    def test_grid_beyond_numpy_is_config_error(self, tmp_path, capsys,
+                                               command, n_points):
+        # numpy refuses to lay out these grids (a ValueError at 2^61 + 1, an
+        # IndexError at 2^63 + 1); the carrier stays above omega_max, and
+        # pulses, which lays out none, refuses alike
+        raw = json.loads(DEFAULT_CONFIG.read_text())
+        raw["grid"]["n_points"] = n_points
+        raw["crystal"]["omega0"] = 1e40
+        out = tmp_path / "out"
+        path = write_config(tmp_path, raw)
+        assert main([command, "--config", str(path), "--out",
+                     str(out)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config-error"
+        assert "grid.n_points" in err["message"]
+        assert not out.exists()
+
 
 #: twins of configs/default.json, each one edit (section, key, value): a pump
 #: spectrum that leaks out of the 171-point window; a coupling so small that
@@ -1489,6 +1554,8 @@ EDGE_TWINS = {"leak": ("pump", "tau_p", 8.5e-16),
               "huge-theta": ("run", "theta_max", 10**19)}
 
 
+# any warning fails the test, not only a numpy RuntimeWarning
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("command", ["supermodes", "squeezing", "pulses",
                                      "metrology"])
 @pytest.mark.parametrize("twin", EDGE_TWINS)
