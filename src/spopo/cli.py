@@ -6,7 +6,8 @@ config hash, then the command's own keys, such as threshold_gain), apart
 from metrology's ``summary.json``; stdout lists the outputs a run wrote.
 Errors are emitted as a JSON object on stderr with a stable code and mapped
 to exit codes 2 (config), 3 (physics domain), 4 (numerical).  The config is
-parsed, and a leaking window refused, before ``--out`` is made.
+parsed, and a leaking window or a zero kernel at a pump ratio refused, before
+``--out`` is made.
 
 A run directory also keeps two records, which are not outputs, behind one
 key line (``_spectrum_key``: the grid, pump and crystal, the versions, the
@@ -390,8 +391,8 @@ def run_metrology(run: _Run) -> list[Path]:
     summary_path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     written.append(summary_path)
 
-    times = (np.arange(probe.n_pulses)[:, None] * basis.grid.rep_period
-             + basis.time_grid[None, :]).ravel()
+    times = (np.arange(len(probe.alpha_prime))[:, None]
+             * basis.grid.rep_period + basis.time_grid[None, :]).ravel()
     pmeta = _metadata(cfg, amplitude=_FLOAT_FMT % probe.amplitude,
                       omega_eff_sq=_FLOAT_FMT % probe.omega_eff_sq)
     written.append(_write_csv(

@@ -22,10 +22,14 @@ Schema (all values SI):
 Every number must be finite: Python's json reads NaN, Infinity and -Infinity,
 and a config holding one anywhere above (a dispersion coefficient, a run knob
 or a ratio included) is a config error, as is a sum delta_rt + delta0 that
-overflows.  So is a key the schema does not name, at the top level or in any
-section: a misspelled knob would otherwise run with its default.  A config
-whose pump spectrum leaks out of the grid's window is refused with
-``SpectralLeakageError`` (a physics-domain error, not a config error).
+overflows, and so is a carrier or index whose chi0 overflows (omega0^2 or
+n0^3 beyond the float range) or a tau_p whose spectrum norm does.  So is a
+key the schema does not name, at the top level or in any section: a
+misspelled knob would otherwise run with its default.  Two physics-domain
+refusals (not config errors) are decided here too: a pump spectrum that
+leaks out of the grid's window (``SpectralLeakageError``), and a nonzero
+pump_ratio whose kernel peak, ``kernel.kernel_amplitude`` at 0, is 0, so
+that there is no gain to scale (``ValidationError``).
 """
 
 from __future__ import annotations
@@ -38,8 +42,10 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .cavity import CavityConfig
-from .errors import ConfigError, SpectralLeakageError, SpopoError
-from .kernel import CrystalConfig, FrequencyGrid, PumpConfig, comb_grid
+from .errors import (ConfigError, SpectralLeakageError, SpopoError,
+                     ValidationError)
+from .kernel import (CrystalConfig, FrequencyGrid, PumpConfig, comb_grid,
+                     kernel_amplitude)
 
 #: reference pulse energy used to obtain mode shapes when the pump is
 #: specified through a threshold ratio (gains are rescaled exactly afterwards)
@@ -252,10 +258,15 @@ def parse_scenario(raw: dict) -> ScenarioConfig:
                 f"crystal.omega0 = {crystal.omega0:.6g} rad/s must exceed the "
                 f"grid's omega_max = {grid.omega_max:.6g} rad/s, so that "
                 "omega0 + omega stays positive on the grid")
+        peak = kernel_amplitude(0.0, grid, pump, crystal)
     except (ConfigError, SpectralLeakageError):
         raise
     except SpopoError as exc:
         raise ConfigError(f"invalid configuration: {exc}") from exc
+    if pump_ratio and peak == 0.0:
+        # a zero kernel has no gain to scale to the ratio
+        raise ValidationError(
+            "cannot scale to a nonzero pump ratio: reference gain is 0")
     # a new dict: raw, and so config_hash, stays as the file gave it; an
     # integer beyond int64 would turn a numpy array built from it into an
     # object array

@@ -91,6 +91,11 @@ class PumpConfig:
             raise ValidationError(
                 "tau_p must be << rep_period (enforced: tau_p < T0/20); "
                 f"got tau_p={self.tau_p:g}, T0={self.rep_period:g}")
+        # envelope_spectrum's norm (4 pi sigma_t^2)^(1/4) must stay finite
+        if not 4.0 * math.pi * self.sigma_t * self.sigma_t < math.inf:
+            raise ValidationError(
+                f"tau_p = {self.tau_p:g} s is too long: the spectrum norm "
+                "(4 pi sigma_t^2)^(1/4) overflows")
 
     @property
     def sigma_t(self) -> float:
@@ -143,11 +148,32 @@ class CrystalConfig:
 
 
 def chi0(crystal: CrystalConfig) -> float:
-    """Effective nonlinear coupling sqrt(2 w0^2 / (eps0 n0^3 c^3 A_eff)) d_eff."""
-    num = 2.0 * crystal.omega0**2
-    # vacuum permittivity (F/m) and speed of light (m/s), CODATA 2022
-    den = 8.8541878188e-12 * crystal.n0**3 * 299792458.0**3 * crystal.a_eff
+    """Effective nonlinear coupling sqrt(2 w0^2 / (eps0 n0^3 c^3 A_eff)) d_eff;
+    a w0^2 or n0^3 beyond the float range is a ``ValidationError``."""
+    try:
+        num = 2.0 * crystal.omega0**2
+        # vacuum permittivity (F/m) and speed of light (m/s), CODATA 2022
+        den = 8.8541878188e-12 * crystal.n0**3 * 299792458.0**3 * crystal.a_eff
+    except OverflowError as exc:
+        raise ValidationError(
+            "chi0 overflows: omega0^2 or n0^3 is beyond the float range "
+            f"(omega0 = {crystal.omega0:.6g}, n0 = {crystal.n0:.6g})") from exc
     return math.sqrt(num / den) * crystal.d_eff
+
+
+# an amplitude that overflows, or a NaN one, makes a non-finite kernel, which
+# JointKernel refuses; numpy need not warn when a config is parsed
+@np.errstate(over="ignore", invalid="ignore")
+def kernel_amplitude(sums, grid: FrequencyGrid, pump: PumpConfig,
+                     crystal: CrystalConfig):
+    """The kernel's amplitude before phase matching at the pump detunings
+    ``sums`` = omega + omega': (d_omega / 2 pi) chi0 l_c sqrt(E_p) alpha(sums).
+
+    ``build_kernel`` reads it on the grid sums; at ``sums`` = 0 it is the
+    kernel's peak, which ``config.parse_scenario`` checks.
+    """
+    prefactor = chi0(crystal) * crystal.length * math.sqrt(pump.pulse_energy)
+    return grid.weight * prefactor * pump.envelope_spectrum(sums)
 
 
 def check_symmetric(m: np.ndarray, name: str) -> None:
@@ -244,8 +270,7 @@ def build_kernel(n_points: int, pump: PumpConfig,
     signal = half * np.square(w) * (c[2] + w * c[3])
     pump_phase = half * ((2.0 * c[0] - p[0])
                          + sigma * ((c[1] - p[1]) - sigma * (p[2] + sigma * p[3])))
-    prefactor = chi0(crystal) * crystal.length * math.sqrt(pump.pulse_energy)
-    amplitude = grid.weight * prefactor * pump.envelope_spectrum(sigma)
+    amplitude = kernel_amplitude(sigma, grid, pump, crystal)
     hankel = np.lib.stride_tricks.sliding_window_view
     dphi = np.add(signal[:, None], signal[None, :])
     np.add(dphi, hankel(pump_phase, n), out=dphi)

@@ -9,13 +9,14 @@ mode, the normalised (omega0 + w)-weighted mean field, moves at
 mu' = d<p>/dtau = sqrt 2 alpha', with alpha' the real amplitude of that
 derivative.  Only the mean depends on tau, so the Fisher information of the
 Gaussian state is the mean-shift form F = mu'^T V^-1 mu' over the p
-covariance V.  With ``alpha_prime[k, n]`` the amplitude in supermode k and
-pulse n, and V_k^(-) the pulse p-covariance of supermode k,
+covariance V.  With ``alpha_prime[n]`` the amplitude of pulse n in one
+supermode and V^(-) its pulse p-covariance,
 
-    F = 2 sum_k alpha'_k^T [V_k^(-)]^-1 alpha'_k.
+    F = 2 alpha'^T [V^(-)]^-1 alpha',
 
-``optimal_probe`` makes supermode 0 the derivative mode: its pulse spectrum
-is psi0(w) / (omega0 + w).  For N pulses of n_bar0 photons on average,
+and independent supermodes add their F.  ``optimal_probe`` puts the whole
+probe in supermode 0, the derivative mode: its pulse spectrum is
+psi0(w) / (omega0 + w).  For N pulses of n_bar0 photons on average,
 sum |alpha'|^2 = N n_bar0 omega_eff^2, with omega_eff^2 the second moment of
 omega0 + w over the probe spectrum.  A coherent probe (V = I/2) gives
 F = 4 N n_bar0 omega_eff^2, the standard quantum limit
@@ -64,55 +65,48 @@ ASYMPTOTE_FRACTION = 0.99
 
 @dataclass(frozen=True)
 class ProbeField:
-    """Mean probe field over N pulses.
+    """Mean probe field over N pulses, all in supermode 0.
 
-    ``alpha_prime[k, n]`` are the (real) derivative amplitudes entering
-    ``fisher_information``; ``envelope`` samples the mean field over the N
-    periods of the basis time grid; ``pulse_freq`` samples the probe pulse
-    spectrum psi0(w)/(omega0 + w) before amplitude scaling.
-    ``omega_eff_sq`` is the second moment <(omega0 + w)^2> of the probe
-    spectrum, which makes the amplitude normalization exact: on the comb
-    grid sum |envelope|^2 dt = N n_bar0 to rounding (7e-15 relative on
-    configs/default.json).
+    ``alpha_prime[n]`` is the (real) derivative amplitude of pulse n, the
+    (N,) row that ``fisher_information`` takes with supermode 0's V^(-);
+    ``envelope`` samples the mean field over the N periods of the basis time
+    grid.  ``omega_eff_sq`` is the second moment <(omega0 + w)^2> of the
+    probe spectrum psi0(w)/(omega0 + w), which makes the amplitude
+    normalization exact: on the comb grid sum |envelope|^2 dt = N n_bar0 to
+    rounding (7e-15 relative on configs/default.json).
     """
 
     alpha_prime: np.ndarray
     omega_eff_sq: float
     amplitude: float
     envelope: np.ndarray
-    pulse_freq: np.ndarray
-    n_pulses: int
 
 
-def fisher_information(alpha_prime: np.ndarray,
-                       v_minus_family: Sequence[np.ndarray]) -> float:
-    """Time-delay Fisher information 2 sum_k alpha'_k^T [V_k^(-)]^-1 alpha'_k,
-    derived in the module docstring.
+def fisher_information(alpha_prime: np.ndarray, v_minus: np.ndarray) -> float:
+    """Time-delay Fisher information 2 alpha'^T [V^(-)]^-1 alpha' of one
+    supermode, derived in the module docstring.
 
-    ``alpha_prime`` is the (modes x pulses) real array of
-    ``ProbeField.alpha_prime``; ``v_minus_family`` supplies one symmetric
-    positive-definite p-covariance per row.
+    ``alpha_prime`` is an (N,) real row of pulse amplitudes, such as
+    ``ProbeField.alpha_prime``; ``v_minus`` is that supermode's symmetric
+    positive-definite (N, N) p-covariance.  Independent supermodes add, so
+    a probe spread over several is a sum of one call per supermode.
     """
-    alpha = np.atleast_2d(np.asarray(alpha_prime, dtype=float))
+    alpha = np.asarray(alpha_prime, dtype=float)
     if not np.all(np.isfinite(alpha)):
         raise ValidationError("alpha_prime has non-finite entries")
-    if len(v_minus_family) < alpha.shape[0]:
-        raise ValidationError("need one V^(-) matrix per probe mode row")
-    total = 0.0
-    for row, vm in zip(alpha, v_minus_family):
-        vm = np.asarray(vm, dtype=float)
-        if vm.shape != (row.size, row.size):
-            raise ValidationError("V^(-) shape does not match probe row")
-        if not np.all(np.isfinite(vm)):
-            raise ValidationError("V^(-) has non-finite entries")
-        try:
-            lower = np.linalg.cholesky(vm)
-        except np.linalg.LinAlgError as exc:
-            raise ValidationError(f"V^(-) not positive definite: {exc}") from exc
-        # alpha^T (L L^T)^-1 alpha = |L^-1 alpha|^2
-        half = np.linalg.solve(lower, row)
-        total += 2.0 * float(half @ half)
-    return total
+    v_minus = np.asarray(v_minus, dtype=float)
+    if alpha.ndim != 1 or v_minus.shape != (alpha.size, alpha.size):
+        raise ValidationError(
+            "need an (N,) alpha_prime row and an (N, N) V^(-)")
+    if not np.all(np.isfinite(v_minus)):
+        raise ValidationError("V^(-) has non-finite entries")
+    try:
+        lower = np.linalg.cholesky(v_minus)
+    except np.linalg.LinAlgError as exc:
+        raise ValidationError(f"V^(-) not positive definite: {exc}") from exc
+    # alpha^T (L L^T)^-1 alpha = |L^-1 alpha|^2
+    half = np.linalg.solve(lower, alpha)
+    return 2.0 * float(half @ half)
 
 
 def optimal_probe(basis: SupermodeBasis, omega0: float, r: float,
@@ -124,7 +118,7 @@ def optimal_probe(basis: SupermodeBasis, omega0: float, r: float,
     round-trip amplitude r (alternating in sign for r < 0, see
     ``cavity.resonant_r``); the pulse envelope solves
     (omega0 - i d/dt) psi0' = psi0 spectrally, and the overall amplitude
-    carries sqrt(N n_bar0 omega_eff^2).
+    carries sqrt(N n_bar0 omega_eff^2), which must be finite.
     """
     if not 0 < n_bar0 < math.inf:
         raise ValidationError("n_bar0 must be positive and finite")
@@ -142,15 +136,16 @@ def optimal_probe(basis: SupermodeBasis, omega0: float, r: float,
     density = np.abs(pulse_freq) ** 2 * weight
     omega_eff_sq = float((shifted**2 * density).sum() / density.sum())
     amplitude = math.sqrt(n_pulses * n_bar0 * omega_eff_sq)
-
-    alpha_prime = np.zeros((basis.n_kept, n_pulses))
-    alpha_prime[0] = amplitude * sol.eigvec
+    if not amplitude < math.inf:
+        raise ValidationError(
+            f"probe amplitude sqrt(N n_bar0 omega_eff^2) overflows at "
+            f"N = {n_pulses}, n_bar0 = {n_bar0:.6g}")
 
     pulse_time = basis.time_samples(pulse_freq)
     envelope = amplitude * (sol.eigvec[:, None] * pulse_time[None, :]).ravel()
-    return ProbeField(alpha_prime=alpha_prime, omega_eff_sq=omega_eff_sq,
-                      amplitude=amplitude, envelope=envelope,
-                      pulse_freq=pulse_freq, n_pulses=n_pulses)
+    return ProbeField(alpha_prime=amplitude * sol.eigvec,
+                      omega_eff_sq=omega_eff_sq, amplitude=amplitude,
+                      envelope=envelope)
 
 
 @dataclass(frozen=True)

@@ -53,6 +53,16 @@ def reconstruction_residual(basis: SupermodeBasis,
     return float(np.linalg.norm(rec - kernel.matrix) / denom)
 
 
+def direct_time_samples(grid: FrequencyGrid, freq_samples) -> np.ndarray:
+    """sum_i e^{i w_i t_j} f(w_i) d_omega/2pi at t_j = (j + 1/2) T0/n - T0/2,
+    one comb period: the direct O(n^2) sum with float phases, which
+    ``SupermodeBasis.time_samples`` evaluates by FFT."""
+    n, period = grid.n_points, grid.rep_period
+    times = (np.arange(n) + 0.5) * period / n - period / 2.0
+    return (np.exp(1j * np.outer(times, grid.omegas)) * grid.weight) \
+        @ freq_samples
+
+
 def double_gaussian_kernel(a, b, omega_max=14.0, n_points=301, amplitude=1.0):
     """K(w, w') = A exp(-a (w+w')^2 - b (w-w')^2) with the quadrature weight.
 

@@ -165,6 +165,8 @@ class TestThresholdGain:
     def test_no_finite_threshold(self):
         with pytest.raises(NoFiniteThresholdError):
             threshold_gain(CavityConfig(r=0.8, phase=np.pi / 2))
+        with pytest.raises(NoFiniteThresholdError, match="r = 0"):
+            threshold_gain(CavityConfig(r=0.0))
 
 
 class TestCombIO:

@@ -144,6 +144,13 @@ class TestConfigValidation:
     def test_physical_validation_becomes_config_error(self):
         with pytest.raises(ConfigError, match="invalid configuration"):
             parse_scenario(scenario_dict(**{"pump.tau_p": T0}))
+        with pytest.raises(ConfigError,
+                           match=r"pump_ratio must lie in \[0, 1\)"):
+            parse_scenario(scenario_dict(**{"pump.pump_ratio": 1.0}))
+        raw = scenario_dict(**{"pump.energy": -1e-9})
+        del raw["pump"]["pump_ratio"]
+        with pytest.raises(ConfigError, match="pump.energy must be >= 0"):
+            parse_scenario(raw)
 
     def test_leaking_window_refused_at_parse(self):
         # a physics-domain refusal, decided with no kernel: it passes the
@@ -191,6 +198,8 @@ class TestConfigValidation:
             parse_scenario(scenario_dict(**{"run.ratios": [1.0]}))
         with pytest.raises(ConfigError, match="run.dump_kernel"):
             parse_scenario(scenario_dict(**{"run.dump_kernel": "yes"}))
+        with pytest.raises(ConfigError, match="run section must be an object"):
+            parse_scenario(scenario_dict(run=[12]))
 
     def test_run_defaults_fill_a_new_dict(self):
         # a config without a run section gets every documented default; its
@@ -222,6 +231,11 @@ class TestConfigValidation:
         path.write_text("{not json")
         with pytest.raises(ConfigError, match="not valid JSON"):
             load_scenario(path)
+        path.write_text("[1]")
+        with pytest.raises(ConfigError, match="root must be a JSON object"):
+            load_scenario(path)
+        with pytest.raises(ConfigError, match="cannot read config file"):
+            load_scenario(tmp_path / "absent.json")
 
     def test_config_encoding_is_detected(self, tmp_path, capsys):
         # json.loads reads UTF-8, -16 or -32 bytes whatever the locale; a
@@ -281,14 +295,19 @@ class TestConfigValidation:
 
 class TestCliRuns:
     def test_missing_field_exit_code(self, tmp_path, capsys):
-        raw = scenario_dict()
-        del raw["pump"]["T0"]
-        path = write_config(tmp_path, raw)
-        code = main(["pulses", "--config", str(path), "--out", str(tmp_path)])
-        assert code == 2
-        err = json.loads(capsys.readouterr().err)
-        assert err["error"] == "config-error"
-        assert "pump.T0" in err["message"]
+        for section, key, message in [
+                ("pump", "T0", "missing required field: pump.T0"),
+                ("grid", "n_points", "missing required field: grid.n_points"),
+                (None, "cavity", "missing required section: cavity")]:
+            raw = scenario_dict()
+            del (raw if section is None else raw[section])[key]
+            path = write_config(tmp_path, raw)
+            code = main(["pulses", "--config", str(path), "--out",
+                         str(tmp_path)])
+            assert code == 2
+            err = json.loads(capsys.readouterr().err)
+            assert err["error"] == "config-error"
+            assert message in err["message"]
 
     def test_pulses_outputs(self, tmp_path, capsys):
         path = write_config(tmp_path, scenario_dict())
@@ -480,10 +499,14 @@ class TestCliRuns:
         ("crystal.signal_dispersion", 2, float("nan")),
         ("crystal.pump_dispersion", 1, float("-inf")),
         ("cavity.delta_rt", None, float("nan")),
+        ("grid.n_points", None, float("nan")),
+        pytest.param("crystal.l_c", None, 10**400,
+                      id="crystal.l_c-None-10**400"),
     ])
     def test_non_finite_number_is_config_error(self, tmp_path, capsys,
                                                command, field, index, value):
-        # json reads NaN and Infinity; each is refused before any output
+        # json reads NaN and Infinity, and an integer beyond the float
+        # range; each is refused before any output
         raw = scenario_dict()
         section, _, key = field.partition(".")
         if index is None:
@@ -616,14 +639,15 @@ class TestCliRuns:
         assert "run.n_bar0" in err["message"]
 
     def test_threshold_config_exit_code(self, tmp_path, capsys):
-        # delta at pi/2 has no finite threshold: physics-domain error (3)
-        raw = scenario_dict(**{"cavity.delta_rt": np.pi / 2})
-        path = write_config(tmp_path, raw)
-        code = main(["pulses", "--config", str(path), "--out",
-                     str(tmp_path / "o")])
-        assert code == 3
-        err = json.loads(capsys.readouterr().err)
-        assert err["error"] == "no-finite-threshold"
+        # delta at pi/2, or no feedback at r = 0, has no finite threshold:
+        # physics-domain error (3)
+        for edit in ({"cavity.delta_rt": np.pi / 2}, {"cavity.r": 0.0}):
+            path = write_config(tmp_path, scenario_dict(**edit))
+            code = main(["pulses", "--config", str(path), "--out",
+                         str(tmp_path / "o")])
+            assert code == 3
+            err = json.loads(capsys.readouterr().err)
+            assert err["error"] == "no-finite-threshold"
 
     @pytest.mark.parametrize("phase, sign", [(0.0, 1.0), (np.pi, -1.0)],
                              ids=["even", "odd"])
@@ -1404,26 +1428,6 @@ class TestOperatingPoint:
         g0 = 0.44 * threshold_gain(cfg.cavity).gain
         assert seen["metrology"].hex() == seen["pulses"].hex() == g0.hex()
 
-    @pytest.mark.parametrize("command, code", [
-        ("supermodes", 3), ("squeezing", 3), ("pulses", 0), ("metrology", 3)])
-    def test_zero_kernel_at_a_pump_ratio(self, tmp_path, capsys, command,
-                                         code):
-        # no gain to scale to 0.8 g_th; pulses' g0 needs no kernel
-        raw = json.loads(DEFAULT_CONFIG.read_text())
-        raw["crystal"]["d_eff"] = 0.0
-        out = tmp_path / "out"
-        assert main([command, "--config", str(write_config(tmp_path, raw)),
-                     "--out", str(out)]) == code
-        if code:
-            err = json.loads(capsys.readouterr().err)
-            assert err["error"] == "validation-error"
-            assert list(out.iterdir()) == []
-        else:
-            table = load_table(out / "sigma2.csv")
-            cfg = parse_scenario(raw)
-            g_th = threshold_gain(cfg.cavity).gain
-            assert np.all(table["g"] == float("%.12g" % (0.8 * g_th)))
-
     def test_energy_pump_ratio_defaults_to_g0_over_threshold(self, tmp_path):
         raw = json.loads(DEFAULT_CONFIG.read_text())
         del raw["pump"]["pump_ratio"]
@@ -1546,12 +1550,31 @@ class TestOperatingPoint:
         assert not out.exists()
 
 
-#: twins of configs/default.json, each one edit (section, key, value): a pump
-#: spectrum that leaks out of the 171-point window; a coupling so small that
-#: the pump_ratio scale is ~1e300; a theta_max integer beyond int64
-EDGE_TWINS = {"leak": ("pump", "tau_p", 8.5e-16),
-              "tiny": ("crystal", "d_eff", 1e-300),
-              "huge-theta": ("run", "theta_max", 10**19)}
+#: twins of configs/default.json: {(section, key): value} edits and the
+#: answer.  None: every subcommand runs.  An error code: every subcommand
+#: refuses with it when the config is parsed, before --out is made.  A
+#: (command, code) pair: that subcommand refuses and writes nothing, and
+#: the others run.
+EDGE_TWINS = {
+    # a pump spectrum that leaks out of the 171-point window
+    "leak": ({("pump", "tau_p"): 8.5e-16}, "spectral-leakage"),
+    # a coupling so small that the pump_ratio scale is ~1e300
+    "tiny": ({("crystal", "d_eff"): 1e-300}, None),
+    # a theta_max integer beyond int64
+    "huge-theta": ({("run", "theta_max"): 10**19}, None),
+    # a kernel peak of exactly 0, so no gain to scale to the pump_ratio
+    "zero-d_eff": ({("crystal", "d_eff"): 0.0}, "validation-error"),
+    "zero-A_eff": ({("crystal", "A_eff"): 1e300}, "validation-error"),
+    "zero-tau_p": ({("pump", "tau_p"): 1e-200}, "validation-error"),
+    # chi0's omega0^2 or n0^3, or the spectrum norm's sigma_t^2, overflows
+    "huge-omega0": ({("crystal", "omega0"): 1e160}, "config-error"),
+    "huge-n0": ({("crystal", "n0"): 1e110}, "config-error"),
+    "huge-T0": ({("pump", "T0"): 1e300, ("pump", "tau_p"): 1e298},
+                "config-error"),
+    # N n_bar0 omega_eff^2 overflows: no probe amplitude
+    "huge-n_bar0": ({("run", "n_bar0"): 1e300},
+                    ("metrology", "validation-error")),
+}
 
 
 # any warning fails the test, not only a numpy RuntimeWarning
@@ -1561,26 +1584,33 @@ EDGE_TWINS = {"leak": ("pump", "tau_p", 8.5e-16),
 @pytest.mark.parametrize("twin", EDGE_TWINS)
 def test_every_command_answers_an_edge_twin_alike(tmp_path, capsys, twin,
                                                   command):
-    # leak: exit 3, one spectral-leakage line on stderr, no --out, even in
-    # pulses, which builds no kernel on a pump_ratio config; the others:
-    # exit 0 with nothing on stderr (a numpy warning fails the test)
-    section, key, value = EDGE_TWINS[twin]
+    # a refusal is one error line on stderr, even in pulses, which builds
+    # no kernel on a pump_ratio config; a run exits 0 with nothing on
+    # stderr (a numpy warning fails the test)
+    edits, answer = EDGE_TWINS[twin]
     raw = json.loads(DEFAULT_CONFIG.read_text())
-    raw[section][key] = value
+    for (section, key), value in edits.items():
+        raw[section][key] = value
     out = tmp_path / "out"
     code = main([command, "--config", str(write_config(tmp_path, raw)),
                  "--out", str(out)])
     err = capsys.readouterr().err
-    if twin == "leak":
-        assert code == 3
-        assert [json.loads(line)["error"] for line in err.splitlines()] \
-            == ["spectral-leakage"]
+    errors = [json.loads(line)["error"] for line in err.splitlines()]
+    if isinstance(answer, tuple):
+        refuser, answer = answer
+        if command == refuser:
+            assert (code, errors) == (3, [answer])
+            assert list(out.iterdir()) == []
+            return
+    elif answer is not None:
+        assert (code, errors) == (2 if answer == "config-error" else 3,
+                                  [answer])
         assert not out.exists()
         return
     assert (code, err) == (0, "")
     if twin == "huge-theta" and command == "squeezing":
         # the float twin writes the same rows
-        raw[section][key] = float(value)
+        raw["run"]["theta_max"] = float(raw["run"]["theta_max"])
         twin_out = tmp_path / "float"
         twin_path = tmp_path / "float.json"
         twin_path.write_text(json.dumps(raw))

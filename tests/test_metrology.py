@@ -11,15 +11,15 @@ from spopo.metrology import ASYMPTOTE_FRACTION, _first_n_at_asymptote
 from spopo.pulses import min_variance_curve
 
 from conftest import OMEGA0
-from oracles import fock_variance_of_x
+from oracles import direct_time_samples, fock_variance_of_x
 
 
 class TestFisherInformation:
     def test_coherent_input(self):
         # F = 2 alpha'^T V^-1 alpha' at V = I/2 is 4 sum alpha'^2
-        alpha = np.array([[1.5, -0.5, 2.0]])
+        alpha = np.array([1.5, -0.5, 2.0])
         v = 0.5 * np.eye(3)
-        assert fisher_information(alpha, [v]) \
+        assert fisher_information(alpha, v) \
             == pytest.approx(4.0 * np.sum(alpha**2), rel=1e-12)
 
     def test_probe_aligned_with_minimum_eigenvector(self):
@@ -27,19 +27,29 @@ class TestFisherInformation:
         sol = min_variance_transcendental(g, r, n)
         amplitude = 3.7
         cov = covariance(g, r, n)
-        value = fisher_information(amplitude * sol.eigvec[None, :],
-                                   [cov.v_minus])
+        value = fisher_information(amplitude * sol.eigvec, cov.v_minus)
         # a unit eigenvector of V^- at sigma^2: F = 2 A^2 / sigma^2
         assert value == pytest.approx(2.0 * amplitude**2 / sol.sigma2, rel=1e-8)
 
     def test_rejects_non_positive_definite(self):
         with pytest.raises(ValidationError):
-            fisher_information(np.ones((1, 2)), [-np.eye(2)])
+            fisher_information(np.ones(2), -np.eye(2))
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_rejects_non_finite_alpha_prime(self, value):
         with pytest.raises(ValidationError, match="alpha_prime"):
-            fisher_information(np.array([[value]]), [0.5 * np.eye(1)])
+            fisher_information(np.array([value]), 0.5 * np.eye(1))
+
+    @pytest.mark.parametrize("alpha, v_minus, message", [
+        (np.ones(2), 0.5 * np.eye(3), "alpha_prime row"),
+        (np.ones((1, 2)), 0.5 * np.eye(2), "alpha_prime row"),
+        (np.ones(2), np.diag([0.5, np.nan]), "V.* non-finite"),
+        (np.ones(2), np.diag([0.5, np.inf]), "V.* non-finite"),
+    ], ids=["size", "rows", "nan", "inf"])
+    def test_rejects_malformed_row_or_v_minus(self, alpha, v_minus, message):
+        # one (N,) row against one finite (N, N) V^(-)
+        with pytest.raises(ValidationError, match=message):
+            fisher_information(alpha, v_minus)
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
     def test_gaussian_qfi_oracle(self, seed):
@@ -51,7 +61,7 @@ class TestFisherInformation:
         beta = rng.uniform(-1.5, 1.5) + 1j * rng.uniform(-1.5, 1.5)
         alpha = rng.uniform(0.5, 3.0)
         v_minus = np.array([[0.5 * np.exp(-2 * g)]])
-        implemented = fisher_information(np.array([[alpha]]), [v_minus])
+        implemented = fisher_information(np.array([alpha]), v_minus)
         oracle = 8.0 * alpha**2 * fock_variance_of_x(g, beta)
         assert implemented == pytest.approx(oracle, rel=1e-9)
 
@@ -60,17 +70,25 @@ class TestOptimalProbe:
     def test_single_pulse_weights(self, default_basis, default_cavity):
         probe = optimal_probe(default_basis, OMEGA0, default_cavity.r,
                               n_pulses=1, n_bar0=1e6, gain0=0.05)
-        assert probe.alpha_prime.shape == (default_basis.n_kept, 1)
-        assert probe.alpha_prime[0, 0] == pytest.approx(probe.amplitude)
-        assert not np.any(probe.alpha_prime[1:])
+        assert probe.alpha_prime.shape == (1,)
+        assert probe.alpha_prime[0] == pytest.approx(probe.amplitude)
 
     def test_spectral_round_trip(self, default_basis, default_cavity):
-        probe = optimal_probe(default_basis, OMEGA0, default_cavity.r,
-                              n_pulses=4, n_bar0=1e6, gain0=0.05)
-        recovered = probe.pulse_freq * (OMEGA0 + default_basis.grid.omegas)
-        target = default_basis.modes_freq[:, 0]
-        err = np.linalg.norm(recovered - target) / np.linalg.norm(target)
-        assert err < 1e-12
+        # the envelope is amplitude * eigvec (x) the direct Fourier sum of
+        # psi0 / (omega0 + w), pulse by pulse, on both resonant branches
+        grid = default_basis.grid
+        pulse = direct_time_samples(
+            grid, default_basis.modes_freq[:, 0] / (OMEGA0 + grid.omegas))
+        for r in (default_cavity.r, -default_cavity.r):
+            probe = optimal_probe(default_basis, OMEGA0, r, n_pulses=4,
+                                  n_bar0=1e6, gain0=0.05)
+            eigvec = min_variance_transcendental(0.05, r, 4).eigvec
+            target = probe.amplitude * np.outer(eigvec, pulse).ravel()
+            err = np.linalg.norm(probe.envelope - target) \
+                / np.linalg.norm(target)
+            assert err < 1e-12, r
+            np.testing.assert_array_equal(probe.alpha_prime,
+                                          probe.amplitude * eigvec)
 
     def test_carrier_inside_grid_refused(self, default_basis, default_cavity):
         # omega0 + omega reaches 0 at the grid's lower edge
@@ -85,6 +103,13 @@ class TestOptimalProbe:
         with pytest.raises(ValidationError, match="n_bar0"):
             optimal_probe(default_basis, OMEGA0, default_cavity.r,
                           n_pulses=2, n_bar0=n_bar0, gain0=0.05)
+
+    def test_overflowing_amplitude_refused(self, default_basis,
+                                           default_cavity):
+        # N n_bar0 omega_eff^2 overflows although n_bar0 is finite
+        with pytest.raises(ValidationError, match="amplitude"):
+            optimal_probe(default_basis, OMEGA0, default_cavity.r,
+                          n_pulses=2, n_bar0=1e300, gain0=0.05)
 
     def test_photon_number_normalization(self, default_basis, default_cavity):
         n_pulses, n_bar0 = 6, 2.5e5
@@ -114,7 +139,7 @@ class TestOptimalProbe:
         shifted = OMEGA0 + default_basis.grid.omegas
         density = np.abs(default_basis.modes_freq[:, 0] / shifted) ** 2
         omega_eff_sq = np.sum(shifted**2 * density) / np.sum(density)
-        vacuum = [0.5 * np.eye(n_pulses)] * default_basis.n_kept
+        vacuum = 0.5 * np.eye(n_pulses)
         assert fisher_information(probe.alpha_prime, vacuum) == pytest.approx(
             4.0 * n_pulses * n_bar0 * omega_eff_sq, rel=1e-12)
 
@@ -251,10 +276,8 @@ class TestFisherConsistencyWithProbe:
         n_pulses, n_bar0, g0 = 8, 1e6, 0.06
         probe = optimal_probe(default_basis, OMEGA0, default_cavity.r,
                               n_pulses=n_pulses, n_bar0=n_bar0, gain0=g0)
-        families = [covariance(g0, default_cavity.r, n_pulses).v_minus]
-        for _ in range(default_basis.n_kept - 1):
-            families.append(0.5 * np.eye(n_pulses))
-        value = fisher_information(probe.alpha_prime, families)
+        v_minus = covariance(g0, default_cavity.r, n_pulses).v_minus
+        value = fisher_information(probe.alpha_prime, v_minus)
         sigma2 = min_variance_transcendental(g0, default_cavity.r,
                                              n_pulses).sigma2
         assert value == pytest.approx(2.0 * probe.amplitude**2 / sigma2,
