@@ -5,9 +5,9 @@ CSV file with a one-line header preceded by '#' metadata lines (tool version,
 config hash, then the command's own keys, such as threshold_gain), apart
 from metrology's ``summary.json``; stdout lists the outputs a run wrote.
 Errors are emitted as a JSON object on stderr with a stable code and mapped
-to exit codes 2 (config), 3 (physics domain), 4 (numerical).  The config is
-parsed, and a leaking window or a zero kernel at a pump ratio refused, before
-``--out`` is made.
+to exit codes 2 (config), 3 (physics domain), 4 (numerical).  A refused run
+writes nothing: a runner computes and queues its outputs on its ``_Run``,
+and ``_Run.store`` makes ``--out`` and writes them once the runner returns.
 
 A run directory also keeps two records, which are not outputs, behind one
 key line (``_spectrum_key``: the grid, pump and crystal, the versions, the
@@ -22,9 +22,10 @@ missing, mismatched or truncated record is recomputed:
   supermodes, metrology, and pulses on an energy pump.
 
 ``main`` hands each runner a ``_Run``, which holds the operating point, builds
-the kernel, reads or computes the records on first use and stores the
-computed ones once the runner returns.  A subcommand imports only its layers:
-the supermode layer inside ``_Run``, pulses and metrology in their runners.
+the kernel, reads or computes the records on first use, and, once the runner
+returns, writes the queued outputs and then the computed records.  A
+subcommand imports only its layers: the supermode layer inside ``_Run``,
+pulses and metrology in their runners.
 """
 
 from __future__ import annotations
@@ -151,9 +152,11 @@ class _Run:
     - ``basis``: the run basis, the top k = max(1, n_modes_dump) supermodes
       (at most n_points) with unscaled gains, in BASIS_FILE.
 
-    A record is read when its first line is ``_spectrum_key`` and a body of
-    the right length follows; otherwise it is computed, and ``store`` writes
-    it after the runner's last output, so a refused run stores nothing.
+    A runner queues each output with ``write``; ``store``, the one write
+    site, makes ``outdir`` and writes them once the runner returns, so a
+    refused run writes nothing.  A record is read when its first line is
+    ``_spectrum_key`` and a body of the right length follows; otherwise it
+    is computed, and ``store`` writes it after the outputs.
     For one numpy, BLAS build and BLAS thread count, ``eigvalsh`` gives the
     same bits to every process that computes them, and the Lanczos steps
     start from the same vector, so no output depends on which subcommand
@@ -168,6 +171,7 @@ class _Run:
     def __init__(self, cfg: ScenarioConfig, outdir: Path):
         self.cfg = cfg
         self.outdir = outdir
+        self._outputs = {}
         self._pending = {}
 
     @cached_property
@@ -188,9 +192,27 @@ class _Run:
             self._pending[name] = self._key + body
         return body
 
-    def store(self) -> None:
+    def write(self, name: str, *content) -> None:
+        """Queue output ``name``: a text, or the header, blocks and
+        metadata of a ``_write_csv``."""
+        self._outputs[name] = content
+
+    def store(self) -> list[Path]:
+        """Make ``outdir``, write the queued outputs in turn and then the
+        computed records; the outputs' paths."""
+        try:
+            self.outdir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(
+                f"--out is not a usable directory: {exc}") from exc
+        for name, content in self._outputs.items():
+            if len(content) == 1:
+                (self.outdir / name).write_text(*content)
+            else:
+                _write_csv(self.outdir / name, *content)
         for name, data in self._pending.items():
             _store_record(self.outdir / name, data)
+        return [self.outdir / name for name in self._outputs]
 
     @cached_property
     def threshold(self) -> float:
@@ -198,19 +220,18 @@ class _Run:
 
     def scaled(self, gains: np.ndarray):
         """``gains`` at the run's pump and the factor that took them there;
-        refuses a top gain at or above the threshold.  Gains scale as
-        sqrt(pulse_energy), so a pump_ratio is one factor on its pump's
-        REFERENCE_ENERGY gains."""
+        refuses a scale that is not finite, and a top gain at or above the
+        threshold.  Gains scale as sqrt(pulse_energy), so a pump_ratio is
+        one factor on its pump's REFERENCE_ENERGY gains."""
         cfg, gth = self.cfg, self.threshold
         scale = 1.0
         if cfg.pump_ratio is not None:
-            if gains[0] > 0:
-                scale = cfg.pump_ratio * gth / gains[0]
-            elif cfg.pump_ratio > 0:
-                raise ValidationError(
-                    "cannot scale to a nonzero pump ratio: reference gain is 0")
-            else:
-                scale = 0.0
+            # a zero or subnormal reference gain leaves no finite factor
+            with np.errstate(divide="ignore", over="ignore"):
+                scale = cfg.pump_ratio and cfg.pump_ratio * gth / gains[0]
+            if not np.isfinite(scale):
+                raise ValidationError("cannot scale to a nonzero pump ratio: "
+                                      f"reference gain is {gains[0]:.6g}")
             gains = gains * scale
         if gains.size and gains[0] >= gth:
             raise AtThresholdError(
@@ -265,9 +286,9 @@ class _Run:
             cfg.grid, cfg.run["gain_cutoff"])
 
 
-def run_supermodes(run: _Run) -> list[Path]:
+def run_supermodes(run: _Run) -> None:
     """gain spectrum and supermode dumps"""
-    cfg, outdir = run.cfg, run.outdir
+    cfg = run.cfg
     values, n_kept = run.values, run.n_kept
     gains, scale = run.scaled(values)
     # a tiny coupling scales by up to ~1e300: the energy prints as inf
@@ -286,14 +307,13 @@ def run_supermodes(run: _Run) -> list[Path]:
                                       cfg.run["gain_cutoff"]).modes_freq
     meta = _metadata(cfg, threshold_gain=_FLOAT_FMT % run.threshold,
                      effective_pulse_energy=_FLOAT_FMT % energy, n_kept=n_kept)
-    written = [_write_csv(outdir / "gains.csv", ["index", "gain"],
-                          [[np.arange(gains.size), gains]], meta)]
+    run.write("gains.csv", ["index", "gain"],
+              [[np.arange(gains.size), gains]], meta)
     omegas = cfg.grid.omegas
     for n in range(n_dump):
         mode = modes[:, n]
-        written.append(_write_csv(
-            outdir / f"mode_{n:03d}.csv", ["omega", "re_psi", "im_psi"],
-            [[omegas, mode.real, mode.imag]], meta))
+        run.write(f"mode_{n:03d}.csv", ["omega", "re_psi", "im_psi"],
+                  [[omegas, mode.real, mode.imag]], meta)
     if cfg.run["dump_kernel"]:
         matrix = run.kernel.matrix
         n_points = cfg.grid.n_points
@@ -303,12 +323,10 @@ def run_supermodes(run: _Run) -> list[Path]:
         step = max(1, _CHUNK_ROWS // matrix.shape[1])
         blocks = ([rows.real.ravel(), rows.imag.ravel()]
                   for rows in np.split(matrix, range(step, len(matrix), step)))
-        written.append(_write_csv(outdir / "kernel.csv", ["re", "im"], blocks,
-                                  kmeta))
-    return written
+        run.write("kernel.csv", ["re", "im"], blocks, kmeta)
 
 
-def run_squeezing(run: _Run) -> list[Path]:
+def run_squeezing(run: _Run) -> None:
     """squeezing / EPR spectra versus comb shift theta"""
     cfg = run.cfg
     gains, _ = run.scaled(run.values)
@@ -318,45 +336,39 @@ def run_squeezing(run: _Run) -> list[Path]:
     blocks = [[thetas, mode, spectrum.var_x[mode], spectrum.var_p[mode],
                spectrum.epr[mode]] for mode in range(len(spectrum.var_x))]
     meta = _metadata(cfg, threshold_gain=_FLOAT_FMT % run.threshold)
-    return [_write_csv(run.outdir / "squeezing.csv",
-                       ["theta", "mode", "var_x", "var_p", "epr_variance"],
-                       blocks, meta)]
+    run.write("squeezing.csv",
+              ["theta", "mode", "var_x", "var_p", "epr_variance"], blocks, meta)
 
 
-def run_pulses(run: _Run) -> list[Path]:
+def run_pulses(run: _Run) -> None:
     """pulse covariance, minimum variance, Duan sweeps"""
     from .pulses import covariance, duan_sum, min_variance_curve
 
-    cfg, outdir, g0 = run.cfg, run.outdir, run.g0
+    cfg, g0 = run.cfg, run.g0
     r = resonant_r(cfg.cavity)
     n_max = cfg.run["N_max"]
     meta = _metadata(cfg, threshold_gain=_FLOAT_FMT % run.threshold)
     ns = np.arange(1, n_max + 1)
     sigma2, theta = min_variance_curve(g0, r, ns)
-    written = [_write_csv(outdir / "sigma2.csv",
-                          ["N", "g", "r", "sigma2_abs", "sigma2_normalized",
-                           "theta_sol"],
-                          [[ns, g0, cfg.cavity.r, sigma2, sigma2 / 0.5, theta]],
-                          meta)]
+    run.write("sigma2.csv",
+              ["N", "g", "r", "sigma2_abs", "sigma2_normalized", "theta_sol"],
+              [[ns, g0, cfg.cavity.r, sigma2, sigma2 / 0.5, theta]], meta)
     seps = np.arange(1, min(n_max, 12))
     if seps.size:
-        written.append(_write_csv(outdir / "duan.csv",
-                                  ["separation", "duan_sum"],
-                                  [[seps, duan_sum(g0, r, seps)]], meta))
+        run.write("duan.csv", ["separation", "duan_sum"],
+                  [[seps, duan_sum(g0, r, seps)]], meta)
     if cfg.run["dump_matrices"]:
         cov = covariance(g0, r, min(n_max, 64))
         for name, mat in (("v_plus", cov.v_plus), ("v_minus", cov.v_minus)):
             header = [f"c{j}" for j in range(cov.n_pulses)]
-            written.append(_write_csv(outdir / f"{name}.csv", header,
-                                      [list(mat.T)], meta))
-    return written
+            run.write(f"{name}.csv", header, [list(mat.T)], meta)
 
 
-def run_metrology(run: _Run) -> list[Path]:
+def run_metrology(run: _Run) -> None:
     """time-delay improvement curves and optimal probe"""
     from .metrology import improvement_curve, optimal_probe
 
-    cfg, outdir = run.cfg, run.outdir
+    cfg = run.cfg
     # the bound reads g0 and psi0 alone: column 0 of the run basis
     basis, g0 = run.basis, run.g0
     r = resonant_r(cfg.cavity)
@@ -367,7 +379,6 @@ def run_metrology(run: _Run) -> list[Path]:
     else:
         ratios = [g0 / run.threshold]
     curve = improvement_curve(cfg.cavity, ratios, cfg.run["N_max"])
-    # every refusal comes before the first file is written
     probe = optimal_probe(basis, cfg.crystal.omega0, r,
                           cfg.run["probe_pulses"], cfg.run["n_bar0"],
                           gain0=g0)
@@ -376,9 +387,8 @@ def run_metrology(run: _Run) -> list[Path]:
               for ratio, sigma2, improvement, asymptote in zip(
                   curve.ratios, curve.sigma2, curve.improvement,
                   curve.asymptote)]
-    written = [_write_csv(outdir / "metrology.csv",
-                          ["ratio", "N", "sigma2", "improvement", "asymptote"],
-                          blocks, meta)]
+    run.write("metrology.csv", ["ratio", "N", "sigma2", "improvement",
+                                "asymptote"], blocks, meta)
     summary = {
         "spopo_version": __version__,
         "config_hash": cfg.config_hash,
@@ -387,18 +397,14 @@ def run_metrology(run: _Run) -> list[Path]:
         "asymptote": list(map(float, curve.asymptote)),
         "min_pulses_to_asymptote": list(map(int, curve.min_pulses_to_asymptote)),
     }
-    summary_path = outdir / "summary.json"
-    summary_path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    written.append(summary_path)
-
+    run.write("summary.json",
+              json.dumps(summary, indent=2, sort_keys=True) + "\n")
     times = (np.arange(len(probe.alpha_prime))[:, None]
              * basis.grid.rep_period + basis.time_grid[None, :]).ravel()
     pmeta = _metadata(cfg, amplitude=_FLOAT_FMT % probe.amplitude,
                       omega_eff_sq=_FLOAT_FMT % probe.omega_eff_sq)
-    written.append(_write_csv(
-        outdir / "probe.csv", ["t", "re", "im"],
-        [[times, probe.envelope.real, probe.envelope.imag]], pmeta))
-    return written
+    run.write("probe.csv", ["t", "re", "im"],
+              [[times, probe.envelope.real, probe.envelope.imag]], pmeta)
 
 
 _RUNNERS = {
@@ -430,16 +436,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = load_scenario(args.config)
-        outdir = Path(args.out)
-        try:
-            outdir.mkdir(parents=True, exist_ok=True)
-        except OSError as exc:
-            raise ConfigError(
-                f"--out is not a usable directory: {exc}") from exc
-        run = _Run(cfg, outdir)
-        written = _RUNNERS[args.command](run)
-        run.store()
+        run = _Run(load_scenario(args.config), Path(args.out))
+        _RUNNERS[args.command](run)
+        written = run.store()
     except (SpopoError, MemoryError) as exc:
         if isinstance(exc, MemoryError):
             # a size that cannot be allocated is a config value out of

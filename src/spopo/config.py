@@ -25,11 +25,13 @@ or a ratio included) is a config error, as is a sum delta_rt + delta0 that
 overflows, and so is a carrier or index whose chi0 overflows (omega0^2 or
 n0^3 beyond the float range) or a tau_p whose spectrum norm does.  So is a
 key the schema does not name, at the top level or in any section: a
-misspelled knob would otherwise run with its default.  Two physics-domain
+misspelled knob would otherwise run with its default.  Three physics-domain
 refusals (not config errors) are decided here too: a pump spectrum that
-leaks out of the grid's window (``SpectralLeakageError``), and a nonzero
-pump_ratio whose kernel peak, ``kernel.kernel_amplitude`` at 0, is 0, so
-that there is no gain to scale (``ValidationError``).
+leaks out of the grid's window (``SpectralLeakageError``); a nonzero
+pump_ratio whose kernel peak, ``kernel.kernel_amplitude`` at 0, is 0 or
+subnormal in magnitude, so that there is no gain to scale; and a kernel with a
+non-finite entry, when ``kernel.phase_bound`` or the peak is not finite
+(both ``ValidationError``).
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from .cavity import CavityConfig
 from .errors import (ConfigError, SpectralLeakageError, SpopoError,
                      ValidationError)
 from .kernel import (CrystalConfig, FrequencyGrid, PumpConfig, comb_grid,
-                     kernel_amplitude)
+                     kernel_amplitude, phase_bound)
 
 #: reference pulse energy used to obtain mode shapes when the pump is
 #: specified through a threshold ratio (gains are rescaled exactly afterwards)
@@ -263,10 +265,13 @@ def parse_scenario(raw: dict) -> ScenarioConfig:
         raise
     except SpopoError as exc:
         raise ConfigError(f"invalid configuration: {exc}") from exc
-    if pump_ratio and peak == 0.0:
-        # a zero kernel has no gain to scale to the ratio
+    if pump_ratio and abs(peak) < sys.float_info.min:
+        # a zero or subnormal kernel has no gain to scale to the ratio
         raise ValidationError(
-            "cannot scale to a nonzero pump ratio: reference gain is 0")
+            "cannot scale to a nonzero pump ratio: the kernel's peak "
+            f"{peak:.6g} is below the smallest normal float in magnitude")
+    if not (math.isfinite(phase_bound(grid, crystal)) and math.isfinite(peak)):
+        raise ValidationError("kernel matrix has non-finite entries")
     # a new dict: raw, and so config_hash, stays as the file gave it; an
     # integer beyond int64 would turn a numpy array built from it into an
     # object array

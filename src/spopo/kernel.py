@@ -237,6 +237,36 @@ def comb_grid(n_points: int, pump: PumpConfig) -> FrequencyGrid:
     return grid
 
 
+def _phase_constants(crystal: CrystalConfig):
+    """The Taylor constants of the phase mismatch, grouped so that the
+    ~3.5e3 rad k_0 terms cancel in one scalar subtraction rather than at
+    every entry: half = l_c / 2, the signal's (k_s2, k_s3) and the pump
+    side's (2 k_s0 - k_p0, k_s1 - k_p1, k_p2, k_p3)."""
+    c, p = crystal.signal_dispersion, crystal.pump_dispersion
+    return (0.5 * crystal.length, (c[2], c[3]),
+            (2.0 * c[0] - p[0], c[1] - p[1], p[2], p[3]))
+
+
+def phase_bound(grid: FrequencyGrid, crystal: CrystalConfig) -> float:
+    """A float bound on every |dphi| that ``build_kernel`` computes on
+    ``grid``, in O(1): 2 max|S| + max|P| from the same grouped constants,
+    with each term at its magnitude and each frequency at the window's edge.
+
+    Float rounding is monotone, so the bound, evaluated in the same order,
+    is at least every computed |S_i + S_j + P_{i+j}|: when it is finite, so
+    is every entry of a kernel whose peak amplitude is.  It may overflow
+    where the largest phase mismatch is still a few times below the float
+    range.
+    """
+    half, (s2, s3), (q0, q1, q2, q3) = _phase_constants(crystal)
+    w = grid.omega_max
+    sigma = 2.0 * w
+    signal = half * (w * w) * (abs(s2) + w * abs(s3))
+    pump = half * (abs(q0) + sigma * (abs(q1)
+                                      + sigma * (abs(q2) + sigma * abs(q3))))
+    return 2.0 * signal + pump
+
+
 # an overflowing phase mismatch leaves inf or NaN in the matrix, which
 # JointKernel refuses; numpy need not warn on the way
 @np.errstate(over="ignore", invalid="ignore")
@@ -253,9 +283,7 @@ def build_kernel(n_points: int, pump: PumpConfig,
     grid = comb_grid(n_points, pump)
     # the pump amplitude and the pump-side phase are evaluated on the 2n - 1
     # sums sigma_{i+j} and read through Hankel views, view[i, j] = v[i + j];
-    # the signal-side phase on the n grid points.  The Taylor constants are
-    # grouped first, so the ~3.5e3 rad k_0 terms cancel in one scalar
-    # subtraction rather than at every entry:
+    # the signal-side phase on the n grid points, from _phase_constants:
     #   dphi_ij = S_i + S_j + P_{i+j}
     #   S = l_c/2 w^2 (k_s2 + w k_s3)
     #   P = l_c/2 [(2 k_s0 - k_p0) + sigma (k_s1 - k_p1)
@@ -265,11 +293,9 @@ def build_kernel(n_points: int, pump: PumpConfig,
     n = grid.n_points
     w = grid.omegas
     sigma = np.linspace(-2.0 * grid.omega_max, 2.0 * grid.omega_max, 2 * n - 1)
-    half = 0.5 * crystal.length
-    c, p = crystal.signal_dispersion, crystal.pump_dispersion
-    signal = half * np.square(w) * (c[2] + w * c[3])
-    pump_phase = half * ((2.0 * c[0] - p[0])
-                         + sigma * ((c[1] - p[1]) - sigma * (p[2] + sigma * p[3])))
+    half, (s2, s3), (q0, q1, q2, q3) = _phase_constants(crystal)
+    signal = half * np.square(w) * (s2 + w * s3)
+    pump_phase = half * (q0 + sigma * (q1 - sigma * (q2 + sigma * q3)))
     amplitude = kernel_amplitude(sigma, grid, pump, crystal)
     hankel = np.lib.stride_tricks.sliding_window_view
     dphi = np.add(signal[:, None], signal[None, :])

@@ -17,8 +17,8 @@ import spopo.metrology
 import spopo.pulses
 import spopo.supermodes
 from spopo import (CavityConfig, ConfigError, SpectralLeakageError,
-                   build_kernel, duan_sum, optimal_probe, schmidt_decompose,
-                   threshold_gain)
+                   ValidationError, build_kernel, duan_sum, optimal_probe,
+                   schmidt_decompose, threshold_gain)
 from spopo.supermodes import takagi_values
 from spopo.cli import BASIS_FILE, SPECTRUM_FILE, _write_csv, main
 from spopo.config import MAX_N_POINTS, load_scenario, parse_scenario
@@ -613,21 +613,36 @@ class TestCliRuns:
         assert err["error"] == "config-error"
         assert "7.28 TiB" in err["message"]
 
-    def test_out_naming_a_file_is_config_error(self, tmp_path, capsys,
-                                               monkeypatch):
+    def test_out_naming_a_file_is_config_error(self, tmp_path, capsys):
+        # refused when the run's outputs are stored, after the compute
         path = write_config(tmp_path, scenario_dict())
         out = tmp_path / "taken"
         out.write_text("kept")
-
-        def no_work(*args):
-            raise AssertionError("runner called")
-
-        monkeypatch.setitem(spopo.cli._RUNNERS, "pulses", no_work)
         assert main(["pulses", "--config", str(path), "--out", str(out)]) == 2
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "config-error"
         assert "--out" in err["message"]
         assert out.read_text() == "kept"
+
+    def test_refusal_after_a_queued_output_writes_nothing(
+            self, tmp_path, capsys, monkeypatch):
+        # the runner queues an output and a record, then refuses: neither
+        # is written, and --out is not made
+        def refuse_late(run):
+            run.write("summary.json", "{}\n")
+            assert run.values.size == run.cfg.grid.n_points
+            raise ValidationError("refused after the compute")
+
+        monkeypatch.setitem(spopo.cli._RUNNERS, "squeezing", refuse_late)
+        path = write_config(tmp_path, scenario_dict())
+        out = tmp_path / "out"
+        assert main(["squeezing", "--config", str(path), "--out",
+                     str(out)]) == 3
+        captured = capsys.readouterr()
+        assert [json.loads(line)["error"] for line in
+                captured.err.splitlines()] == ["validation-error"]
+        assert captured.out == ""
+        assert not out.exists()
 
     def test_zero_n_bar0_is_config_error(self, tmp_path, capsys):
         path = write_config(tmp_path, scenario_dict(**{"run.n_bar0": 0}))
@@ -717,8 +732,8 @@ class TestCliRuns:
             assert texts[0] == texts[1], name
 
     def test_metrology_zero_energy_writes_nothing(self, tmp_path, capsys):
-        # a zero pump keeps no mode, so there is no probe: refused before
-        # metrology.csv or summary.json is written
+        # a zero pump keeps no mode, so there is no probe: refused, and
+        # neither metrology.csv nor summary.json is written
         raw = scenario_dict()
         del raw["pump"]["pump_ratio"]
         raw["pump"]["energy"] = 0
@@ -728,7 +743,7 @@ class TestCliRuns:
         assert code == 3
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "validation-error"
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["pulses", "metrology"])
     def test_off_resonant_phase_refused(self, tmp_path, capsys, command):
@@ -741,24 +756,6 @@ class TestCliRuns:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "validation-error"
         assert "resonant" in err["message"]
-
-    @pytest.mark.parametrize("command", ["supermodes", "squeezing",
-                                         "metrology"])
-    def test_non_finite_kernel_refused(self, tmp_path, capsys, command):
-        # the phase mismatch overflows, and sin(inf) puts NaN in the kernel
-        raw = json.loads(DEFAULT_CONFIG.read_text())
-        raw["crystal"]["pump_dispersion"][2] = 1e300
-        out = tmp_path / "o"
-        with warnings.catch_warnings():
-            # the overflow is refused as an error object, not warned about
-            warnings.simplefilter("error")
-            code = main([command, "--config",
-                         str(write_config(tmp_path, raw)), "--out", str(out)])
-        assert code == 3
-        err = json.loads(capsys.readouterr().err)
-        assert err["error"] == "validation-error"
-        assert "non-finite" in err["message"]
-        assert not list(out.glob("*.csv"))
 
     @pytest.mark.parametrize("command", ["pulses", "metrology"])
     def test_kernel_near_float_range_is_at_threshold(self, tmp_path, capsys,
@@ -776,7 +773,7 @@ class TestCliRuns:
                          str(write_config(tmp_path, raw)), "--out", str(out)])
         assert code == 3
         assert json.loads(capsys.readouterr().err)["error"] == "at-threshold"
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     def test_non_finite_kernel_stderr_is_one_json_object(self, tmp_path):
         raw = json.loads(DEFAULT_CONFIG.read_text())
@@ -1461,7 +1458,41 @@ class TestOperatingPoint:
         err = json.loads(capsys.readouterr().err)
         assert (err["error"], err["theta"]) == ("at-threshold", 0.0)
         assert "singular" in err["message"]
-        assert list(out.iterdir()) == []
+        assert not out.exists()
+
+    # any warning fails the test, not only a numpy RuntimeWarning
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command", ["supermodes", "squeezing"])
+    def test_subnormal_top_gain_is_refused(self, tmp_path, capsys, command):
+        # a normal kernel peak (5.15e-296) whose phase mismatch leaves a
+        # subnormal top gain (2.6e-311): no finite factor takes it to the
+        # pump_ratio
+        raw = json.loads(DEFAULT_CONFIG.read_text())
+        raw["crystal"]["signal_dispersion"][0] = 1e20
+        raw["crystal"]["pump_dispersion"][0] = 0.0
+        raw["crystal"]["d_eff"] = 1e-305
+        out = tmp_path / "out"
+        assert main([command, "--config", str(write_config(tmp_path, raw)),
+                     "--out", str(out)]) == 3
+        errors = [json.loads(line)
+                  for line in capsys.readouterr().err.splitlines()]
+        assert [e["error"] for e in errors] == ["validation-error"]
+        assert "reference gain is 2.6" in errors[0]["message"]
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("top", [0.0, 5e-324, 2.6e-311])
+    def test_scale_that_is_not_finite_is_refused(self, tmp_path, top):
+        gains = np.array([top, 0.0])
+        run = spopo.cli._Run(parse_scenario(scenario_dict()), tmp_path)
+        with pytest.raises(ValidationError, match="reference gain"):
+            run.scaled(gains)
+        # a zero pump_ratio scales by 0 whatever the reference gain
+        run = spopo.cli._Run(parse_scenario(scenario_dict(
+            **{"pump.pump_ratio": 0.0})), tmp_path)
+        scaled, scale = run.scaled(gains)
+        assert scale == 0.0
+        assert not scaled.any()
 
     def test_finesse_cavity_runs_every_subcommand(self, tmp_path):
         raw = json.loads(DEFAULT_CONFIG.read_text())
@@ -1550,61 +1581,87 @@ class TestOperatingPoint:
         assert not out.exists()
 
 
-#: twins of configs/default.json: {(section, key): value} edits and the
-#: answer.  None: every subcommand runs.  An error code: every subcommand
-#: refuses with it when the config is parsed, before --out is made.  A
-#: (command, code) pair: that subcommand refuses and writes nothing, and
-#: the others run.
+COMMANDS = ("supermodes", "squeezing", "pulses", "metrology")
+
+
+def every_command(code):
+    return dict.fromkeys(COMMANDS, code)
+
+
+#: twins of configs/default.json: {(section, key[, index]): value} edits, the
+#: subcommands that refuse and their error codes (a subcommand not named
+#: runs), and a fragment of every refusal's message.  A refusal is one error
+#: line, and it leaves no --out.
 EDGE_TWINS = {
     # a pump spectrum that leaks out of the 171-point window
-    "leak": ({("pump", "tau_p"): 8.5e-16}, "spectral-leakage"),
+    "leak": ({("pump", "tau_p"): 8.5e-16}, every_command("spectral-leakage"),
+             "leaks outside"),
     # a coupling so small that the pump_ratio scale is ~1e300
-    "tiny": ({("crystal", "d_eff"): 1e-300}, None),
+    "tiny": ({("crystal", "d_eff"): 1e-300}, {}, None),
     # a theta_max integer beyond int64
-    "huge-theta": ({("run", "theta_max"): 10**19}, None),
-    # a kernel peak of exactly 0, so no gain to scale to the pump_ratio
-    "zero-d_eff": ({("crystal", "d_eff"): 0.0}, "validation-error"),
-    "zero-A_eff": ({("crystal", "A_eff"): 1e300}, "validation-error"),
-    "zero-tau_p": ({("pump", "tau_p"): 1e-200}, "validation-error"),
+    "huge-theta": ({("run", "theta_max"): 10**19}, {}, None),
+    # a kernel peak of exactly 0, or a subnormal one (1.7e-318), so no gain
+    # to scale to the pump_ratio
+    "zero-d_eff": ({("crystal", "d_eff"): 0.0},
+                   every_command("validation-error"), "cannot scale"),
+    "zero-A_eff": ({("crystal", "A_eff"): 1e300},
+                   every_command("validation-error"), "cannot scale"),
+    "zero-tau_p": ({("pump", "tau_p"): 1e-200},
+                   every_command("validation-error"), "cannot scale"),
+    "subnormal-peak": ({("crystal", "d_eff"): 1e-300,
+                        ("crystal", "A_eff"): 1e46},
+                       every_command("validation-error"), "peak 1.70973e-318"),
+    # a negative coupling flips the kernel's sign, not its singular values
+    "negative-d_eff": ({("crystal", "d_eff"): -2e-12}, {}, None),
     # chi0's omega0^2 or n0^3, or the spectrum norm's sigma_t^2, overflows
-    "huge-omega0": ({("crystal", "omega0"): 1e160}, "config-error"),
-    "huge-n0": ({("crystal", "n0"): 1e110}, "config-error"),
+    "huge-omega0": ({("crystal", "omega0"): 1e160},
+                    every_command("config-error"), "chi0 overflows"),
+    "huge-n0": ({("crystal", "n0"): 1e110}, every_command("config-error"),
+                "chi0 overflows"),
     "huge-T0": ({("pump", "T0"): 1e300, ("pump", "tau_p"): 1e298},
-                "config-error"),
+                every_command("config-error"), "tau_p"),
+    # the phase mismatch overflows, and sin(inf) would put NaN in the kernel
+    "nonfinite-p1": ({("crystal", "pump_dispersion", 1): -1e300},
+                     every_command("validation-error"), "non-finite"),
+    "nonfinite-p2": ({("crystal", "pump_dispersion", 2): 1e300},
+                     every_command("validation-error"), "non-finite"),
     # N n_bar0 omega_eff^2 overflows: no probe amplitude
     "huge-n_bar0": ({("run", "n_bar0"): 1e300},
-                    ("metrology", "validation-error")),
+                    {"metrology": "validation-error"}, "probe amplitude"),
+    # below the phase-dependent threshold, but the pulse closed forms need a
+    # resonant round trip
+    "off-resonant": ({("pump", "delta0"): 0.3},
+                     {"pulses": "validation-error",
+                      "metrology": "validation-error"}, "resonant"),
 }
 
 
 # any warning fails the test, not only a numpy RuntimeWarning
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("command", ["supermodes", "squeezing", "pulses",
-                                     "metrology"])
+@pytest.mark.parametrize("command", COMMANDS)
 @pytest.mark.parametrize("twin", EDGE_TWINS)
 def test_every_command_answers_an_edge_twin_alike(tmp_path, capsys, twin,
                                                   command):
     # a refusal is one error line on stderr, even in pulses, which builds
     # no kernel on a pump_ratio config; a run exits 0 with nothing on
     # stderr (a numpy warning fails the test)
-    edits, answer = EDGE_TWINS[twin]
+    edits, refusals, fragment = EDGE_TWINS[twin]
     raw = json.loads(DEFAULT_CONFIG.read_text())
-    for (section, key), value in edits.items():
-        raw[section][key] = value
+    for (section, key, *index), value in edits.items():
+        if index:
+            raw[section][key][index[0]] = value
+        else:
+            raw[section][key] = value
     out = tmp_path / "out"
     code = main([command, "--config", str(write_config(tmp_path, raw)),
                  "--out", str(out)])
     err = capsys.readouterr().err
-    errors = [json.loads(line)["error"] for line in err.splitlines()]
-    if isinstance(answer, tuple):
-        refuser, answer = answer
-        if command == refuser:
-            assert (code, errors) == (3, [answer])
-            assert list(out.iterdir()) == []
-            return
-    elif answer is not None:
-        assert (code, errors) == (2 if answer == "config-error" else 3,
-                                  [answer])
+    if command in refusals:
+        errors = [json.loads(line) for line in err.splitlines()]
+        assert (code, [e["error"] for e in errors]) == (
+            2 if refusals[command] == "config-error" else 3,
+            [refusals[command]])
+        assert fragment in errors[0]["message"]
         assert not out.exists()
         return
     assert (code, err) == (0, "")

@@ -6,7 +6,7 @@ import pytest
 
 from spopo import (FrequencyGrid, SpectralLeakageError, ValidationError,
                    build_kernel, chi0)
-from spopo.kernel import comb_grid
+from spopo.kernel import comb_grid, phase_bound
 from spopo.supermodes import takagi
 
 from conftest import N_POINTS, T0, make_crystal, make_pump
@@ -270,3 +270,52 @@ class TestBuildKernel:
         g0_coarse = takagi(coarse.matrix)[0][0]
         g0_fine = takagi(fine.matrix)[0][0]
         assert abs(g0_coarse - g0_fine) / g0_fine < 1e-3
+
+
+class TestPhaseBound:
+    @pytest.mark.parametrize("n_points, bound", [(171, 26.458),
+                                                 (1361, 446.26)])
+    def test_bounds_the_phase_mismatch(self, n_points, bound,
+                                       default_pump, default_crystal):
+        # every |dphi| of the n^2-point formula, which agrees with the
+        # build's to about 1e-12 rad, lies below the O(1) bound
+        grid = comb_grid(n_points, default_pump)
+        w1, w2 = np.meshgrid(grid.omegas, grid.omegas, indexing="ij")
+
+        def poly(c, x):
+            return c[0] + x * (c[1] + x * (c[2] + x * c[3]))
+
+        dphi = 0.5 * default_crystal.length * (
+            poly(default_crystal.signal_dispersion, w1)
+            + poly(default_crystal.signal_dispersion, w2)
+            - poly(default_crystal.pump_dispersion, w1 + w2))
+        assert np.abs(dphi).max() <= phase_bound(grid, default_crystal)
+        assert phase_bound(grid, default_crystal) == pytest.approx(bound,
+                                                                   rel=1e-4)
+
+    @pytest.mark.parametrize("which, index", [
+        ("signal_dispersion", 2), ("signal_dispersion", 3),
+        ("pump_dispersion", 1), ("pump_dispersion", 2),
+        ("pump_dispersion", 3)])
+    def test_finite_bound_means_finite_kernel(self, which, index,
+                                              default_pump):
+        # each coefficient swept across the float range's edge, both signs:
+        # wherever the bound is finite, the kernel the build makes is too,
+        # and far past the edge both overflow
+        grid = comb_grid(N_POINTS, default_pump)
+        coefficients = list(getattr(make_crystal(), which))
+        finite = infinite = 0
+        for value in np.geomspace(1e230, 1e308, 157):
+            for sign in (1.0, -1.0):
+                coefficients[index] = sign * float(value)
+                crystal = make_crystal(**{which: tuple(coefficients)})
+                if math.isfinite(phase_bound(grid, crystal)):
+                    finite += 1
+                    assert np.isfinite(build_kernel(N_POINTS, default_pump,
+                                                    crystal).matrix).all()
+                else:
+                    infinite += 1
+        assert finite and infinite
+        crystal = make_crystal(**{which: tuple(coefficients)})
+        with pytest.raises(ValidationError, match="non-finite"):
+            build_kernel(N_POINTS, default_pump, crystal)
