@@ -371,6 +371,10 @@ def run_metrology(run: _Run) -> None:
     cfg = run.cfg
     # the bound reads g0 and psi0 alone: column 0 of the run basis
     basis, g0 = run.basis, run.g0
+    if cfg.pump_ratio is not None:
+        # refuses, as supermodes and squeezing do, a top gain that no finite
+        # factor takes to the pump_ratio
+        run.scaled(basis.gains)
     r = resonant_r(cfg.cavity)
     if "ratios" in cfg.run:
         ratios = cfg.run["ratios"]

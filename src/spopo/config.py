@@ -1,37 +1,37 @@
 """Scenario configuration: one JSON document per run, SI units throughout.
 
-Schema (all values SI):
+``_SCHEMA`` is the one statement of the schema: each section's keys, with
+each key's kind and default.  ``parse_scenario`` refuses, section by section
+in its order, a section that is not an object, an unknown key (a misspelled
+knob would otherwise run with its default), a missing required key and a
+malformed value, each as a config error, and only then the cross-field
+faults below.  The keys, in SI:
 
-    grid:    n_points (odd int, at most MAX_N_POINTS): the comb grid
+    grid:    n_points (odd, at most MAX_N_POINTS): the comb grid
              comb_grid(n_points, pump), spacing 2 pi / T0, half-width
              omega_max = (n_points - 1) pi / T0, wide enough that the pump
              spectrum does not leak out of it
     pump:    exactly one of energy (J) / pump_ratio (g0/g_th); tau_p (s,
              intensity FWHM); T0 (s); delta0 (rad, half the pump CEO)
     crystal: l_c (m); d_eff (m/V); n0; A_eff (m^2); omega0 (rad/s, above
-             the grid's omega_max); signal_dispersion, pump_dispersion (4
-             Taylor coefficients each)
+             the grid's omega_max); signal_dispersion, pump_dispersion
+             (Taylor coefficients)
     cavity:  exactly one of r / finesse; delta_rt (rad), which with delta0
              makes the cavity's one round-trip phase delta_rt + delta0
-    run:     optional subcommand knobs: each of RUN_DEFAULTS (gain_cutoff
-             in [0, 1], so mode 0 is kept whenever g0 > 0), and ratios
-             ([pump_ratio], or [g0 / g_th] for an energy pump); the parsed
-             run holds theta_max, n_bar0, gain_cutoff and each ratio as a
-             float, whatever JSON number the config gave
+    run:     optional subcommand knobs (gain_cutoff in [0, 1], so mode 0 is
+             kept whenever g0 > 0); with no ratios, metrology reads
+             [pump_ratio], or [g0 / g_th] for an energy pump
 
-Every number must be finite: Python's json reads NaN, Infinity and -Infinity,
-and a config holding one anywhere above (a dispersion coefficient, a run knob
-or a ratio included) is a config error, as is a sum delta_rt + delta0 that
-overflows, and so is a carrier or index whose chi0 overflows (omega0^2 or
-n0^3 beyond the float range) or a tau_p whose spectrum norm does.  So is a
-key the schema does not name, at the top level or in any section: a
-misspelled knob would otherwise run with its default.  Three physics-domain
-refusals (not config errors) are decided here too: a pump spectrum that
-leaks out of the grid's window (``SpectralLeakageError``); a nonzero
-pump_ratio whose kernel peak, ``kernel.kernel_amplitude`` at 0, is 0 or
-subnormal in magnitude, so that there is no gain to scale; and a kernel with a
-non-finite entry, when ``kernel.phase_bound`` or the peak is not finite
-(both ``ValidationError``).
+Every number must be finite (Python's json reads NaN, Infinity and
+-Infinity).  A sum delta_rt + delta0 that overflows is a config error, and so
+is a carrier or index whose chi0 overflows (omega0^2 or n0^3 beyond the float
+range) or a tau_p whose spectrum norm does.  Three physics-domain refusals
+(not config errors) are decided here too: a pump spectrum that leaks out of
+the grid's window (``SpectralLeakageError``); a nonzero pump_ratio whose
+kernel peak, ``kernel.kernel_amplitude`` at 0, is 0 or subnormal in
+magnitude, so that there is no gain to scale; and a kernel with a non-finite
+entry, when ``kernel.phase_bound`` or the peak is not finite (both
+``ValidationError``).
 """
 
 from __future__ import annotations
@@ -57,34 +57,9 @@ REFERENCE_ENERGY = 1e-9
 #: an array's size in bytes must fit in a signed index, sys.maxsize
 MAX_N_POINTS = math.isqrt(sys.maxsize // 8)
 
-#: the default of every run knob but ``ratios``; ``ScenarioConfig.run`` holds
-#: each of them, from the config or from here
-RUN_DEFAULTS = {"theta_points": 121, "theta_max": math.pi, "N_max": 100,
-                "gain_cutoff": 1e-6, "n_modes_dump": 8, "dump_kernel": False,
-                "dump_matrices": False, "probe_pulses": 8, "n_bar0": 1e6}
-
-#: the keys each section of the schema names; the top level holds the sections
-_SECTION_KEYS = {
-    "grid": {"n_points"},
-    "pump": {"energy", "pump_ratio", "tau_p", "T0", "delta0"},
-    "crystal": {"l_c", "d_eff", "n0", "A_eff", "omega0", "signal_dispersion",
-                "pump_dispersion"},
-    "cavity": {"r", "finesse", "delta_rt"},
-    "run": {*RUN_DEFAULTS, "ratios"},
-}
-
-
-def _require(section: dict, section_name: str, key: str):
-    if key not in section:
-        raise ConfigError(f"missing required field: {section_name}.{key}")
-    return section[key]
-
-
-def _refuse_unknown(section: dict, section_name: str, known) -> None:
-    unknown = sorted(section.keys() - known)
-    if unknown:
-        raise ConfigError(
-            f"unknown keys in {section_name}: {', '.join(unknown)}")
+#: the marks of a key with no default value: a missing _REQUIRED key is
+#: refused, a missing _OPTIONAL one is absent from the parsed section
+_REQUIRED, _OPTIONAL = object(), object()
 
 
 def _is_number(value) -> bool:
@@ -97,52 +72,81 @@ def _is_number(value) -> bool:
         return False
 
 
-def _number(section: dict, section_name: str, key: str, default=None):
-    if key not in section:
-        if default is None:
-            raise ConfigError(f"missing required field: {section_name}.{key}")
-        return default
-    value = section[key]
-    if not _is_number(value):
-        raise ConfigError(f"field {section_name}.{key} must be a finite number")
-    return float(value)
+def _is_integer(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _coefficients(section: dict, section_name: str, key: str) -> tuple:
-    """Four finite Taylor coefficients (all zero when the key is absent)."""
-    value = section.get(key, [0.0] * 4)
-    if not isinstance(value, (list, tuple)) or len(value) != 4 \
-            or not all(map(_is_number, value)):
-        raise ConfigError(
-            f"field {section_name}.{key} must be a list of 4 finite numbers")
-    return tuple(map(float, value))
+#: a key's kind: the test its value passes, the phrase that names the test
+#: in a refusal, and the parsed value
+_NUMBER = (_is_number, "a finite number", float)
+_COUNT = (lambda v: _is_integer(v) and v >= 1, "a positive integer", int)
+_BOOLEAN = (lambda v: isinstance(v, bool), "a boolean", bool)
+_COEFFICIENTS = (lambda v: isinstance(v, (list, tuple)) and len(v) == 4
+                 and all(map(_is_number, v)),
+                 "a list of 4 finite numbers", lambda v: tuple(map(float, v)))
+
+#: the schema: each section's keys, with each key's kind and its default.
+#: The parsed run holds every knob but an absent ratios, and a float knob as
+#: a float whatever JSON number the config gave (an integer beyond int64
+#: would turn a numpy array built from it into an object array)
+_SCHEMA = {
+    "grid": {"n_points": ((_is_integer, "an integer", int), _REQUIRED)},
+    "pump": {"energy": (_NUMBER, _OPTIONAL),
+             "pump_ratio": (_NUMBER, _OPTIONAL), "tau_p": (_NUMBER, _REQUIRED),
+             "T0": (_NUMBER, _REQUIRED), "delta0": (_NUMBER, 0.0)},
+    "crystal": {"l_c": (_NUMBER, _REQUIRED), "d_eff": (_NUMBER, _REQUIRED),
+                "n0": (_NUMBER, _REQUIRED), "A_eff": (_NUMBER, _REQUIRED),
+                "omega0": (_NUMBER, _REQUIRED),
+                "signal_dispersion": (_COEFFICIENTS, (0.0,) * 4),
+                "pump_dispersion": (_COEFFICIENTS, (0.0,) * 4)},
+    "cavity": {"r": (_NUMBER, _OPTIONAL), "finesse": (_NUMBER, _OPTIONAL),
+               "delta_rt": (_NUMBER, 0.0)},
+    "run": {
+        "theta_points": (_COUNT, 121),
+        "theta_max": ((lambda v: _is_number(v) and v >= 0,
+                       "a finite non-negative number", float), math.pi),
+        "N_max": (_COUNT, 100),
+        "gain_cutoff": ((lambda v: _is_number(v) and 0 <= v <= 1,
+                         "a number in [0, 1]", float), 1e-6),
+        "n_modes_dump": (_COUNT, 8),
+        "dump_kernel": (_BOOLEAN, False),
+        "dump_matrices": (_BOOLEAN, False),
+        "probe_pulses": (_COUNT, 8),
+        "n_bar0": ((lambda v: _is_number(v) and v > 0,
+                    "a finite positive number", float), 1e6),
+        "ratios": ((lambda v: isinstance(v, list) and v != [] and all(
+            _is_number(x) and 0.0 <= x < 1.0 for x in v),
+            "a non-empty list of numbers in [0, 1)",
+            lambda v: [float(x) for x in v]), _OPTIONAL),
+    },
+}
 
 
-def _validate_run_section(run: dict) -> None:
-    """Type-check the subcommand knobs so bad values fail as config errors."""
-    def fail(key, expected):
-        raise ConfigError(f"field run.{key} must be {expected}")
-
-    for key in ("N_max", "theta_points", "n_modes_dump", "probe_pulses"):
-        if key in run and (isinstance(run[key], bool)
-                           or not isinstance(run[key], int) or run[key] < 1):
-            fail(key, "a positive integer")
-    if "theta_max" in run and (not _is_number(run["theta_max"])
-                               or run["theta_max"] < 0):
-        fail("theta_max", "a finite non-negative number")
-    if "gain_cutoff" in run and (not _is_number(run["gain_cutoff"])
-                                 or not 0 <= run["gain_cutoff"] <= 1):
-        fail("gain_cutoff", "a number in [0, 1]")
-    if "n_bar0" in run and (not _is_number(run["n_bar0"]) or run["n_bar0"] <= 0):
-        fail("n_bar0", "a finite positive number")
-    for key in ("dump_kernel", "dump_matrices"):
-        if key in run and not isinstance(run[key], bool):
-            fail(key, "a boolean")
-    if "ratios" in run:
-        ratios = run["ratios"]
-        if not isinstance(ratios, list) or not ratios or any(
-                not _is_number(x) or not 0.0 <= x < 1.0 for x in ratios):
-            fail("ratios", "a non-empty list of numbers in [0, 1)")
+def _parse_section(raw: dict, name: str) -> dict:
+    """Section ``name`` of ``raw`` as a new dict of parsed values, with the
+    defaults filled in; refuses a required section that is missing, a
+    section that is not an object, unknown keys, a missing required key and
+    a malformed value."""
+    if name not in raw and name != "run":
+        raise ConfigError(f"missing required section: {name}")
+    section = raw.get(name, {})
+    if not isinstance(section, dict):
+        raise ConfigError("run section must be an object" if name == "run"
+                          else f"section {name} must be an object")
+    unknown = sorted(section.keys() - _SCHEMA[name])
+    if unknown:
+        raise ConfigError(f"unknown keys in {name}: {', '.join(unknown)}")
+    parsed = {}
+    for key, ((test, phrase, parse), default) in _SCHEMA[name].items():
+        if key in section:
+            if not test(section[key]):
+                raise ConfigError(f"field {name}.{key} must be {phrase}")
+            parsed[key] = parse(section[key])
+        elif default is _REQUIRED:
+            raise ConfigError(f"missing required field: {name}.{key}")
+        elif default is not _OPTIONAL:
+            parsed[key] = default
+    return parsed
 
 
 @dataclass(frozen=True)
@@ -183,77 +187,50 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
 def parse_scenario(raw: dict) -> ScenarioConfig:
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
-    _refuse_unknown(raw, "the config root", _SECTION_KEYS)
-    for name in ("grid", "pump", "crystal", "cavity"):
-        if name not in raw:
-            raise ConfigError(f"missing required section: {name}")
-        if not isinstance(raw[name], dict):
-            raise ConfigError(f"section {name} must be an object")
-    grid_sec, pump_sec = raw["grid"], raw["pump"]
-    crystal_sec, cavity_sec = raw["crystal"], raw["cavity"]
-    run = raw.get("run", {})
-    if not isinstance(run, dict):
-        raise ConfigError("run section must be an object")
-    for name, known in _SECTION_KEYS.items():
-        _refuse_unknown(raw.get(name, {}), name, known)
-    _validate_run_section(run)
+    unknown = sorted(raw.keys() - _SCHEMA)
+    if unknown:
+        raise ConfigError(
+            f"unknown keys in the config root: {', '.join(unknown)}")
+    # new dicts: raw, and so config_hash, stays as the file gave it
+    grid_sec, pump_sec, crystal_sec, cavity_sec, run = (
+        _parse_section(raw, name) for name in _SCHEMA)
 
-    t0 = _number(pump_sec, "pump", "T0")
-    n_points = _require(grid_sec, "grid", "n_points")
-    if isinstance(n_points, bool) or not isinstance(n_points, int):
-        raise ConfigError("field grid.n_points must be an integer")
+    n_points = grid_sec["n_points"]
     if n_points > MAX_N_POINTS:
         raise ConfigError(
             f"field grid.n_points = {n_points} exceeds {MAX_N_POINTS}, the "
             "largest grid whose n_points x n_points kernel numpy can lay out")
-
-    has_energy = "energy" in pump_sec
-    has_ratio = "pump_ratio" in pump_sec
-    if has_energy == has_ratio:
+    if ("energy" in pump_sec) == ("pump_ratio" in pump_sec):
         raise ConfigError("pump needs exactly one of energy / pump_ratio")
-    if has_ratio:
-        pump_ratio = _number(pump_sec, "pump", "pump_ratio")
+    pump_ratio = pump_sec.get("pump_ratio")
+    if pump_ratio is not None:
         if not 0.0 <= pump_ratio < 1.0:
             raise ConfigError("pump.pump_ratio must lie in [0, 1)")
         energy = REFERENCE_ENERGY
     else:
-        pump_ratio = None
-        energy = _number(pump_sec, "pump", "energy")
+        energy = pump_sec["energy"]
         if energy < 0:
             raise ConfigError("pump.energy must be >= 0")
-
-    has_r = "r" in cavity_sec
-    has_finesse = "finesse" in cavity_sec
-    if has_r == has_finesse:
+    if ("r" in cavity_sec) == ("finesse" in cavity_sec):
         raise ConfigError("cavity needs exactly one of r / finesse")
 
     try:
-        pump = PumpConfig(
-            pulse_energy=energy,
-            tau_p=_number(pump_sec, "pump", "tau_p"),
-            rep_period=t0,
-        )
+        pump = PumpConfig(pulse_energy=energy, tau_p=pump_sec["tau_p"],
+                          rep_period=pump_sec["T0"])
         crystal = CrystalConfig(
-            length=_number(crystal_sec, "crystal", "l_c"),
-            d_eff=_number(crystal_sec, "crystal", "d_eff"),
-            n0=_number(crystal_sec, "crystal", "n0"),
-            a_eff=_number(crystal_sec, "crystal", "A_eff"),
-            omega0=_number(crystal_sec, "crystal", "omega0"),
-            signal_dispersion=_coefficients(crystal_sec, "crystal",
-                                            "signal_dispersion"),
-            pump_dispersion=_coefficients(crystal_sec, "crystal",
-                                          "pump_dispersion"),
-        )
-        phase = (_number(cavity_sec, "cavity", "delta_rt", 0.0)
-                 + _number(pump_sec, "pump", "delta0", 0.0))
-        if has_r:
-            cavity = CavityConfig(r=_number(cavity_sec, "cavity", "r"),
-                                  phase=phase)
+            length=crystal_sec["l_c"], d_eff=crystal_sec["d_eff"],
+            n0=crystal_sec["n0"], a_eff=crystal_sec["A_eff"],
+            omega0=crystal_sec["omega0"],
+            signal_dispersion=crystal_sec["signal_dispersion"],
+            pump_dispersion=crystal_sec["pump_dispersion"])
+        phase = cavity_sec["delta_rt"] + pump_sec["delta0"]
+        if "r" in cavity_sec:
+            cavity = CavityConfig(r=cavity_sec["r"], phase=phase)
         else:
-            cavity = CavityConfig.from_finesse(
-                _number(cavity_sec, "cavity", "finesse"), phase=phase)
-        # the window comes last, so a leaking config with a malformed field
-        # is refused as a config error
+            cavity = CavityConfig.from_finesse(cavity_sec["finesse"],
+                                               phase=phase)
+        # the window comes after the pump, crystal and cavity, so a leaking
+        # config that one of them refuses is a config error
         grid = comb_grid(n_points, pump)
         if crystal.omega0 <= grid.omega_max:
             raise ConfigError(
@@ -272,13 +249,5 @@ def parse_scenario(raw: dict) -> ScenarioConfig:
             f"{peak:.6g} is below the smallest normal float in magnitude")
     if not (math.isfinite(phase_bound(grid, crystal)) and math.isfinite(peak)):
         raise ValidationError("kernel matrix has non-finite entries")
-    # a new dict: raw, and so config_hash, stays as the file gave it; an
-    # integer beyond int64 would turn a numpy array built from it into an
-    # object array
-    run = RUN_DEFAULTS | run
-    run.update({key: float(run[key])
-                for key in ("theta_max", "gain_cutoff", "n_bar0")})
-    if "ratios" in run:
-        run["ratios"] = [float(x) for x in run["ratios"]]
     return ScenarioConfig(grid=grid, pump=pump, crystal=crystal, cavity=cavity,
                           pump_ratio=pump_ratio, run=run, raw=raw)

@@ -136,6 +136,15 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="exactly one"):
             parse_scenario(raw)
 
+    def test_field_types_before_cross_field_checks(self):
+        # each field is checked, section by section, before the pump's
+        # exactly-one-of: a later section's malformed field is named first
+        raw = scenario_dict(**{"pump.energy": 1e-9, "crystal.l_c": "x"})
+        with pytest.raises(ConfigError,
+                           match=r"^field crystal\.l_c must be a finite "
+                                 r"number$"):
+            parse_scenario(raw)
+
     def test_r_and_finesse_exclusive(self):
         raw = scenario_dict(**{"cavity.finesse": 30.0})
         with pytest.raises(ConfigError, match="exactly one"):
@@ -1460,26 +1469,6 @@ class TestOperatingPoint:
         assert "singular" in err["message"]
         assert not out.exists()
 
-    # any warning fails the test, not only a numpy RuntimeWarning
-    @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("command", ["supermodes", "squeezing"])
-    def test_subnormal_top_gain_is_refused(self, tmp_path, capsys, command):
-        # a normal kernel peak (5.15e-296) whose phase mismatch leaves a
-        # subnormal top gain (2.6e-311): no finite factor takes it to the
-        # pump_ratio
-        raw = json.loads(DEFAULT_CONFIG.read_text())
-        raw["crystal"]["signal_dispersion"][0] = 1e20
-        raw["crystal"]["pump_dispersion"][0] = 0.0
-        raw["crystal"]["d_eff"] = 1e-305
-        out = tmp_path / "out"
-        assert main([command, "--config", str(write_config(tmp_path, raw)),
-                     "--out", str(out)]) == 3
-        errors = [json.loads(line)
-                  for line in capsys.readouterr().err.splitlines()]
-        assert [e["error"] for e in errors] == ["validation-error"]
-        assert "reference gain is 2.6" in errors[0]["message"]
-        assert not out.exists()
-
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("top", [0.0, 5e-324, 2.6e-311])
     def test_scale_that_is_not_finite_is_refused(self, tmp_path, top):
@@ -1611,6 +1600,16 @@ EDGE_TWINS = {
     "subnormal-peak": ({("crystal", "d_eff"): 1e-300,
                         ("crystal", "A_eff"): 1e46},
                        every_command("validation-error"), "peak 1.70973e-318"),
+    # a normal kernel peak (5.15e-296) whose phase mismatch leaves a
+    # subnormal top gain (2.6e-311): no finite factor takes it to the
+    # pump_ratio; pulses reads no kernel on a pump_ratio config, and runs
+    "subnormal-top-gain": ({("crystal", "signal_dispersion", 0): 1e20,
+                            ("crystal", "pump_dispersion", 0): 0.0,
+                            ("crystal", "d_eff"): 1e-305},
+                           {"supermodes": "validation-error",
+                            "squeezing": "validation-error",
+                            "metrology": "validation-error"},
+                           "reference gain is 2.6"),
     # a negative coupling flips the kernel's sign, not its singular values
     "negative-d_eff": ({("crystal", "d_eff"): -2e-12}, {}, None),
     # chi0's omega0^2 or n0^3, or the spectrum norm's sigma_t^2, overflows
